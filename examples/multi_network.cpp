@@ -24,7 +24,7 @@ int main() {
     mpi::Options opts;
     opts.use_elan4 = true;
     opts.use_tcp = true;
-    opts.sched = pml::Pml::SchedPolicy::kRoundRobin;
+    opts.sched = pml::SchedPolicy::kRoundRobin;
 
     rte.launch(2, [&](rte::Env& env) {
       mpi::World world(env, qsnet, opts);

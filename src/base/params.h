@@ -84,13 +84,10 @@ struct ModelParams {
 
   // ---- Multirail (BML striping across rails, paper §2.2) ----
   // Rails the runtime brings up as independent PTL modules. The pipelined
-  // rendezvous stripes per pull fragment on every long message;
-  // stripe_min_bytes only gates the legacy whole-message split used when
-  // pipelining is disabled. An overdue stripe
-  // pull (deadline = stripe_timeout_ns + 8x its modeled transfer time)
-  // marks its rail suspect and fails over to a survivor.
+  // rendezvous stripes per pull fragment on every long message. An overdue
+  // stripe pull (deadline = stripe_timeout_ns + 8x its modeled transfer
+  // time) marks its rail suspect and fails over to a survivor.
   int num_rails = 1;
-  std::size_t stripe_min_bytes = 32768;
   TimeNs stripe_timeout_ns = 50'000'000;
 
   // ---- Pipelined rendezvous (chunked-RDMA overlap) ----

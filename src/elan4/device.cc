@@ -22,6 +22,7 @@ Elan4Nic& Elan4Device::nic() { return net_.nic(node_, rail_); }
 const ModelParams& Elan4Device::params() const { return net_.params(); }
 
 void Elan4Device::compute(sim::Time ns) { net_.node(node_).cpu().compute(ns); }
+sim::ProcessCtx Elan4Device::host() { return net_.host(node_); }
 
 E4Event* Elan4Device::alloc_event(std::string name) {
   auto owned = std::make_unique<E4Event>(net_.engine(), params(), &nic(),

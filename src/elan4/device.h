@@ -18,6 +18,7 @@
 #include "elan4/event.h"
 #include "elan4/nic.h"
 #include "elan4/qdma.h"
+#include "sim/process.h"
 
 namespace oqs::elan4 {
 
@@ -41,6 +42,15 @@ class Elan4Device {
 
   // Charge host CPU time on this node (application or library work).
   void compute(sim::Time ns);
+  // The owning process's host, for waits on this device's event words.
+  sim::ProcessCtx host();
+  // Spin on `ev`'s host event word until it fires, one charged poll per
+  // read; returns false if abort() holds first.
+  template <class Abort = decltype(sim::kNoAbort)>
+  bool wait_event(const E4Event* ev, Abort abort = {}) {
+    return host().wait_until(sim::Cadence::kEventWord,
+                             [ev] { return ev->done(); }, sim::kNoSweep, abort);
+  }
 
   // --- Events (allocated in "elan memory"; live until close() or an
   // explicit free_event()) ---

@@ -16,6 +16,7 @@
 #include "net/fabric.h"
 #include "sim/engine.h"
 #include "sim/node.h"
+#include "sim/process.h"
 #include "sim/rng.h"
 
 namespace oqs::elan4 {
@@ -40,6 +41,10 @@ class QsNet {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   int num_rails() const { return rails_; }
   sim::Node& node(int id) { return *nodes_[static_cast<std::size_t>(id)]; }
+  // Host handle of a process (or device) on node `id`.
+  sim::ProcessCtx host(int id, int gid = -1) {
+    return {&engine_, &node(id).cpu(), &params_, gid};
+  }
   Elan4Nic& nic(int node, int rail = 0) {
     return *nics_[static_cast<std::size_t>(node * rails_ + rail)];
   }

@@ -51,18 +51,12 @@ void Colls::charge_copy(std::size_t bytes) {
 }
 
 Status Colls::shm_wait(const std::uint64_t& gen, std::uint64_t want) {
-  const pml::ProcessCtx& ctx = world_.pml().ctx();
-  const TimeNs step = ctx.params->shm_flag_ns;
   const auto& epoch = world_.pml().abort_epoch;
   const std::uint64_t stamp = epoch ? epoch() : 0;
-  while (gen < want) {
-    // A dead local rank leaves its generation counter behind forever; the
-    // abort epoch moving is the only way out of this spin.
-    if (epoch && epoch() > stamp) return Status::kRevoked;
-    ctx.engine->sleep(step);
-  }
-  ctx.compute(step);  // the flag read that observed the new generation
-  return Status::kOk;
+  const bool seen = world_.pml().ctx().wait_until(
+      sim::Cadence::kShmFlag, [&] { return gen >= want; }, sim::kNoSweep,
+      [&] { return epoch && epoch() > stamp; });
+  return seen ? Status::kOk : Status::kRevoked;
 }
 
 // Collectives over a communicator that already lost a member fail fast:

@@ -181,23 +181,14 @@ Status Colls::nic_round(NicState& st, double* buf, std::size_t count) {
   dev.set_event(st.up[s]);
 
   if (root) {
-    while (!st.up[s]->done()) {
-      if (tree_broken()) return Status::kErrProcFailed;
-      dev.charge_poll();
-    }
+    if (!dev.wait_event(st.up[s], tree_broken)) return Status::kErrProcFailed;
     if (len > 0) {
       dev.charge_copy(len);
       std::memcpy(buf, st.acc[s].data(), len);
     }
-    while (!st.drain[s]->done()) {
-      if (tree_broken()) return Status::kErrProcFailed;
-      dev.charge_poll();
-    }
+    if (!dev.wait_event(st.drain[s], tree_broken)) return Status::kErrProcFailed;
   } else {
-    while (!st.down[s]->done()) {
-      if (tree_broken()) return Status::kErrProcFailed;
-      dev.charge_poll();
-    }
+    if (!dev.wait_event(st.down[s], tree_broken)) return Status::kErrProcFailed;
     if (len > 0) {
       dev.charge_copy(len);
       std::memcpy(buf, st.res[s].data(), len);

@@ -65,9 +65,9 @@ bool try_hw_bcast(Communicator& comm, World& world, void* buf, std::size_t len,
       if (r != root) group.push_back(all[static_cast<std::size_t>(r)].vpid);
     dev->hw_broadcast(group, mine.addr, static_cast<std::uint32_t>(len),
                       mine.event_index, injected);
-    while (!injected->done()) dev->charge_poll();
+    dev->wait_event(injected);
   } else {
-    while (!arrive->done()) dev->charge_poll();
+    dev->wait_event(arrive);
   }
   dev->free_event(arrive);
   dev->free_event(injected);
@@ -150,9 +150,9 @@ void HwBcastGroup::bcast(void* buf, std::size_t len, int root) {
     dev_->hw_broadcast(group, staging_addr_ + slot_off,
                        static_cast<std::uint32_t>(len), arrive_index_[slot],
                        injected_);
-    while (!injected_->done()) dev_->charge_poll();
+    dev_->wait_event(injected_);
   } else {
-    while (!arrive_[slot]->done()) dev_->charge_poll();
+    dev_->wait_event(arrive_[slot]);
     dev_->charge_copy(len);
     std::memcpy(buf, staging_.data() + slot_off, len);
     arrive_[slot]->init(1);  // re-arm for the slot's next lap

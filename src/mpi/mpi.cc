@@ -54,18 +54,18 @@ void wait_all(std::vector<Request>& reqs) {
 }
 
 std::size_t wait_any(std::vector<Request>& reqs) {
-  assert(!reqs.empty());
-  World* w = nullptr;
-  for (;;) {
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (!reqs[i].valid()) continue;
-      w = reqs[i].world_;
-      if (reqs[i].req_->complete()) return i;
-    }
-    assert(w != nullptr && "wait_any on all-empty request set");
-    if (w->pml().progress() == 0)
-      w->pml().ctx().engine->sleep(w->pml().ctx().params->host_poll_ns);
-  }
+  auto last = std::find_if(reqs.rbegin(), reqs.rend(),
+                           [](const Request& r) { return r.valid(); });
+  assert(last != reqs.rend() && "wait_any on all-empty request set");
+  pml::Pml& p = last->world_->pml();
+  std::size_t hit = 0;
+  auto any_done = [&reqs, &hit] {
+    for (hit = 0; hit < reqs.size(); ++hit)
+      if (reqs[hit].valid() && reqs[hit].req_->complete()) return true;
+    return false;
+  };
+  p.ctx().wait_until(sim::Cadence::kPoll, any_done, [&p] { return p.progress(); });
+  return hit;
 }
 
 // ------------------------------------------------------------ Request ----
@@ -205,11 +205,10 @@ bool Communicator::iprobe(int src, int tag, RecvStatus* st) {
 }
 
 void Communicator::probe(int src, int tag, RecvStatus* st) {
+  // iprobe() runs its own sweep; the wait's sweep is a second one.
   auto& p = world_->pml();
-  while (!iprobe(src, tag, st)) {
-    if (p.progress() == 0)
-      p.ctx().engine->sleep(p.ctx().params->host_poll_ns);
-  }
+  p.ctx().wait_until(sim::Cadence::kPoll, [&] { return iprobe(src, tag, st); },
+                     [&p] { return p.progress(); });
 }
 
 // The routed collectives delegate to the framework (src/mpi/coll), which
@@ -448,12 +447,7 @@ std::string World::proc_key(int gid) const {
 }
 
 void World::open_stack() {
-  pml::ProcessCtx ctx;
-  ctx.engine = &net_.engine();
-  ctx.cpu = &net_.node(env_.node).cpu();
-  ctx.params = &net_.params();
-  ctx.gid = gid_;
-  pml_ = std::make_unique<pml::Pml>(ctx);
+  pml_ = std::make_unique<pml::Pml>(net_.host(env_.node, gid_));
   pml_->set_sched_policy(opts_.sched);
   pml_->set_inline_rendezvous(opts_.inline_rendezvous);
   pml_->set_pipeline_rendezvous(opts_.pipeline_rendezvous);

@@ -51,15 +51,15 @@ struct Options {
   // exists to exercise the reliability component off the Elan4 path).
   bool tcp_reliability = false;
   ptl_elan4::Options elan4;
-  pml::Pml::SchedPolicy sched = pml::Pml::SchedPolicy::kBestWeight;
+  pml::SchedPolicy sched = pml::SchedPolicy::kBestWeight;
   // Carry payload in rendezvous first fragments (paper §6.1 ablation; the
   // best configuration leaves this off on RDMA networks).
   bool inline_rendezvous = false;
   // Pipelined rendezvous: long messages split into pipeline fragments — an
   // inline prefix plus eager pushes ride ahead of the CTS, the remainder
   // streams as chunked pulls overlapping registration with transfer, and
-  // fragments stripe across rails. Off = the legacy monolithic protocol
-  // (single pull; whole-message striping above stripe_min_bytes).
+  // fragments stripe across rails. Off = the paper's monolithic protocol
+  // (one pull on a single rail).
   bool pipeline_rendezvous = true;
   // Overrides for the ModelParams pipeline knobs; 0 / -1 = use ModelParams
   // (pipeline_frag_bytes / pipeline_depth / pipeline_push_frags).

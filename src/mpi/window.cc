@@ -70,7 +70,7 @@ void Window::fence() {
   // ack, i.e. after remote placement — so draining our descriptors is
   // enough for our puts to be visible at their targets.
   for (const PendingOp& op : pending_) {
-    while (!op.event->done()) dev_->charge_poll();
+    dev_->wait_event(op.event);
     assert(ok(op.event->status()) && "RMA operation faulted");
     dev_->unmap(op.mapped);
   }

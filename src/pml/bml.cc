@@ -161,19 +161,13 @@ void Bml::send(SendRequest& req) {
 }
 
 bool Bml::try_fragmented(SendRequest& req, Ptl* chosen) {
-  if (policy_ != SchedPolicy::kBestWeight) return false;  // RR = legacy path
-  const ProcessCtx& ctx = pml_.ctx();
+  // Round-robin and non-pipelined sends take the PTL's monolithic scheme on
+  // the chosen rail.
+  if (policy_ != SchedPolicy::kBestWeight || !pipeline_) return false;
+  const sim::ProcessCtx& ctx = pml_.ctx();
   const std::size_t total = req.total_bytes();
   std::vector<Ptl*> rails = stripe_rails(req.dst_gid);
-  if (pipeline_) {
-    if (rails.empty()) return false;
-  } else {
-    // Legacy whole-message striping: engages only above the stripe
-    // threshold with at least two rails, and never composes with the
-    // single-rail inline-rendezvous prefix.
-    if (inline_rendezvous_) return false;
-    if (total < ctx.params->stripe_min_bytes || rails.size() < 2) return false;
-  }
+  if (rails.empty()) return false;
 
   // The chosen (best-score) rail leads: it carries the RTS, the inline
   // prefix and the pushed fragments, and its region is first in the table
@@ -191,24 +185,15 @@ bool Bml::try_fragmented(SendRequest& req, Ptl* chosen) {
   // Plan the one authoritative schedule. The RTS frame budget bounds the
   // inline prefix: the primary's eager limit minus the serialized rail
   // table, the schedule fields, and a worst-case CRC table.
-  std::uint64_t inline_cap = 0;
-  std::uint32_t push_frames = 0;
-  std::uint32_t push_unit = 0;
-  std::uint64_t frag_size;
-  if (pipeline_) {
-    std::size_t overhead = 4 + kScheduleFixedBytes;
-    for (Ptl* r : rails) overhead += 1 + r->name().size() + 8;
-    if (checksummed) overhead += 4 * kMaxPullFrags;
-    const std::size_t slot = primary->eager_limit();
-    inline_cap = slot > overhead ? slot - overhead : 0;
-    push_unit = static_cast<std::uint32_t>(primary->pipeline_push_unit());
-    push_frames = static_cast<std::uint32_t>(pipeline_push_frags());
-    frag_size = pipeline_frag_bytes();
-  } else {
-    frag_size = (total + rails.size() - 1) / rails.size();
-  }
-  const FragSchedule plan =
-      plan_frags(total, inline_cap, push_frames, push_unit, frag_size);
+  std::size_t overhead = 4 + kScheduleFixedBytes;
+  for (Ptl* r : rails) overhead += 1 + r->name().size() + 8;
+  if (checksummed) overhead += 4 * kMaxPullFrags;
+  const std::size_t slot = primary->eager_limit();
+  const std::uint64_t inline_cap = slot > overhead ? slot - overhead : 0;
+  const FragSchedule plan = plan_frags(
+      total, inline_cap, static_cast<std::uint32_t>(pipeline_push_frags()),
+      static_cast<std::uint32_t>(primary->pipeline_push_unit()),
+      pipeline_frag_bytes());
   assert(plan.pull_base + plan.pull_len == total);
 
   // Stage non-contiguous payloads once; every rail exposes the same bytes.
@@ -282,7 +267,7 @@ bool Bml::try_fragmented(SendRequest& req, Ptl* chosen) {
   req.hdr.cookie = id;
   if (plan.nfrags > 0) ssends_.emplace(id, std::move(op));
 
-  OQS_METRIC_INC(pipeline_ ? "bml.send.pipelined" : "bml.send.striped");
+  OQS_METRIC_INC("bml.send.pipelined");
   OQS_TRACE_INSTANT(ctx.gid, "bml", "send.fragmented", "len", total, "frags",
                     static_cast<std::uint64_t>(plan.nfrags));
   if (pml_.probe_send_to_ptl) pml_.probe_send_to_ptl();
@@ -354,7 +339,7 @@ void Bml::handle_stripe_fin(const MatchHeader& hdr) {
 void Bml::matched_striped(RecvRequest& req, std::unique_ptr<FirstFrag> frag) {
   const std::vector<std::uint8_t>& blob = frag->inline_data;
   std::size_t off = 0;
-  const ProcessCtx& ctx = pml_.ctx();
+  const sim::ProcessCtx& ctx = pml_.ctx();
 
   StripedRecv op;
   op.req = &req;
@@ -513,7 +498,7 @@ void Bml::apply_push(std::uint64_t rid, std::uint64_t offset,
                " len ", len);
     return;
   }
-  const ProcessCtx& ctx = pml_.ctx();
+  const sim::ProcessCtx& ctx = pml_.ctx();
   ctx.compute(ctx.params->host_memcpy_startup_ns +
               ModelParams::xfer_ns(len, ctx.params->host_memcpy_mbps));
   std::memcpy(op.base + offset, data, len);
@@ -609,7 +594,7 @@ void Bml::issue_pull(std::uint64_t rid, std::uint32_t idx) {
   }
   RailSched& rs = op.rails[static_cast<std::size_t>(slot)];
 
-  const ProcessCtx& ctx = pml_.ctx();
+  const sim::ProcessCtx& ctx = pml_.ctx();
   const std::uint64_t foff = op.plan.frag_offset(idx);
   const std::uint64_t flen = op.plan.frag_bytes(idx);
   ++pend.attempts;
@@ -655,7 +640,7 @@ void Bml::on_pull_done(std::uint64_t rid, std::uint32_t idx, Status st) {
   if (pend.done) return;  // stale completion after a reassignment
   if (pend.slot >= 0)
     --op.rails[static_cast<std::size_t>(pend.slot)].inflight;
-  const ProcessCtx& ctx = pml_.ctx();
+  const sim::ProcessCtx& ctx = pml_.ctx();
   const std::uint64_t foff = op.plan.frag_offset(idx);
   const std::uint64_t flen = op.plan.frag_bytes(idx);
 
@@ -754,7 +739,7 @@ void Bml::finish_recv(std::uint64_t rid) {
   StripedRecv op = std::move(it->second);
   rrecvs_.erase(it);
   by_cookie_.erase(std::make_pair(op.gid, op.sender_cookie));
-  const ProcessCtx& ctx = pml_.ctx();
+  const sim::ProcessCtx& ctx = pml_.ctx();
   if (op.staged) {
     ctx.compute(ctx.params->host_memcpy_startup_ns +
                 ModelParams::xfer_ns(op.rest, ctx.params->host_memcpy_mbps));
@@ -790,7 +775,7 @@ void Bml::fail_recv(std::uint64_t rid, Status st) {
 void Bml::arm_stripe_timer() {
   if (stripe_timer_armed_ || finalized_ || rrecvs_.empty()) return;
   stripe_timer_armed_ = true;
-  const ProcessCtx& ctx = pml_.ctx();
+  const sim::ProcessCtx& ctx = pml_.ctx();
   const sim::Time interval =
       std::max<sim::Time>(ctx.params->stripe_timeout_ns / 4, 1000);
   ctx.engine->schedule(interval, [this, token = alive_] {
@@ -806,7 +791,7 @@ void Bml::arm_stripe_timer() {
 
 void Bml::stripe_fire() {
   stripe_timer_armed_ = false;
-  const ProcessCtx& ctx = pml_.ctx();
+  const sim::ProcessCtx& ctx = pml_.ctx();
   const sim::Time now = ctx.engine->now();
   // Collect overdue fragments first: issue_pull / fail_recv mutate rrecvs_.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> overdue;
@@ -860,12 +845,11 @@ int Bml::progress() {
 
 void Bml::finalize() {
   if (finalized_) return;
-  const ProcessCtx& ctx = pml_.ctx();
   // Drain in-flight fragmented operations first (the failover timer keeps
   // running, so a dead rail cannot wedge the drain), then quiesce the rails.
-  while (striped_active() != 0) {
-    if (progress() == 0) ctx.engine->sleep(ctx.params->host_poll_ns);
-  }
+  pml_.ctx().wait_until(sim::Cadence::kPoll,
+                        [this] { return striped_active() == 0; },
+                        [this] { return progress(); });
   finalized_ = true;
   *alive_ = false;
   pipe_stash_.clear();

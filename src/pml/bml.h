@@ -15,8 +15,7 @@
 //    pipeline fragments behind it (payload streams before the CTS), and
 //    chunked pull fragments dispatched bandwidth-weighted across every
 //    stripe-capable rail with at most pipeline_depth pulls in flight per
-//    rail — the fragment is the striping unit, replacing the old 32 KB
-//    whole-message stripe threshold,
+//    rail — the fragment is the striping unit,
 //  - failover: each issued pull carries a deadline; an overdue fragment
 //    marks its rail suspect and is re-issued on a survivor (the sender
 //    exposes the whole pull region on every rail precisely so any rail can
@@ -174,9 +173,8 @@ class Bml {
   // Stripe-capable rails reaching gid (used for both the striping decision
   // and the region exposure).
   std::vector<Ptl*> stripe_rails(int gid) const;
-  // Plan and launch a fragmented rendezvous (pipelined, or the legacy
-  // whole-message striping when the pipeline is disabled). Returns false to
-  // fall back to the single-rail monolithic scheme.
+  // Plan and launch a pipelined rendezvous. Returns false to fall back to
+  // the single-rail monolithic scheme (round-robin policy, pipelining off).
   bool try_fragmented(SendRequest& req, Ptl* chosen);
   void apply_push(std::uint64_t rid, std::uint64_t offset,
                   const std::uint8_t* data, std::size_t len);

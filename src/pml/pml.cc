@@ -255,31 +255,21 @@ void Pml::wait(Request& req) {
   // objects, so a dormant secondary module does not forfeit blocking waits.
   // Block only while the PTL is idle; once a protocol exchange is in flight
   // (rendezvous answered, RDMA outstanding), poll it to completion so a
-  // multi-step protocol costs one interrupt, not one per step.
-  if (Ptl* sole = bml_.sole_blocking_ptl()) {
-    Ptl& ptl = *sole;
-    while (!req.complete()) {
-      if (epoch_aborted(req)) return;
-      if (ptl.progress() > 0) continue;
-      // A dead peer raises no interrupt, but blocking here is still safe:
-      // the World's failure subscriber calls wake_waits() after every
-      // declaration/revoke, so the block returns and the checks above
-      // (req.complete after peer_failed's sweep, epoch_aborted) run.
-      if (ptl.active())
-        ctx_.engine->sleep(ctx_.params->host_poll_ns);
-      else
-        ptl.progress_blocking();
-    }
-    return;
-  }
-  while (!req.complete()) {
-    if (epoch_aborted(req)) return;
-    if (progress() == 0) {
-      // Nothing arrived: the poll cost was already charged by the PTLs.
-      // Yield so NIC/fabric events can run.
-      ctx_.engine->sleep(ctx_.params->host_poll_ns);
-    }
-  }
+  // multi-step protocol costs one interrupt, not one per step. A block
+  // counts as progress: no idle step follows it. A dead peer raises no
+  // interrupt, but the World's failure subscriber calls wake_waits() after
+  // every declaration/revoke, so the block returns and the checks run.
+  // Otherwise the sweep polls every rail, and the PTLs charge its cost.
+  Ptl* sole = bml_.sole_blocking_ptl();
+  auto sweep = [this, sole] {
+    if (sole == nullptr) return progress();
+    if (sole->progress() > 0) return 1;
+    if (sole->active()) return 0;  // protocol in flight: keep polling
+    sole->progress_blocking();
+    return 1;
+  };
+  ctx_.wait_until(sim::Cadence::kPoll, [&req] { return req.complete(); },
+                  sweep, [this, &req] { return epoch_aborted(req); });
 }
 
 Pml::SequenceState Pml::export_sequences() const {

@@ -15,37 +15,21 @@
 #include <vector>
 
 #include "base/intrusive_list.h"
-#include "base/params.h"
 #include "pml/bml.h"
 #include "pml/ptl.h"
 #include "pml/request.h"
-#include "sim/cpu.h"
-#include "sim/engine.h"
+#include "sim/process.h"
 
 namespace oqs::pml {
 
-// Everything a layer needs to charge host work for one process.
-struct ProcessCtx {
-  sim::Engine* engine = nullptr;
-  sim::Cpu* cpu = nullptr;
-  const ModelParams* params = nullptr;
-  int gid = -1;  // global process id
-
-  void compute(sim::Time ns) const { cpu->compute(ns); }
-};
-
 class Pml {
  public:
-  // Rail scheduling lives in the BML now; the alias keeps the historical
-  // Pml::SchedPolicy spelling working at every call site.
-  using SchedPolicy = pml::SchedPolicy;
-
-  explicit Pml(ProcessCtx ctx) : ctx_(ctx), bml_(*this) {}
+  explicit Pml(sim::ProcessCtx ctx) : ctx_(ctx), bml_(*this) {}
   ~Pml();
   Pml(const Pml&) = delete;
   Pml& operator=(const Pml&) = delete;
 
-  const ProcessCtx& ctx() const { return ctx_; }
+  const sim::ProcessCtx& ctx() const { return ctx_; }
   void set_sched_policy(SchedPolicy p) { bml_.set_sched_policy(p); }
   // When false, rendezvous first fragments carry no payload — the paper's
   // "NoInline" optimization (§6.1), which avoids the extra copy on RDMA
@@ -158,7 +142,7 @@ class Pml {
   void bind(RecvRequest& req, std::unique_ptr<FirstFrag> frag);
   static bool matches(const RecvRequest& req, const MatchHeader& hdr);
 
-  ProcessCtx ctx_;
+  sim::ProcessCtx ctx_;
   Bml bml_;
   sim::Time request_wake_delay_ = 0;
 

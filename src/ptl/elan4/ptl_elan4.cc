@@ -283,18 +283,15 @@ Elan4Endpoint* PtlElan4::wait_for_window(int gid) {
   // Application-fiber backpressure: block until the peer's window has room
   // for one more sequenced frame. Progress must keep running while blocked
   // or the acks that open the window are never processed.
-  sim::Engine& engine = net_.engine();
-  const ModelParams& p = net_.params();
-  while (true) {
+  Elan4Endpoint* ep = nullptr;
+  auto room = [&] {
     auto it = peers_.find(gid);
-    if (it == peers_.end() || !it->second.alive) return nullptr;
-    if (!opts_.reliability || it->second.window_in_use() < opts_.send_window)
-      return &it->second;
-    if (threaded())
-      engine.sleep(p.host_poll_ns * 10);
-    else if (progress() == 0)
-      engine.sleep(p.host_poll_ns);
-  }
+    ep = it == peers_.end() || !it->second.alive ? nullptr : &it->second;
+    return ep == nullptr || !opts_.reliability ||
+           ep->window_in_use() < opts_.send_window;
+  };
+  pml_.ctx().wait_until(wait_cadence(), room, [this] { return progress(); });
+  return ep;
 }
 
 void PtlElan4::arm_completion(E4Event* ev, std::uint64_t id) {
@@ -964,17 +961,13 @@ void PtlElan4::send_self(FragKind kind) {
 void PtlElan4::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  sim::Engine& engine = net_.engine();
+  const sim::ProcessCtx& host = pml_.ctx();
+  auto sweep = [this] { return progress(); };
 
   // Quiesce: pending messages must complete before teardown (§4.1), so no
   // leftover DMA descriptor can regenerate traffic. Stripe pulls count: the
   // BML cancels the doomed ones before it lets the rails finalize.
-  while (!sends_.empty() || !recvs_.empty() || !pulls_.empty()) {
-    if (threaded())
-      engine.sleep(net_.params().host_poll_ns * 10);
-    else
-      if (progress() == 0) engine.sleep(net_.params().host_poll_ns);
-  }
+  host.wait_until(wait_cadence(), [this] { return !active(); }, sweep);
 
   if (opts_.reliability) {
     // Acknowledge everything received so peers can prune and leave too,
@@ -982,17 +975,12 @@ void PtlElan4::finalize() {
     // retransmission timer keeps recovering losses meanwhile). Without
     // this, a dropped final FIN_ACK would strand the other side forever.
     flush_acks();
-    auto outstanding = [this] {
+    auto settled = [this] {
       for (auto& [gid, peer] : peers_)
-        if (peer.alive && peer.window_in_use() > 0) return true;
-      return false;
+        if (peer.alive && peer.window_in_use() > 0) return false;
+      return sends_.empty() && recvs_.empty();
     };
-    while (outstanding() || !sends_.empty() || !recvs_.empty()) {
-      if (threaded())
-        engine.sleep(net_.params().host_poll_ns * 10);
-      else
-        if (progress() == 0) engine.sleep(net_.params().host_poll_ns);
-    }
+    host.wait_until(wait_cadence(), settled, sweep);
   }
 
   // Tell peers we are leaving so they stop addressing our context.
@@ -1009,11 +997,12 @@ void PtlElan4::finalize() {
   if (threaded()) {
     stopping_ = true;
     send_self(FragKind::kGoodbye);
-    while (live_threads_ > 0) engine.sleep(1000);
+    host.wait_until(sim::Cadence::kThreadExit,
+                    [this] { return live_threads_ == 0; });
   }
 
   // Let in-flight goodbyes drain before the contexts disappear.
-  engine.sleep(5 * net_.params().interrupt_ns);
+  net_.engine().sleep(5 * net_.params().interrupt_ns);
   // Disarm the reliability timers: any already-scheduled callback sees the
   // cleared token and no-ops instead of touching a closed device.
   *alive_ = false;

@@ -205,6 +205,10 @@ class PtlElan4 final : public pml::Ptl {
   void ack_fire();
   // Block the calling (application) fiber until gid's window has room.
   Elan4Endpoint* wait_for_window(int gid);
+  // The application fiber sweeps the queues unless progress threads do.
+  sim::Cadence wait_cadence() const {
+    return threaded() ? sim::Cadence::kThreaded : sim::Cadence::kPoll;
+  }
   // Issue (or re-issue) the RDMA read for a pending receive.
   void issue_read(std::uint64_t id, PendingRecv& op);
   void handle_frame(elan4::QdmaQueue::Slot&& slot);

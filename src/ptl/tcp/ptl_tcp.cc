@@ -418,9 +418,9 @@ int PtlTcp::progress() {
 void PtlTcp::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  while (!sends_.empty() || !recvs_.empty()) {
-    if (progress() == 0) net_.engine().sleep(net_.params().host_poll_ns * 4);
-  }
+  const sim::ProcessCtx& host = pml_.ctx();
+  auto sweep = [this] { return progress(); };
+  host.wait_until(sim::Cadence::kSocketPoll, [this] { return !active(); }, sweep);
   if (reliability_) {
     // Flush cumulative acks so peers can prune, then wait for our own
     // frames to be acknowledged before the endpoint detaches.
@@ -428,14 +428,12 @@ void PtlTcp::finalize() {
       if (peer.stream != nullptr && peer.stream->unacked_rx() > 0)
         send_frame_ack(gid);
     }
-    auto outstanding = [this] {
+    auto acked = [this] {
       for (auto& [gid, peer] : peers_)
-        if (peer.window_in_use() > 0) return true;
-      return false;
+        if (peer.window_in_use() > 0) return false;
+      return true;
     };
-    while (outstanding()) {
-      if (progress() == 0) net_.engine().sleep(net_.params().host_poll_ns * 4);
-    }
+    host.wait_until(sim::Cadence::kSocketPoll, acked, sweep);
   }
   // Tell peers we are leaving so they stop addressing this socket (a send
   // to a detached address drops silently — a migrated peer would hang).

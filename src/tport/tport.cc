@@ -321,16 +321,4 @@ void Tport::peer_failed(Vpid dead) {
   }
 }
 
-void Tport::wait(TxReq* r) {
-  reap(r);
-  while (!r->done) device_->charge_poll();
-  r->harvested = true;
-}
-
-void Tport::wait(RxReq* r) {
-  reap(r);
-  while (!r->done) device_->charge_poll();
-  r->harvested = true;
-}
-
 }  // namespace oqs::tport

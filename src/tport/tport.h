@@ -90,8 +90,12 @@ class Tport {
               std::size_t capacity);
 
   // Poll-wait on completion flags (MPICH-QsNetII's progress discipline).
-  void wait(TxReq* r);
-  void wait(RxReq* r);
+  template <class Req>
+  void wait(Req* r) {
+    reap(r);
+    device_->host().wait_until(sim::Cadence::kEventWord, [r] { return r->done; });
+    r->harvested = true;
+  }
 
   // The capability layer declared `dead` failed (libelan's exception
   // delivery path). Every posted receive naming the corpse as its source

@@ -66,7 +66,7 @@ TEST(MultiNet, RoundRobinSchedulesAcrossBothNetworks) {
   mpi::Options opts;
   opts.use_elan4 = true;
   opts.use_tcp = true;
-  opts.sched = pml::Pml::SchedPolicy::kRoundRobin;
+  opts.sched = pml::SchedPolicy::kRoundRobin;
   TestBed bed;
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();

@@ -79,8 +79,8 @@ struct PmlFixture : ::testing::Test {
   MockPtl* tx = nullptr;  // sender-side module
 
   void SetUp() override {
-    ProcessCtx cs{&engine, &cpu, &params, /*gid=*/0};
-    ProcessCtx cr{&engine, &cpu, &params, /*gid=*/1};
+    sim::ProcessCtx cs{&engine, &cpu, &params, /*gid=*/0};
+    sim::ProcessCtx cr{&engine, &cpu, &params, /*gid=*/1};
     sender = std::make_unique<Pml>(cs);
     receiver = std::make_unique<Pml>(cr);
     auto ptl = std::make_unique<MockPtl>("mock", 100.0);
@@ -276,7 +276,7 @@ TEST_F(PmlFixture, RoundRobinAlternatesPtls) {
     EXPECT_EQ(tx->sends, 2);
     EXPECT_EQ(tx2->sends, 0);
 
-    sender->set_sched_policy(Pml::SchedPolicy::kRoundRobin);
+    sender->set_sched_policy(SchedPolicy::kRoundRobin);
     for (int i = 2; i < 4; ++i) send_bytes(&v, 4, 0, &s[i]);
     EXPECT_EQ(tx->sends, 3);
     EXPECT_EQ(tx2->sends, 1);
@@ -328,7 +328,7 @@ TEST_F(PmlFixture, WaitBlocksOnSoleWiredBlockingRail) {
   // force the wait into its polling loop. (The old single-PTL gate would
   // spin on progress() forever here.)
   in_fiber([&] {
-    ProcessCtx c{&engine, &cpu, &params, /*gid=*/0};
+    sim::ProcessCtx c{&engine, &cpu, &params, /*gid=*/0};
     Pml p(c);
     auto irq = std::make_unique<BlockingMockPtl>("irq");
     auto dormant = std::make_unique<BlockingMockPtl>("dormant");

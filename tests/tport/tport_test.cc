@@ -181,8 +181,8 @@ TEST_F(TportFixture, SendToDeadOrUnregisteredVpidFails) {
     EXPECT_TRUE(t2->failed);
     // wait() on a failed request returns immediately; failure stays visible.
     a.wait(t1);
-    a.wait(t2);
     EXPECT_TRUE(t1->failed);
+    a.wait(t2);  // reclaims t1, whose completion wait() already observed
     EXPECT_TRUE(t2->failed);
   });
   engine.run();
