@@ -237,9 +237,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nExpected: the skeletons' 4-16KB messages sit below the multirail "
       "striping regime, so a second rail moves clean goodput only a few "
-      "percent; it earns its keep under loss on the all-to-all, where "
-      "retransmission traffic spreads across rails (shuffle p99 drops "
-      "~12%% at 2%% loss). Wire loss at 2%% costs roughly half the goodput "
+      "percent, and under loss it helps the all-to-all only slightly, "
+      "where retransmission traffic spreads across rails (shuffle p99 "
+      "drops ~2%% at 2%% loss). Wire loss at 2%% costs roughly half the goodput "
       "via go-back-N retransmission but never correctness (verify stays "
       "0). Interference lives in the mix row's tail: its p50 matches the "
       "lone stencil's, while p95/p99 stretch several-fold — the shuffle's "

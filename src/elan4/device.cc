@@ -89,7 +89,8 @@ Status Elan4Device::post_qdma(Vpid dest, int queue_id,
                               E4Event* local_event, bool lossy) {
   if (closed_) return Status::kShutdown;
   if (data.size() > 2048) return Status::kBadParam;  // QDMA hard limit
-  compute(params().host_qdma_post_ns);
+  // Snapshot the caller's bytes before the post charge: compute() suspends
+  // this fiber, and the span's owner may rewrite or free it meanwhile.
   QdmaCmd cmd;
   cmd.src_vpid = vpid_;
   cmd.dest_vpid = dest;
@@ -97,6 +98,7 @@ Status Elan4Device::post_qdma(Vpid dest, int queue_id,
   cmd.data.assign(data.begin(), data.end());
   cmd.local_event = local_event;
   cmd.lossy = lossy;
+  compute(params().host_qdma_post_ns);
   nic().submit(std::move(cmd));
   return Status::kOk;
 }

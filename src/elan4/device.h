@@ -75,7 +75,8 @@ class Elan4Device {
   // --- QDMA ---
   QdmaQueue* create_queue(std::uint32_t num_slots, std::uint32_t slot_size = 2048);
   Status destroy_queue(QdmaQueue* q);
-  // Post up to slot_size bytes into (dest VPID, queue id). `lossy` opts the
+  // Post up to slot_size bytes into (dest VPID, queue id). `data` is copied
+  // on entry, before the post charge suspends the caller. `lossy` opts the
   // wire packet into fault injection — set it only for traffic whose
   // protocol recovers from loss.
   Status post_qdma(Vpid dest, int queue_id, std::span<const std::uint8_t> data,

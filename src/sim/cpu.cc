@@ -35,11 +35,11 @@ void Cpu::compute(Time dur) {
     if (static_cast<int>(i) != core && cores_[i].busy) ++others;
   Time cost = dur + static_cast<Time>(static_cast<double>(dur) *
                                       memory_contention_ * others);
-  if (cores_[core].last != nullptr && cores_[core].last != self) {
+  if (cores_[core].last != 0 && cores_[core].last != self->serial()) {
     cost += ctx_switch_ns_;
     ++switches_;
   }
-  cores_[core].last = self;
+  cores_[core].last = self->serial();
   busy_ns_ += cost;
   if (cost > 0) engine_.sleep(cost);
 

@@ -41,7 +41,10 @@ class Cpu {
  private:
   struct Core {
     bool busy = false;
-    const Fiber* last = nullptr;
+    // Serial of the last occupant (0: none yet). Not a Fiber*: a reaped
+    // fiber's address is often reused by the next spawn, which would hide
+    // a real occupant change.
+    std::uint64_t last = 0;
   };
   struct Waiter {
     Fiber* fiber;

@@ -93,7 +93,8 @@ TEST(Convertor, ScattersOnUnpack) {
 TEST(Convertor, ResumableAtArbitraryBoundaries) {
   // Pack in odd-sized pieces; the stream must match a single-shot pack.
   auto t = Datatype::vec(7, 3, 5, int_type());
-  std::vector<int> mem(7 * 5 + 3, 0);
+  // Two elements: the second starts one extent after the first.
+  std::vector<int> mem(2 * t->extent() / sizeof(int), 0);
   std::iota(mem.begin(), mem.end(), 100);
 
   Convertor whole(t, mem.data(), 2);

@@ -1,6 +1,8 @@
 // QDMA end-to-end: delivery, integrity, ordering, limits, failure modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -69,6 +71,40 @@ TEST_F(QdmaFixture, PreservesOrderFromOneSender) {
   engine.run();
   ASSERT_EQ(got.size(), 20u);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+}
+
+TEST_F(QdmaFixture, PayloadIsSnapshottedBeforeThePostCharge) {
+  // post_qdma suspends its caller for the host post cost. A second fiber
+  // that rewrites and frees the source buffer inside that window must not
+  // change what lands: the device copied the bytes on entry.
+  auto d0 = net->open(0);
+  auto d1 = net->open(1);
+  ASSERT_GT(params.host_qdma_post_ns, 1u);
+  auto src = std::make_unique<std::vector<std::uint8_t>>(64);
+  std::iota(src->begin(), src->end(), 7);
+  const std::vector<std::uint8_t> original = *src;
+  QdmaQueue* q = nullptr;
+  bool landed = false;
+
+  engine.spawn("recv", [&] {
+    q = d1->create_queue(8);
+    d1->queue_wait(q);
+    QdmaQueue::Slot s;
+    ASSERT_TRUE(q->consume(&s));
+    EXPECT_EQ(s.data, original);
+    landed = true;
+  });
+  engine.spawn("send", [&] {
+    EXPECT_EQ(d0->post_qdma(d1->vpid(), q->id(), *src), Status::kOk);
+  });
+  engine.spawn("vandal", [&] {
+    engine.sleep(1);  // inside the sender's post charge
+    std::fill(src->begin(), src->end(), 0xEE);
+    src.reset();
+  });
+  engine.run();
+  EXPECT_EQ(src, nullptr);
+  EXPECT_TRUE(landed);
 }
 
 TEST_F(QdmaFixture, RejectsOversizedMessage) {

@@ -70,6 +70,21 @@ TEST(Cpu, ContextSwitchChargedOnOccupantChange) {
   EXPECT_EQ(cpu.switches(), 1u);
 }
 
+TEST(Cpu, ReapedOccupantStillCountsAsAnotherFiber) {
+  // Each fiber is spawned only after the previous one finished and was
+  // reaped, so the allocator tends to hand every new Fiber the same
+  // address. The core must still see N distinct occupants.
+  constexpr int kFibers = 5;
+  Engine e;
+  Cpu cpu(e, 1, 250);
+  for (int i = 0; i < kFibers; ++i) {
+    e.spawn("f" + std::to_string(i), [&] { cpu.compute(100); });
+    e.run();
+  }
+  EXPECT_EQ(cpu.switches(), static_cast<std::uint64_t>(kFibers - 1));
+  EXPECT_EQ(e.now(), kFibers * 100u + (kFibers - 1) * 250u);
+}
+
 TEST(Cpu, FifoFairnessUnderLoad) {
   Engine e;
   Cpu cpu(e, 1, 0);
