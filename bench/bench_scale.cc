@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
     json += row;
   }
   std::printf(
-      "\nExpected: events/s stays within ~2x across the 16x rank sweep — "
+      "\nExpected: events/s stays within ~3x across the 16x rank sweep — "
       "schedule/dispatch is O(1) amortized in the pending-event population "
       "(calendar queue, pooled nodes and stacks), so the slow fade is cache "
       "footprint (hundreds of MB of model state at 512 nodes), not queue "
