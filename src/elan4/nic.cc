@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "base/log.h"
 #include "elan4/event.h"
@@ -11,6 +12,12 @@
 #include "obs/trace.h"
 
 namespace oqs::elan4 {
+
+namespace {
+constexpr const char* kLaterDropsCounted =
+    " (later QDMA drops on this NIC are counted in elan4.nic.rx_drops and "
+    "elan4.nic.dead_vpid_drops, not logged)";
+}  // namespace
 
 Elan4Nic::Elan4Nic(QsNet& net, int node, int rail)
     : net_(net), node_(node), rail_(rail) {}
@@ -113,7 +120,10 @@ void Elan4Nic::do_qdma(QdmaCmd&& cmd) {
     if (cmd.local_event != nullptr) cmd.local_event->fire();
     if (!net_.capability().is_live(cmd.dest_vpid)) {
       ++rx_drops_;
-      log::warn("elan4", "QDMA to dead vpid ", cmd.dest_vpid, " dropped");
+      OQS_METRIC_INC("elan4.nic.dead_vpid_drops");
+      if (!std::exchange(drop_logged_, true))
+        log::warn("elan4", "QDMA to dead vpid ", cmd.dest_vpid, " dropped",
+                  kLaterDropsCounted);
       return;
     }
     const int dst_node = net_.node_of(cmd.dest_vpid);
@@ -164,7 +174,9 @@ void Elan4Nic::rx_qdma(Vpid src, int queue_id, std::vector<std::uint8_t> data) {
     if (q == nullptr) {
       ++rx_drops_;
       OQS_METRIC_INC("elan4.nic.rx_drops");
-      log::warn("elan4", "QDMA for unknown queue ", queue_id, " on node ", node_);
+      if (!std::exchange(drop_logged_, true))
+        log::warn("elan4", "QDMA for unknown queue ", queue_id, " on node ",
+                  node_, " dropped", kLaterDropsCounted);
       return;
     }
     q->post(src, std::move(data));

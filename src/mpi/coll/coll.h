@@ -69,6 +69,10 @@ class Colls {
   // node's shared segments outlive the process.
   void abandon() { states_.clear(); }
 
+  // Host memcpy of `bytes` (startup plus host_memcpy_mbps), charged to the
+  // calling process.
+  void charge_copy(std::size_t bytes);
+
  private:
   static constexpr int kNicSlots = 2;
 
@@ -195,13 +199,12 @@ class Colls {
   Status inter_allreduce(Communicator& c, int tag, CommState& st, double* buf,
                          std::size_t count);
 
-  // Shared-memory helpers (cost model: shm_flag_ns per flag hop, host
-  // memcpy rate for payload copies). shm_wait aborts with kRevoked when
-  // the abort epoch moves while polling — a dead local rank would leave
-  // its generation counter behind forever.
+  // Shared-memory helpers (cost model: shm_flag_ns per flag hop; payload
+  // copies use charge_copy). shm_wait aborts with kRevoked when the abort
+  // epoch moves while polling — a dead local rank would leave its
+  // generation counter behind forever.
   Status shm_wait(const std::uint64_t& gen, std::uint64_t want);
   void charge_flag();
-  void charge_copy(std::size_t bytes);
 
   // Uniform-across-ranks heuristics for the kAuto rules.
   bool hier_gate(const Communicator& c) const;

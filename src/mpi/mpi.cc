@@ -255,22 +255,34 @@ Status Communicator::allgather(const void* send_buf, std::size_t bytes_each,
   const int n = size();
   const int tag = coll_tag();
   auto* out = static_cast<char*>(recv_buf);
-  std::memcpy(out + static_cast<std::size_t>(rank_) * bytes_each, send_buf,
-              bytes_each);
-  if (n <= 1) return Status::kOk;
-  // Ring allgather: n-1 steps, each forwarding the piece received last.
-  const int right = (rank_ + 1) % n;
-  const int left = (rank_ - 1 + n) % n;
-  int have = rank_;  // piece forwarded this step
-  for (int step = 0; step < n - 1; ++step) {
-    const int incoming = (have - 1 + n) % n;
-    const Status st = sendrecv(
-        out + static_cast<std::size_t>(have) * bytes_each, bytes_each, right,
-        tag, out + static_cast<std::size_t>(incoming) * bytes_each, bytes_each,
-        left, tag, dtype::byte_type());
-    if (!ok(st)) return st;
-    have = incoming;
+  if (n <= 1) {
+    std::memcpy(out, send_buf, bytes_each);
+    return Status::kOk;
   }
+  // Bruck's allgather: ceil(log2 n) steps for any n, the ring's bytes.
+  // tmp holds blocks in rank-relative order: block i is rank (rank + i)'s.
+  // Step k (1, 2, 4, ...) sends the first min(k, n - k) blocks to rank - k
+  // and receives as many from rank + k into blocks k onward. Every step
+  // talks to a different pair of partners (rank - k and rank + k never
+  // repeat for k < n), so one tag serves all steps without cross-matching.
+  const std::size_t total = static_cast<std::size_t>(n) * bytes_each;
+  std::vector<char> tmp(total);
+  std::memcpy(tmp.data(), send_buf, bytes_each);
+  for (int k = 1; k < n; k *= 2) {
+    const std::size_t len =
+        static_cast<std::size_t>(std::min(k, n - k)) * bytes_each;
+    const Status st = sendrecv(
+        tmp.data(), len, (rank_ - k + n) % n, tag,
+        tmp.data() + static_cast<std::size_t>(k) * bytes_each, len,
+        (rank_ + k) % n, tag, dtype::byte_type());
+    if (!ok(st)) return st;
+  }
+  // Rotate into rank order: a host copy of the n - 1 gathered blocks, which
+  // the ring (receiving in place) never made, so it is charged.
+  const std::size_t head = static_cast<std::size_t>(n - rank_) * bytes_each;
+  std::memcpy(out + (total - head), tmp.data(), head);
+  std::memcpy(out, tmp.data() + head, total - head);
+  world_->coll().charge_copy(total - bytes_each);
   return Status::kOk;
 }
 

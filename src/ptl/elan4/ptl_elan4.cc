@@ -860,6 +860,7 @@ void PtlElan4::handle_frame(elan4::QdmaQueue::Slot&& slot) {
       break;
     default:
       log::warn(name_, "unexpected frame kind ", static_cast<int>(hdr.kind));
+      OQS_METRIC_INC("ptl.frames.unknown_kind");
       break;
   }
 }

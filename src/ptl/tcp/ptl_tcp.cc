@@ -229,6 +229,11 @@ void PtlTcp::eth_deliver(int, std::vector<std::uint8_t> frame) {
 
 void PtlTcp::handle_frame(std::vector<std::uint8_t>&& frame) {
   if (halted_) return;  // dead host: the kernel buffered it, nobody reads it
+  if (frame.size() < sizeof(MatchHeader)) {
+    log::warn(name_, "runt frame (", frame.size(), "B) dropped");
+    OQS_METRIC_INC("ptl.frames.runt_dropped");
+    return;
+  }
   MatchHeader hdr;
   std::memcpy(&hdr, frame.data(), sizeof(MatchHeader));
   charge_io(frame.size());
@@ -399,6 +404,7 @@ void PtlTcp::handle_frame(std::vector<std::uint8_t>&& frame) {
     default:
       log::warn(name_, "unexpected frame kind ",
                 static_cast<int>(hdr.kind));
+      OQS_METRIC_INC("ptl.frames.unknown_kind");
   }
 }
 

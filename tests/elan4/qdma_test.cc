@@ -4,10 +4,13 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "elan4/device.h"
+#include "base/log.h"
 #include "elan4/qsnet.h"
+#include "obs/metrics.h"
 #include "sim/rng.h"
 
 namespace oqs::elan4 {
@@ -152,15 +155,43 @@ TEST_F(QdmaFixture, QueueOverflowCountsDrops) {
 TEST_F(QdmaFixture, PostToReleasedVpidIsDropped) {
   auto d0 = net->open(0);
   auto d1 = net->open(1);
+  auto d2 = net->open(2);
   const Vpid dead = d1->vpid();
+  constexpr int kPosts = 5;
+  constexpr int kNoSuchQueue = 99;
+  obs::Counter& drops = obs::metrics().counter("elan4.nic.dead_vpid_drops");
+  const std::uint64_t drops_before = drops.value();
+  const log::Level saved = log::level();
+  log::set_level(log::Level::kWarn);
+  ::testing::internal::CaptureStderr();
   engine.spawn("t", [&] {
     d1->close();
     std::vector<std::uint8_t> m(8, 1);
-    EXPECT_EQ(d0->post_qdma(dead, 1, m), Status::kOk);  // accepted locally
+    for (int i = 0; i < kPosts; ++i) {
+      EXPECT_EQ(d0->post_qdma(dead, 1, m), Status::kOk);  // accepted locally
+      EXPECT_EQ(d0->post_qdma(d2->vpid(), kNoSuchQueue, m), Status::kOk);
+    }
     engine.sleep(1'000'000);
-    EXPECT_GE(net->nic(0).rx_drops(), 1u);  // dropped at resolution time
   });
   engine.run();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  log::set_level(saved);
+  // Every drop is counted: dead-vpid drops at the sender's NIC (resolution
+  // time), unknown-queue drops at the receiver's. Each NIC logs only its
+  // first.
+  EXPECT_EQ(net->nic(0).rx_drops(), static_cast<std::uint64_t>(kPosts));
+  EXPECT_EQ(net->nic(2).rx_drops(), static_cast<std::uint64_t>(kPosts));
+  EXPECT_EQ(drops.value() - drops_before, static_cast<std::uint64_t>(kPosts));
+  auto count = [&err](const std::string& what) {
+    std::size_t n = 0;
+    for (std::size_t at = err.find(what); at != std::string::npos;
+         at = err.find(what, at + 1))
+      ++n;
+    return n;
+  };
+  EXPECT_EQ(count("QDMA to dead vpid"), 1u) << err;
+  EXPECT_EQ(count("QDMA for unknown queue"), 1u) << err;
+  EXPECT_EQ(count("WARN"), 2u) << err;
 }
 
 TEST_F(QdmaFixture, LoopbackSameNodeBetweenContexts) {

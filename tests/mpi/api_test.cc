@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <tuple>
+#include <vector>
 
 #include "testbed.h"
 
@@ -41,7 +43,7 @@ TEST(Api, ReduceSumToEachRoot) {
   });
 }
 
-TEST(Api, AllgatherRingDistributesEverything) {
+TEST(Api, AllgatherDistributesEverything) {
   TestBed bed;
   bed.run_mpi(6, [&](mpi::World& w) {
     auto& c = w.comm();
@@ -53,6 +55,89 @@ TEST(Api, AllgatherRingDistributesEverything) {
                 0x1000u + static_cast<std::uint64_t>(r));
   });
 }
+
+// Bruck allgather conformance over odd, prime, power-of-two and
+// power-of-two-plus-one sizes, with blocks from 1 B up past the eager limit.
+class AllgatherConformance
+    : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
+
+int ceil_log2(int n) {
+  int steps = 0;
+  for (int k = 1; k < n; k *= 2) ++steps;
+  return steps;
+}
+
+// Distinct per call, rank and byte, so a misplaced, stale or truncated
+// block shows up byte for byte (37 is odd: ranks map to distinct bytes).
+std::uint8_t block_byte(int call, int rank, std::size_t i) {
+  return static_cast<std::uint8_t>(call * 131 + rank * 37 + i * 7 + (i >> 8));
+}
+
+TEST_P(AllgatherConformance, EveryBlockInLog2StepsBesideUserTraffic) {
+  const auto [np, bytes] = GetParam();
+  constexpr int kCalls = 2;
+  constexpr int kUserTagA = 5;
+  constexpr int kUserTagB = 6;
+  obs::Counter& sends = obs::metrics().counter("pml.send.total");
+  const std::uint64_t sends_before = sends.value();
+  TestBed bed;
+  bed.run_mpi(np, [&, np = np, bytes = bytes](mpi::World& w) {
+    auto& c = w.comm();
+    const int me = c.rank();
+    const int right = (me + 1) % np;
+    const int left = (me - 1 + np) % np;
+    auto fill = [bytes = bytes](int tag, int rank) {
+      std::vector<std::uint8_t> v(bytes);
+      for (std::size_t i = 0; i < bytes; ++i) v[i] = block_byte(tag, rank, i);
+      return v;
+    };
+    // User-tag messages of block size sit unexpected at the receiver while
+    // an allgather runs; none may match a collective receive or vice versa.
+    const auto user_a = fill(kUserTagA, me);
+    const auto user_b = fill(kUserTagB, me);
+    std::vector<std::uint8_t> got_a(bytes), got_b(bytes);
+    std::vector<mpi::Request> reqs;
+    if (np > 1)
+      reqs.push_back(c.isend(user_a.data(), bytes, dtype::byte_type(), right,
+                             kUserTagA));
+    for (int call = 0; call < kCalls; ++call) {
+      const auto mine = fill(call, me);
+      std::vector<std::uint8_t> all(static_cast<std::size_t>(np) * bytes, 0xEE);
+      ASSERT_EQ(c.allgather(mine.data(), bytes, all.data()), Status::kOk);
+      for (int r = 0; r < np; ++r)
+        for (std::size_t i = 0; i < bytes; ++i)
+          ASSERT_EQ(all[static_cast<std::size_t>(r) * bytes + i],
+                    block_byte(call, r, i))
+              << "call " << call << " rank " << me << " block " << r
+              << " byte " << i;
+      if (np > 1 && call == 0) {
+        reqs.push_back(c.irecv(got_a.data(), bytes, dtype::byte_type(), left,
+                               kUserTagA));
+        reqs.push_back(c.isend(user_b.data(), bytes, dtype::byte_type(), left,
+                               kUserTagB));
+      }
+    }
+    if (np > 1) {
+      ASSERT_EQ(c.recv(got_b.data(), bytes, dtype::byte_type(), right,
+                       kUserTagB),
+                Status::kOk);
+      mpi::wait_all(reqs);
+      EXPECT_EQ(got_a, fill(kUserTagA, left));
+      EXPECT_EQ(got_b, fill(kUserTagB, right));
+    }
+  });
+  // One send per step per rank per call, plus the two user messages.
+  const std::uint64_t per_rank =
+      static_cast<std::uint64_t>(kCalls * ceil_log2(np) + (np > 1 ? 2 : 0));
+  EXPECT_EQ(sends.value() - sends_before,
+            static_cast<std::uint64_t>(np) * per_rank);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, AllgatherConformance,
+    ::testing::Combine(::testing::Values(1, 2, 3, 5, 7, 8, 9, 16, 33),
+                       ::testing::Values(std::size_t{1}, std::size_t{4},
+                                         std::size_t{64}, std::size_t{3000})));
 
 TEST(Api, ScatterDistributesPieces) {
   TestBed bed;

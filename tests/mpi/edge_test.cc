@@ -1,6 +1,10 @@
 // Edge cases across the public API: singleton jobs, degenerate collectives,
-// zero-byte traffic, tag extremes, deep communicator nesting.
+// zero-byte traffic, tag extremes, deep communicator nesting, malformed
+// frames.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "testbed.h"
 
@@ -8,6 +12,61 @@ namespace oqs {
 namespace {
 
 using test::TestBed;
+
+// Rank 0 posts two malformed frames straight into rank 1's Elan4 receive
+// queue, then both ranks barrier (which rank 1 can only leave after
+// handling them): a runt shorter than a match header, and a whole header
+// of an unknown kind. The second is addressed as if from rank 1 itself,
+// since self-addressed frames skip the reliability gate.
+void inject_bad_frames(TestBed& bed) {
+  bed.pin_transport = true;
+  elan4::Vpid vpid = elan4::kInvalidVpid;
+  int queue = -1;
+  bed.run_mpi(2, [&](mpi::World& w) {
+    auto& c = w.comm();
+    if (c.rank() == 1) {
+      const std::vector<std::uint8_t> blob = w.elan4_ptl()->contact();
+      std::size_t off = 0;
+      vpid = rte::get_pod<elan4::Vpid>(blob, off);
+      queue = rte::get_pod<std::int32_t>(blob, off);
+    }
+    c.barrier();
+    if (c.rank() == 0) {
+      elan4::Elan4Device& dev = w.elan4_ptl()->device();
+      const std::vector<std::uint8_t> runt(8, 0x5A);
+      dev.post_qdma(vpid, queue, runt);
+      pml::MatchHeader hdr;
+      hdr.kind = static_cast<pml::FragKind>(0x7F);
+      hdr.src_gid = c.gid_of(1);
+      hdr.dst_gid = c.gid_of(1);
+      std::vector<std::uint8_t> frame(sizeof(hdr));
+      std::memcpy(frame.data(), &hdr, sizeof(hdr));
+      dev.post_qdma(vpid, queue, frame);
+    }
+    c.barrier();
+  });
+}
+
+TEST(Edge, MalformedFramesAreCountedAndDropped) {
+  obs::Counter& runts = obs::metrics().counter("ptl.frames.runt_dropped");
+  obs::Counter& unknown = obs::metrics().counter("ptl.frames.unknown_kind");
+  const std::uint64_t runts_before = runts.value();
+  const std::uint64_t unknown_before = unknown.value();
+  TestBed bed;
+  bed.allow_bad_frames = true;
+  inject_bad_frames(bed);
+  EXPECT_EQ(runts.value() - runts_before, 1u);
+  EXPECT_EQ(unknown.value() - unknown_before, 1u);
+}
+
+TEST(Edge, TestBedFailsATestThatSawMalformedFrames) {
+  EXPECT_NONFATAL_FAILURE(
+      {
+        TestBed bed;
+        inject_bad_frames(bed);
+      },
+      "malformed frames arrived");
+}
 
 TEST(Edge, SingletonWorldCollectivesAreNoops) {
   TestBed bed;

@@ -6,6 +6,9 @@
 #include <functional>
 #include <memory>
 
+#include <gtest/gtest.h>
+
+#include "obs/metrics.h"
 #include "openqs.h"
 
 namespace oqs::test {
@@ -98,9 +101,19 @@ struct TestBed {
   // (1-rail vs 2-rail comparisons, single-PTL blocking ladders, PTL-level
   // counters the striped path bypasses) set this to ignore the env hooks.
   bool pin_transport = false;
+  // A frame of unknown kind or a runt (shorter than a match header) is a
+  // protocol bug, so the bed fails any test during which one arrived.
+  // Tests that inject malformed frames on purpose set this to opt out.
+  bool allow_bad_frames = false;
+
+  // Runts and unknown-kind frames seen so far, over every PTL.
+  static std::uint64_t bad_frames() {
+    return obs::metrics().counter("ptl.frames.unknown_kind").value() +
+           obs::metrics().counter("ptl.frames.runt_dropped").value();
+  }
 
   explicit TestBed(int nodes = 8, int rails = 1, ModelParams p = {})
-      : params(p) {
+      : params(p), bad_frames_at_start_(bad_frames()) {
     if (rails < env_rails()) rails = env_rails();
     // A model knob, not a transport option: it must be set before the QsNet
     // exists, so pin_transport (read at run_mpi time) cannot gate it.
@@ -132,6 +145,17 @@ struct TestBed {
     });
     return engine.run();
   }
+
+  ~TestBed() {
+    if (!allow_bad_frames) {
+      EXPECT_EQ(bad_frames(), bad_frames_at_start_)
+          << "malformed frames arrived (ptl.frames.unknown_kind / "
+             "ptl.frames.runt_dropped)";
+    }
+  }
+
+ private:
+  std::uint64_t bad_frames_at_start_;
 };
 
 }  // namespace oqs::test
