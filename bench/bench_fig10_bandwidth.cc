@@ -11,6 +11,8 @@
 //                       fragments stripe across rails), plus a per-rail
 //                       byte/retransmit breakdown at the largest size
 //   --ptl tcp           run the Open MPI columns over the TCP PTL instead
+//                       (it has no rendezvous of its own: every column
+//                       there runs the pipelined fragment schedule)
 //   --frag-size N       pipelined-rendezvous pull fragment size in bytes
 //   --pipeline-depth N  in-flight pull fragments per rail
 //   --push-frags N      eager-sized frames pushed behind the RTS
@@ -62,23 +64,23 @@ int main(int argc, char** argv) {
   }
   if (rails < 1) rails = 1;
 
+  // Paper columns reproduce the monolithic rendezvous of §5.
   mpi::Options read_o;
   read_o.elan4.scheme = ptl_elan4::Scheme::kRdmaRead;
   mpi::Options write_o;
   write_o.elan4.scheme = ptl_elan4::Scheme::kRdmaWrite;
-  // Paper columns reproduce the monolithic rendezvous of §5.
-  read_o.pipeline_rendezvous = write_o.pipeline_rendezvous = false;
   if (ptl == "tcp") {
     read_o.use_elan4 = write_o.use_elan4 = false;
     read_o.use_tcp = write_o.use_tcp = true;
   }
-  // The pipelined configuration under test: same scheme/transport, fragment
-  // streaming on, knobs from the command line (0 = ModelParams defaults).
+  // The pipelined configuration under test: same transport, the fragment
+  // schedule tuned from the command line (unset = ModelParams defaults).
   mpi::Options pipe_o = read_o;
-  pipe_o.pipeline_rendezvous = true;
-  pipe_o.pipeline_frag_bytes = frag_size;
-  pipe_o.pipeline_depth = depth;
-  pipe_o.pipeline_push_frags = push_frags;
+  pipe_o.elan4.scheme = ptl_elan4::Scheme::kPipelined;
+  ModelParams pipe_p;
+  if (frag_size > 0) pipe_p.pipeline_frag_bytes = frag_size;
+  if (depth > 0) pipe_p.pipeline_depth = depth;
+  if (push_frags >= 0) pipe_p.pipeline_push_frags = push_frags;
 
   const std::vector<std::size_t> small = {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
   const std::vector<std::size_t> large = {2048, 4096, 8192, 16384, 32768, 65536,
@@ -95,14 +97,14 @@ int main(int argc, char** argv) {
                  {"1-rail", col, "speedup"});
     for (std::size_t s : large) {
       const int count = s >= 262144 ? 16 : 48;
-      const double one = ompi_stream_mbps(s, pipe_o, {}, count, 1);
-      const double many = ompi_stream_mbps(s, multi, {}, count, rails);
+      const double one = ompi_stream_mbps(s, pipe_o, pipe_p, count, 1);
+      const double many = ompi_stream_mbps(s, multi, pipe_p, count, rails);
       print_row(s, {one, many, many / one});
     }
 
     std::vector<RailStat> stats;
     const std::size_t probe = 1048576;
-    ompi_stream_mbps(probe, multi, {}, 16, rails, &stats);
+    ompi_stream_mbps(probe, multi, pipe_p, 16, rails, &stats);
     std::printf("\nPer-rail breakdown at %s (receiver side — the puller moves "
                 "the fragments):\n", size_label(probe).c_str());
     std::printf("%-10s %14s %14s\n", "rail", "tx_bytes", "retransmits");
@@ -156,7 +158,7 @@ int main(int argc, char** argv) {
   for (std::size_t s : large) {
     const int count = s >= 262144 ? 16 : 48;
     const double mono = ompi_stream_mbps(s, read_o, {}, count);
-    const double pipe = ompi_stream_mbps(s, pipe_o, {}, count);
+    const double pipe = ompi_stream_mbps(s, pipe_o, pipe_p, count);
     print_row(s, {mono, pipe, pipe / mono});
   }
   std::printf(

@@ -7,10 +7,13 @@
 // matching); comparable for large messages.
 //
 // Extensions beyond the figure:
-//   --rails N    multirail latency sweep — 1 rail vs N rails; eager traffic
-//                rides the lowest-latency rail, so small messages should not
-//                regress, while striped large messages should improve
-//   --ptl tcp    run the Open MPI columns over the TCP PTL instead
+//   --rails N    multirail latency sweep with the pipelined rendezvous — 1
+//                rail vs N rails; eager traffic rides the lowest-latency
+//                rail, while the pull fragments of long messages stripe
+//                across every rail
+//   --ptl tcp    run the Open MPI columns over the TCP PTL instead (it has
+//                no rendezvous of its own: long messages take the pipelined
+//                fragment schedule there)
 #include <cstdlib>
 #include <cstring>
 
@@ -35,36 +38,39 @@ int main(int argc, char** argv) {
   }
   if (rails < 1) rails = 1;
 
+  // Paper-reproduction columns measure the monolithic rendezvous; the
+  // pipelined protocol has its own crossover table below.
   mpi::Options read_o;
   read_o.elan4.scheme = ptl_elan4::Scheme::kRdmaRead;
   mpi::Options write_o;
   write_o.elan4.scheme = ptl_elan4::Scheme::kRdmaWrite;
-  // Paper-reproduction columns measure the monolithic rendezvous; the
-  // pipelined protocol has its own crossover table in bench_fig10_bandwidth.
-  read_o.pipeline_rendezvous = write_o.pipeline_rendezvous = false;
   if (ptl == "tcp") {
     read_o.use_elan4 = write_o.use_elan4 = false;
     read_o.use_tcp = write_o.use_tcp = true;
   }
+  mpi::Options pipe_o = read_o;
+  pipe_o.elan4.scheme = ptl_elan4::Scheme::kPipelined;
 
   const std::vector<std::size_t> small = {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
   const std::vector<std::size_t> large = {2048, 4096, 8192, 16384, 32768, 65536,
                                           131072, 262144, 524288, 1048576};
 
   if (rails > 1) {
-    mpi::Options multi = read_o;
+    mpi::Options multi = pipe_o;
     multi.elan4.rails = rails;
     const std::string col = std::to_string(rails) + "-rail";
-    print_header("Multirail latency (us), RDMA-read scheme", {"1-rail", col});
+    print_header("Multirail latency (us), pipelined rendezvous",
+                 {"1-rail", col});
     for (std::size_t s : large) {
       const int iters = s >= 262144 ? 40 : 120;
-      print_row(s, {ompi_pingpong_us(s, read_o, {}, iters, 1),
+      print_row(s, {ompi_pingpong_us(s, pipe_o, {}, iters, 1),
                     ompi_pingpong_us(s, multi, {}, iters, rails)});
     }
     std::printf(
-        "\nExpected: below the striping threshold (32KB) the columns match "
-        "(eager and small rendezvous ride the best rail); above it striping "
-        "cuts the wire-time term toward 1/%d.\n", rails);
+        "\nExpected: within a few %% while a message is pushed whole behind "
+        "the RTS (up to one pull fragment); once it splits into pull "
+        "fragments they stripe across the rails, cutting the wire-time term "
+        "toward 1/%d.\n", rails);
     return 0;
   }
 
@@ -93,8 +99,6 @@ int main(int argc, char** argv) {
   // (<= eager_limit) take the identical code path in both configurations;
   // just above it the pipeline pushes the whole message behind the RTS and
   // skips the pull round trip entirely.
-  mpi::Options pipe_o = read_o;
-  pipe_o.pipeline_rendezvous = true;
   print_header("Crossover — monolithic vs pipelined one-way latency (us)",
                {"monolithic", "pipelined", "ratio"});
   for (std::size_t s : {std::size_t{0}, std::size_t{512}, std::size_t{1024},

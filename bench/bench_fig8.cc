@@ -15,12 +15,12 @@ int main(int argc, char** argv) {
 
   auto opt = [](bool chained, ptl_elan4::Completion c) {
     mpi::Options o;
+    // Paper-reproduction column: the monolithic RDMA-read rendezvous, not
+    // the pipelined protocol (which would hide the FIN_ACK chaining deltas
+    // at 8-16KB).
     o.elan4.scheme = ptl_elan4::Scheme::kRdmaRead;
     o.elan4.chained_fin = chained;
     o.elan4.completion = c;
-    // Paper-reproduction column: monolithic rendezvous, not the pipelined
-    // protocol (which would hide the FIN_ACK chaining deltas at 8-16KB).
-    o.pipeline_rendezvous = false;
     return o;
   };
 

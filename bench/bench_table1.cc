@@ -34,10 +34,9 @@ int main(int argc, char** argv) {
               "paper-4KB");
   for (int i = 0; i < 4; ++i) {
     mpi::Options o;
+    // Paper-reproduction row: the monolithic RDMA-read rendezvous at 4KB.
     o.elan4.scheme = ptl_elan4::Scheme::kRdmaRead;
     o.elan4.progress = modes[i].progress;
-    // Paper-reproduction row: monolithic rendezvous at 4KB.
-    o.pipeline_rendezvous = false;
     const double us4 = ompi_pingpong_us(4, o);
     const double us4k = ompi_pingpong_us(4096, o);
     std::printf("%-14s %12.2f %12.2f %12.2f %12.2f\n", modes[i].name, us4,

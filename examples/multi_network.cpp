@@ -1,10 +1,11 @@
 // multi_network — concurrent message passing over multiple networks, the
 // Open MPI design requirement that shaped the PTL (paper §3).
 //
-// Part 1: one job runs with BOTH the Elan4 PTL and the TCP PTL active; the
-//         PML schedules messages per its heuristic (best weight -> Elan4),
-//         and with round-robin scheduling traffic really flows over both,
-//         while per-sender ordering is preserved across networks.
+// Part 1: one job runs with BOTH the Elan4 PTL and the TCP PTL active.
+//         Eager messages take the best rail (Elan4); each long message's
+//         pull fragments stripe across Elan4 AND TCP, bandwidth-weighted,
+//         while per-sender ordering is preserved across networks. Exits
+//         nonzero if TCP carried nothing or ordering broke.
 // Part 2: the multirail extension — two Elan4 rails striping one message.
 #include <cstdio>
 #include <vector>
@@ -13,6 +14,7 @@
 
 int main() {
   using namespace oqs;
+  int failures = 0;
 
   // ---------------- Part 1: Elan4 + TCP, one PML -----------------
   {
@@ -24,34 +26,47 @@ int main() {
     mpi::Options opts;
     opts.use_elan4 = true;
     opts.use_tcp = true;
-    opts.sched = pml::SchedPolicy::kRoundRobin;
 
     rte.launch(2, [&](rte::Env& env) {
       mpi::World world(env, qsnet, opts);
       auto& comm = world.comm();
+      constexpr std::size_t kBytes = 256 * 1024;
       if (comm.rank() == 0) {
-        std::printf("[multinet] PTLs active: %zu (elan4 + tcp), round-robin "
-                    "scheduling\n", world.pml().num_ptls());
+        std::printf("[multinet] PTLs active: %zu (elan4 + tcp), long messages "
+                    "striped across both\n", world.pml().num_ptls());
         const sim::Time t0 = engine.now();
         for (int i = 0; i < 10; ++i) {
-          std::vector<std::uint8_t> msg(4096, static_cast<std::uint8_t>(i));
+          std::vector<std::uint8_t> msg(kBytes, static_cast<std::uint8_t>(i));
           comm.send(msg.data(), msg.size(), dtype::byte_type(), 1, 7);
         }
-        std::printf("[multinet] 10 x 4KB alternating networks: %.1f us\n",
+        std::printf("[multinet] 10 x 256KB over both networks: %.1f us\n",
                     sim::to_us(engine.now() - t0));
       } else {
         bool ok = true;
         for (int i = 0; i < 10; ++i) {
-          std::vector<std::uint8_t> msg(4096, 0);
+          std::vector<std::uint8_t> msg(kBytes, 0);
           comm.recv(msg.data(), msg.size(), dtype::byte_type(), 0, 7);
-          // Ordering must hold even though odd/even messages used
-          // different physical networks with wildly different latency.
-          ok &= msg[0] == static_cast<std::uint8_t>(i);
+          // Ordering must hold even though each message's fragments used
+          // physical networks with wildly different latency.
+          ok &= msg.front() == static_cast<std::uint8_t>(i) &&
+                msg.back() == static_cast<std::uint8_t>(i);
         }
         std::printf("[multinet] cross-network ordering: %s\n",
                     ok ? "preserved" : "VIOLATED");
+        if (!ok) ++failures;
       }
       comm.barrier();
+      if (comm.rank() == 0) {
+        // The sender answers each TCP pull with the fragment's bytes.
+        for (std::size_t i = 0; i < world.pml().num_ptls(); ++i) {
+          pml::Ptl& p = world.pml().ptl(i);
+          if (p.name() != "tcp") continue;
+          const std::uint64_t tx = static_cast<ptl_tcp::PtlTcp&>(p).tx_bytes();
+          std::printf("[multinet] tcp rail sent %llu bytes of pulled "
+                      "fragments\n", static_cast<unsigned long long>(tx));
+          if (tx == 0) ++failures;
+        }
+      }
     });
     engine.run();
   }
@@ -89,5 +104,5 @@ int main() {
       std::printf("[multirail]   %d rail(s): %.0f MB/s\n", rails, mbps);
     }
   }
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

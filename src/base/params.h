@@ -83,11 +83,10 @@ struct ModelParams {
   double link_mbps = 960.0;     // effective link data rate
 
   // ---- Multirail (BML striping across rails, paper §2.2) ----
-  // Rails the runtime brings up as independent PTL modules. The pipelined
-  // rendezvous stripes per pull fragment on every long message. An overdue
-  // stripe pull (deadline = stripe_timeout_ns + 8x its modeled transfer
-  // time) marks its rail suspect and fails over to a survivor.
-  int num_rails = 1;
+  // The pipelined rendezvous stripes per pull fragment across every rail
+  // the runtime brought up. An overdue stripe pull (deadline =
+  // stripe_timeout_ns + 8x its modeled transfer time) marks its rail
+  // suspect and fails over to a survivor.
   TimeNs stripe_timeout_ns = 50'000'000;
 
   // ---- Pipelined rendezvous (chunked-RDMA overlap) ----
@@ -102,7 +101,8 @@ struct ModelParams {
   // (the fig10 crossover table is how these defaults were chosen).
   // Per-fragment MMU mapping pays nic_mmu_map_page_ns per page, which the
   // pipeline overlaps with transfer where the monolithic pull serialized it
-  // up front.
+  // up front. These three are the schedule's only tuning (Bml::pipeline_*
+  // clamp them: frag 0 -> 16384, depth <= 0 -> 1, push < 0 -> 0).
   std::size_t pipeline_frag_bytes = 16384;
   int pipeline_depth = 4;
   int pipeline_push_frags = 1;
@@ -130,7 +130,7 @@ struct ModelParams {
   std::uint32_t tcp_mss = 1460;
   TimeNs eth_latency_ns = 30000;    // management-Ethernet propagation
   double tcp_wire_mbps = 110.0;     // GigE-era effective stream rate
-  std::uint32_t tcp_chunk = 32768;  // rendezvous remainder chunk size
+  std::uint32_t tcp_chunk = 32768;  // pushed pipeline fragment size
   std::uint32_t tcp_eager = 65536;  // TCP PTL eager threshold
 
   // ---- Out-of-band (management Ethernet) control network ----

@@ -33,6 +33,9 @@ class QsNet {
 
   sim::Engine& engine() { return engine_; }
   const ModelParams& params() const { return params_; }
+  // For harnesses that retune the model between building the testbed and
+  // launching processes; every component reads this one copy.
+  ModelParams& mutable_params() { return params_; }
   net::Fabric& fabric() { return *fabric_; }
   // The machine's management/TCP Ethernet (beside the QsNetII fabric).
   net::EthNet& eth() { return *eth_; }

@@ -460,12 +460,6 @@ std::string World::proc_key(int gid) const {
 
 void World::open_stack() {
   pml_ = std::make_unique<pml::Pml>(net_.host(env_.node, gid_));
-  pml_->set_sched_policy(opts_.sched);
-  pml_->set_inline_rendezvous(opts_.inline_rendezvous);
-  pml_->set_pipeline_rendezvous(opts_.pipeline_rendezvous);
-  pml_->set_pipeline_frag_bytes(opts_.pipeline_frag_bytes);
-  pml_->set_pipeline_depth(opts_.pipeline_depth);
-  pml_->set_pipeline_push_frags(opts_.pipeline_push_frags);
 
   pml::ContactInfo info;
   if (opts_.use_elan4) {

@@ -50,22 +50,10 @@ struct Options {
   // in the model, so this only adds the framing/ack cost — the opt-in
   // exists to exercise the reliability component off the Elan4 path).
   bool tcp_reliability = false;
+  // Elan4 PTL configuration. Its `scheme` is the one rendezvous selector:
+  // the BML's fragment schedule (default, tuned by ModelParams::pipeline_*)
+  // or the paper's monolithic RDMA-read/write.
   ptl_elan4::Options elan4;
-  pml::SchedPolicy sched = pml::SchedPolicy::kBestWeight;
-  // Carry payload in rendezvous first fragments (paper §6.1 ablation; the
-  // best configuration leaves this off on RDMA networks).
-  bool inline_rendezvous = false;
-  // Pipelined rendezvous: long messages split into pipeline fragments — an
-  // inline prefix plus eager pushes ride ahead of the CTS, the remainder
-  // streams as chunked pulls overlapping registration with transfer, and
-  // fragments stripe across rails. Off = the paper's monolithic protocol
-  // (one pull on a single rail).
-  bool pipeline_rendezvous = true;
-  // Overrides for the ModelParams pipeline knobs; 0 / -1 = use ModelParams
-  // (pipeline_frag_bytes / pipeline_depth / pipeline_push_frags).
-  std::size_t pipeline_frag_bytes = 0;
-  int pipeline_depth = 0;
-  int pipeline_push_frags = -1;
   // Collective-algorithm selection (see mpi/coll/options.h and DESIGN.md
   // §Collectives): kAuto everywhere by default.
   coll::CollOptions coll;

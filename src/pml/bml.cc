@@ -57,20 +57,17 @@ Ptl* Bml::find_rail(const std::string& name) const {
 }
 
 std::size_t Bml::pipeline_frag_bytes() const {
-  if (frag_bytes_override_ > 0) return frag_bytes_override_;
   const std::size_t v = pml_.ctx().params->pipeline_frag_bytes;
   return v > 0 ? v : 16384;
 }
 
 int Bml::pipeline_depth() const {
-  const int v =
-      depth_override_ > 0 ? depth_override_ : pml_.ctx().params->pipeline_depth;
+  const int v = pml_.ctx().params->pipeline_depth;
   return v > 0 ? v : 1;
 }
 
 int Bml::pipeline_push_frags() const {
-  const int v = push_frags_override_ >= 0 ? push_frags_override_
-                                          : pml_.ctx().params->pipeline_push_frags;
+  const int v = pml_.ctx().params->pipeline_push_frags;
   return v > 0 ? v : 0;
 }
 
@@ -87,16 +84,6 @@ double Bml::score(const Ptl& p, std::size_t total) const {
 }
 
 Ptl* Bml::choose(int dst_gid, std::size_t total) {
-  if (policy_ == SchedPolicy::kRoundRobin) {
-    for (std::size_t k = 0; k < ptls_.size(); ++k) {
-      Ptl* p = ptls_[(rr_next_ + k) % ptls_.size()].get();
-      if (p->reaches(dst_gid)) {
-        rr_next_ = (rr_next_ + k + 1) % ptls_.size();
-        return p;
-      }
-    }
-    return nullptr;
-  }
   Ptl* best = nullptr;
   double best_score = 0.0;
   for (const auto& p : ptls_) {
@@ -139,44 +126,37 @@ void Bml::send(SendRequest& req) {
   }
   req.ptl = ptl;
 
-  std::size_t inline_len;
   OQS_METRIC_INC("pml.send.total");
   if (req.total_bytes() <= ptl->eager_limit()) {
-    inline_len = req.total_bytes();  // whole message rides the first frag
     OQS_METRIC_INC("pml.send.eager");
     OQS_TRACE_INSTANT(pml_.ctx().gid, "pml", "send.eager", "len",
                       req.total_bytes(), "dst",
                       static_cast<std::uint64_t>(dst_gid));
   } else {
-    inline_len = inline_rendezvous_ ? ptl->eager_limit() : 0;
     OQS_METRIC_INC("pml.send.rendezvous");
     OQS_TRACE_INSTANT(pml_.ctx().gid, "pml", "send.rendezvous", "len",
                       req.total_bytes(), "dst",
                       static_cast<std::uint64_t>(dst_gid));
-    if (try_fragmented(req, ptl)) return;
+    if (!ptl->own_rendezvous()) {
+      send_fragmented(req, ptl);
+      return;
+    }
   }
 
   if (pml_.probe_send_to_ptl) pml_.probe_send_to_ptl();
-  ptl->send_first(req, inline_len);
+  ptl->send_first(req);
 }
 
-bool Bml::try_fragmented(SendRequest& req, Ptl* chosen) {
-  // Round-robin and non-pipelined sends take the PTL's monolithic scheme on
-  // the chosen rail.
-  if (policy_ != SchedPolicy::kBestWeight || !pipeline_) return false;
+void Bml::send_fragmented(SendRequest& req, Ptl* primary) {
   const sim::ProcessCtx& ctx = pml_.ctx();
   const std::size_t total = req.total_bytes();
-  std::vector<Ptl*> rails = stripe_rails(req.dst_gid);
-  if (rails.empty()) return false;
-
   // The chosen (best-score) rail leads: it carries the RTS, the inline
   // prefix and the pushed fragments, and its region is first in the table
-  // so FINs prefer it.
-  if (auto it = std::find(rails.begin(), rails.end(), chosen);
-      it != rails.end())
-    std::rotate(rails.begin(), it, it + 1);
-  Ptl* primary = rails[0];
-  req.ptl = primary;
+  // so FINs prefer it. Every real PTL is stripe-capable, so it is in the set.
+  std::vector<Ptl*> rails = stripe_rails(req.dst_gid);
+  const auto lead = std::find(rails.begin(), rails.end(), primary);
+  assert(lead != rails.end() && "rendezvous over a rail that cannot stripe");
+  std::rotate(rails.begin(), lead, lead + 1);
 
   // End-to-end fragment checksums when the rails verify payloads (the
   // receiver re-pulls a mismatching fragment).
@@ -219,10 +199,7 @@ bool Bml::try_fragmented(SendRequest& req, Ptl* chosen) {
     for (Ptl* r : rails) {
       const std::uint64_t region = r->stripe_expose(
           s + plan.pull_base, static_cast<std::size_t>(plan.pull_len));
-      if (region == 0) {
-        for (auto& [p, reg] : op.regions) p->stripe_unexpose(reg);
-        return false;  // fall back to single-rail rendezvous
-      }
+      assert(region != 0 && "stripe_expose cannot fail on a real PTL");
       op.regions.emplace_back(r, region);
     }
   }
@@ -305,7 +282,6 @@ bool Bml::try_fragmented(SendRequest& req, Ptl* chosen) {
     pml_.send_progress(req, total);
   else if (plan.pull_base > 0)
     pml_.send_progress(req, static_cast<std::size_t>(plan.pull_base));
-  return true;
 }
 
 void Bml::handle_stripe_fin(const MatchHeader& hdr) {
@@ -905,7 +881,7 @@ bool Bml::abort_send(SendRequest& req) {
     OQS_METRIC_INC("bml.failure.ssends_aborted");
     return true;
   }
-  // Single-rail rendezvous: the owning PTL knows whether the handshake has
+  // A PTL's own rendezvous: the owning PTL knows whether the handshake has
   // progressed past the request.
   for (const auto& p : ptls_)
     if (p->abort_send(&req)) return true;

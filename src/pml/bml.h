@@ -6,16 +6,17 @@
 // multi-rail (paper §2.2 "scheduling messages across multiple networks"):
 //
 //  - rail selection: the lowest-estimated-latency rail carries eager
-//    traffic and single-rail rendezvous (latency + serialization at the
+//    traffic and leads each rendezvous (latency + serialization at the
 //    rail's bandwidth, so small messages chase latency and large ones
-//    bandwidth); the legacy round-robin policy is preserved for the
-//    scheduler experiments,
-//  - pipelined rendezvous: every long message is cut by one authoritative
-//    FragSchedule into an inline prefix riding the RTS, eagerly pushed
-//    pipeline fragments behind it (payload streams before the CTS), and
-//    chunked pull fragments dispatched bandwidth-weighted across every
-//    stripe-capable rail with at most pipeline_depth pulls in flight per
-//    rail — the fragment is the striping unit,
+//    bandwidth),
+//  - pipelined rendezvous, the one engine every PTL shares: unless the
+//    chosen module runs its own scheme (Ptl::own_rendezvous — the paper's
+//    monolithic RDMA-read/write on Elan4), every long message is cut by one
+//    authoritative FragSchedule into an inline prefix riding the RTS,
+//    eagerly pushed pipeline fragments behind it (payload streams before
+//    the CTS), and chunked pull fragments dispatched bandwidth-weighted
+//    across every stripe-capable rail with at most pipeline_depth pulls in
+//    flight per rail — the fragment is the striping unit,
 //  - failover: each issued pull carries a deadline; an overdue fragment
 //    marks its rail suspect and is re-issued on a survivor (the sender
 //    exposes the whole pull region on every rail precisely so any rail can
@@ -47,11 +48,6 @@ namespace oqs::pml {
 
 class Pml;
 
-enum class SchedPolicy {
-  kBestWeight,  // best completion-time estimate (default)
-  kRoundRobin,  // rotate across reachable PTLs per message
-};
-
 class Bml {
  public:
   explicit Bml(Pml& pml);
@@ -59,15 +55,7 @@ class Bml {
   Bml(const Bml&) = delete;
   Bml& operator=(const Bml&) = delete;
 
-  void set_sched_policy(SchedPolicy p) { policy_ = p; }
-  void set_inline_rendezvous(bool v) { inline_rendezvous_ = v; }
-  // Pipelined-rendezvous knobs; 0 / negative overrides fall back to
-  // ModelParams (pipeline_frag_bytes / pipeline_depth / pipeline_push_frags).
-  void set_pipeline_rendezvous(bool v) { pipeline_ = v; }
-  void set_pipeline_frag_bytes(std::size_t v) { frag_bytes_override_ = v; }
-  void set_pipeline_depth(int v) { depth_override_ = v; }
-  void set_pipeline_push_frags(int v) { push_frags_override_ = v; }
-  bool pipeline_rendezvous() const { return pipeline_; }
+  // The fragment schedule's tuning, read from ModelParams and clamped.
   std::size_t pipeline_frag_bytes() const;
   int pipeline_depth() const;
   int pipeline_push_frags() const;
@@ -83,7 +71,7 @@ class Bml {
   Ptl* sole_blocking_ptl() const;
 
   // Route and transmit a send whose header the PML has filled in. Decides
-  // eager vs rendezvous vs fragmented (pipelined/striped) rendezvous.
+  // eager vs the PTL's own rendezvous vs the fragment schedule.
   void send(SendRequest& req);
 
   // Receiver side of a fragmented rendezvous: the PML matched a
@@ -105,7 +93,7 @@ class Bml {
   // Crash in place (this process died): drop all state, halt every rail.
   void halt();
   // A revoke aborted req's communicator: drop the pending rendezvous send
-  // if its handshake has not progressed (striped: no FIN yet; single-rail:
+  // if its handshake has not progressed (striped: no FIN yet; own scheme:
   // still awaiting the ACK). Returns true if the operation was dropped —
   // the caller then fails the request. Transfers already streaming data
   // complete normally.
@@ -173,9 +161,8 @@ class Bml {
   // Stripe-capable rails reaching gid (used for both the striping decision
   // and the region exposure).
   std::vector<Ptl*> stripe_rails(int gid) const;
-  // Plan and launch a pipelined rendezvous. Returns false to fall back to
-  // the single-rail monolithic scheme (round-robin policy, pipelining off).
-  bool try_fragmented(SendRequest& req, Ptl* chosen);
+  // Plan and launch a pipelined rendezvous led by the chosen (primary) rail.
+  void send_fragmented(SendRequest& req, Ptl* primary);
   void apply_push(std::uint64_t rid, std::uint64_t offset,
                   const std::uint8_t* data, std::size_t len);
   // Issue queued fragments on every rail with spare pipeline depth.
@@ -191,13 +178,6 @@ class Bml {
   void stripe_fire();
 
   Pml& pml_;
-  SchedPolicy policy_ = SchedPolicy::kBestWeight;
-  bool inline_rendezvous_ = false;
-  bool pipeline_ = true;
-  std::size_t frag_bytes_override_ = 0;
-  int depth_override_ = 0;
-  int push_frags_override_ = -1;
-  std::size_t rr_next_ = 0;
   std::vector<std::unique_ptr<Ptl>> ptls_;
 
   std::uint64_t next_send_id_ = 1;  // striped-send cookie (on the wire)

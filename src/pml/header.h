@@ -25,7 +25,7 @@ enum class FragKind : std::uint8_t {
   kFinAck = 5,      // receiver -> sender: RDMA-read complete (ack + fin)
   kComplete = 6,    // NIC -> own completion queue: local descriptor done
   kGoodbye = 7,     // connection teardown handshake
-  kData = 8,        // copy-path remainder chunk (TCP PTL)
+  // 8 is unused.
   kNack = 9,        // reliability: resend frames starting at hdr.cookie
   kFrameAck = 10,   // reliability: explicit cumulative ack (hdr.ack_seq)
   // BML multi-rail striping (no inline payload; the body is the stripe map:

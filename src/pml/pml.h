@@ -30,17 +30,6 @@ class Pml {
   Pml& operator=(const Pml&) = delete;
 
   const sim::ProcessCtx& ctx() const { return ctx_; }
-  void set_sched_policy(SchedPolicy p) { bml_.set_sched_policy(p); }
-  // When false, rendezvous first fragments carry no payload — the paper's
-  // "NoInline" optimization (§6.1), which avoids the extra copy on RDMA
-  // networks. Default mirrors the paper's best configuration: off.
-  void set_inline_rendezvous(bool v) { bml_.set_inline_rendezvous(v); }
-  // Pipelined rendezvous (chunked-RDMA overlap): on by default; the knobs
-  // fall back to ModelParams when left at 0 / -1.
-  void set_pipeline_rendezvous(bool v) { bml_.set_pipeline_rendezvous(v); }
-  void set_pipeline_frag_bytes(std::size_t v) { bml_.set_pipeline_frag_bytes(v); }
-  void set_pipeline_depth(int v) { bml_.set_pipeline_depth(v); }
-  void set_pipeline_push_frags(int v) { bml_.set_pipeline_push_frags(v); }
   // Condvar handoff latency charged when a progress thread completes a
   // request the application thread is blocked on.
   void set_request_wake_delay(sim::Time ns) { request_wake_delay_ = ns; }

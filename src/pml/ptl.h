@@ -68,16 +68,24 @@ class Ptl {
   // rails, not constructed PTL objects.
   virtual bool wired() const { return true; }
 
+  // True when this module runs its own long-message scheme (the paper's
+  // monolithic RDMA-read/write on Elan4). Every other rendezvous goes
+  // through the BML's fragment schedule.
+  virtual bool own_rendezvous() const { return false; }
+
   // --- send path ---
-  // Transmit the first fragment of req (header + up to inline_len payload
-  // bytes). For len <= eager_limit this is the whole message.
-  virtual void send_first(SendRequest& req, std::size_t inline_len) = 0;
+  // Transmit the first fragment of req. For len <= eager_limit this is the
+  // whole message; longer messages reach here only when own_rendezvous().
+  virtual void send_first(SendRequest& req) = 0;
 
   // --- receive path ---
-  // PML matched `frag` to `req`; run the long-message scheme (ack + sender
-  // RDMA-write, or RDMA-read + FIN_ACK). Only called when hdr.len exceeds
-  // the inline payload.
-  virtual void matched(RecvRequest& req, std::unique_ptr<FirstFrag> frag) = 0;
+  // PML matched `frag` to `req`; run the module's own long-message scheme
+  // (ack + sender RDMA-write, or RDMA-read + FIN_ACK). Only called for a
+  // kRendezvous first fragment, which only own_rendezvous() modules send.
+  virtual void matched(RecvRequest& req, std::unique_ptr<FirstFrag> frag) {
+    (void)frag;
+    req.fail(Status::kError);
+  }
 
   // --- BML multi-rail striping hooks (optional; default: not capable) ---
   // A stripe-capable rail can expose a local memory region for remote pull
@@ -149,13 +157,13 @@ class Ptl {
   // or a revoke the World nudges every PTL to let blocked waits re-check
   // their requests against the abort epoch.
   virtual void wake() {}
-  // Abort a pending rendezvous send whose communicator was revoked: drop
-  // it ONLY if the handshake has not progressed past the request (still
-  // awaiting the receiver's ACK) — a transfer already streaming completes
-  // normally and carries the real result. Returns true if the operation
-  // was found and dropped (the caller fails the request). A racing ACK
-  // that arrives after the drop is answered with an error FIN so the
-  // receiver's matched recv cannot hang.
+  // Abort a pending own-scheme rendezvous send whose communicator was
+  // revoked: drop it ONLY if the handshake has not progressed past the
+  // request (still awaiting the receiver's ACK) — a transfer already
+  // streaming completes normally and carries the real result. Returns true
+  // if the operation was found and dropped (the caller fails the request).
+  // A racing ACK that arrives after the drop is answered with an error FIN
+  // so the receiver's matched recv cannot hang.
   virtual bool abort_send(pml::SendRequest* req) {
     (void)req;
     return false;

@@ -1,12 +1,19 @@
-// Configuration of the Elan4 PTL — every knob the paper evaluates.
+// Configuration of the Elan4 PTL — every knob the paper evaluates, and the
+// one rendezvous selector (Scheme) for the whole stack.
 #pragma once
 
 #include <cstdint>
 
 namespace oqs::ptl_elan4 {
 
-// Long-message scheme (paper §4.2, Figs. 3 and 4).
+// Long-message scheme: the one rendezvous selector.
 enum class Scheme {
+  // The BML's fragment schedule (pml/frag_schedule.h): inline prefix and
+  // pushed fragments behind the RTS, chunked pulls striped across rails.
+  // Every PTL shares it.
+  kPipelined,
+  // The paper's monolithic schemes (§4.2, Figs. 3 and 4), run by this PTL
+  // on the one chosen rail:
   kRdmaRead,   // receiver GETs the data, then FIN_ACK to the sender
   kRdmaWrite,  // receiver ACKs with its address; sender PUTs, then FIN
 };
@@ -27,7 +34,12 @@ enum class Progress {
 };
 
 struct Options {
-  Scheme scheme = Scheme::kRdmaRead;
+  Scheme scheme = Scheme::kPipelined;
+  // Carry an eager-limit payload prefix in the rendezvous first fragment
+  // (paper §6.1 ablation; the best configuration leaves this off on RDMA
+  // networks). Read only by the paper schemes: the fragment schedule sizes
+  // its own inline prefix.
+  bool inline_rendezvous = false;
   Completion completion = Completion::kDirectPoll;
   Progress progress = Progress::kPolling;
   // Chain the FIN/FIN_ACK QDMA to the last RDMA via the chained-event
@@ -39,8 +51,9 @@ struct Options {
   bool use_dtype_engine = false;
   // End-to-end reliability (LA-MPI heritage): CRC32C on every frame with
   // NACK-driven go-back-N retransmission, and checksum + re-read recovery
-  // of rendezvous payloads. Forces the RDMA-read scheme with host-mediated
-  // FIN_ACK (verification must precede the acknowledgement).
+  // of rendezvous payloads. Turns the RDMA-write scheme into RDMA-read and
+  // the FIN_ACK into a host-mediated one (verification must precede the
+  // acknowledgement); the fragment schedule verifies per fragment instead.
   bool reliability = false;
   // Rendezvous payload re-read attempts before the transfer fails.
   int max_data_retries = 3;
@@ -62,10 +75,6 @@ struct Options {
   // Minimum gap between identical NACKs / duplicate re-acks, so a burst of
   // out-of-order frames triggers one retransmission round, not a storm.
   std::uint64_t nack_holdoff_ns = 30000;
-  // Consecutive unproductive retransmission timeouts before a peer is
-  // reported suspect to the failure detector (0 = never). Mirrors
-  // ModelParams::suspect_timeouts when constructed through the MPI bring-up.
-  int suspect_timeouts = 6;
   // Initial frame_seq value (both sides of a pairing must agree). Test hook
   // for exercising uint16 wraparound without sending 65,000 warmup frames.
   std::uint16_t seq_start = 0;

@@ -36,9 +36,10 @@ PtlElan4::PtlElan4(pml::Pml& pml, elan4::QsNet& net, int node, Options opts,
     opts_.completion = Completion::kSharedSeparate;
   // Reliability: checksums must be verified by the host before the
   // acknowledgement goes out, and payload recovery re-issues RDMA reads, so
-  // the scheme is RDMA-read with a host-mediated FIN_ACK.
+  // the paper scheme is RDMA-read with a host-mediated FIN_ACK. The
+  // fragment schedule verifies and re-pulls per fragment on its own.
   if (opts_.reliability) {
-    opts_.scheme = Scheme::kRdmaRead;
+    if (opts_.scheme == Scheme::kRdmaWrite) opts_.scheme = Scheme::kRdmaRead;
     opts_.chained_fin = false;
   }
   rtuning_.send_window = opts_.send_window;
@@ -47,7 +48,7 @@ PtlElan4::PtlElan4(pml::Pml& pml, elan4::QsNet& net, int node, Options opts,
   rtuning_.retransmit_timeout_ns = opts_.retransmit_timeout_ns;
   rtuning_.max_retransmit_backoff = opts_.max_retransmit_backoff;
   rtuning_.nack_holdoff_ns = opts_.nack_holdoff_ns;
-  rtuning_.suspect_timeouts = opts_.suspect_timeouts;
+  rtuning_.suspect_timeouts = net_.params().suspect_timeouts;
   rtuning_.seq_start = opts_.seq_start;
 
   device_ = net_.open(node_, rail_);
@@ -318,7 +319,7 @@ void PtlElan4::arm_completion(E4Event* ev, std::uint64_t id) {
 
 // --------------------------------------------------------- send path ----
 
-void PtlElan4::send_first(pml::SendRequest& req, std::size_t inline_len) {
+void PtlElan4::send_first(pml::SendRequest& req) {
   // send_first runs on the application fiber, the one place the protocol
   // may block: a full send window backpressures the sender here instead of
   // dropping retransmission history.
@@ -376,9 +377,11 @@ void PtlElan4::send_first(pml::SendRequest& req, std::size_t inline_len) {
     return;
   }
 
-  // Rendezvous. Clamp inline payload so the frame fits one 2 KB slot.
+  // Paper rendezvous. The inline payload (if enabled) is clamped so the
+  // frame fits one 2 KB slot.
   const std::size_t max_inline = 2048 - sizeof(MatchHeader) - sizeof(RdvBody);
-  if (inline_len > max_inline) inline_len = max_inline;
+  const std::size_t inline_len =
+      std::min(opts_.inline_rendezvous ? eager_limit() : 0, max_inline);
 
   const std::uint64_t id = next_id_++;
   PendingSend op;
@@ -477,7 +480,7 @@ void PtlElan4::handle_ack(const MatchHeader& hdr, const AckBody& body) {
 }
 
 void PtlElan4::complete_send(std::uint64_t id, PendingSend& op) {
-  if (op.fin_needed && opts_.scheme == Scheme::kRdmaWrite) {
+  if (op.fin_needed) {
     auto pit = peers_.find(op.gid);
     if (pit != peers_.end() && pit->second.alive) {
       MatchHeader fin;
@@ -579,9 +582,9 @@ void PtlElan4::matched(pml::RecvRequest& req, std::unique_ptr<pml::FirstFrag> fr
     op.staged = true;
   }
 
-  if (opts_.scheme == Scheme::kRdmaRead) {
-    assert(ef->src_addr != elan4::kNullE4Addr &&
-           "read scheme requires the sender's E4 address");
+  // The sender's scheme decides: RDMA-read exposes its source address in
+  // the first fragment, RDMA-write leaves it null.
+  if (ef->src_addr != elan4::kNullE4Addr) {
     op.finack_needed = !opts_.chained_fin;
     op.src_remote = ef->src_addr;
     op.dst_addr = device_->map(op.dst_ptr, op.rest);
@@ -629,7 +632,7 @@ void PtlElan4::complete_recv(std::uint64_t id, PendingRecv& op) {
       final_st = Status::kError;
     }
   }
-  if (op.finack_needed && opts_.scheme == Scheme::kRdmaRead) {
+  if (op.finack_needed) {
     auto pit = peers_.find(op.gid);
     if (pit != peers_.end() && pit->second.alive) {
       MatchHeader fa;

@@ -4,9 +4,11 @@
 //  * eager messages (<= 1984 B payload after the 64 B match header) ride
 //    QDMA into the peer's host receive queue, from preallocated 2 KB send
 //    buffers;
-//  * long messages use rendezvous plus either RDMA-read (receiver GETs,
-//    FIN_ACK chained to the read) or RDMA-write (receiver ACKs its exposed
-//    E4 address, sender PUTs, FIN chained to the write);
+//  * long messages ride the BML's pipelined fragment schedule through the
+//    stripe_* hooks (Scheme::kPipelined, the default), or this module's own
+//    paper rendezvous: RDMA-read (receiver GETs, FIN_ACK chained to the
+//    read) or RDMA-write (receiver ACKs its exposed E4 address, sender
+//    PUTs, FIN chained to the write);
 //  * local RDMA completion is detected by per-descriptor event polling, or
 //    via the shared completion queue (a QDMA chained to every RDMA lands in
 //    a queue one thread can block on — the Fig. 6 design);
@@ -81,7 +83,10 @@ class PtlElan4 final : public pml::Ptl {
   bool reaches(int gid) const override;
   pml::Endpoint* endpoint(int gid) override;
   bool wired() const override;
-  void send_first(pml::SendRequest& req, std::size_t inline_len) override;
+  bool own_rendezvous() const override {
+    return opts_.scheme != Scheme::kPipelined;
+  }
+  void send_first(pml::SendRequest& req) override;
   void matched(pml::RecvRequest& req, std::unique_ptr<pml::FirstFrag> frag) override;
   int progress() override;
   bool blocking_capable() const override {

@@ -128,58 +128,22 @@ void PtlTcp::post_frame(TcpEndpoint& peer, const MatchHeader& hdr,
   net_.eth().send(addr_, peer.addr, std::move(frame));
 }
 
-void PtlTcp::send_first(pml::SendRequest& req, std::size_t inline_len) {
+void PtlTcp::send_first(pml::SendRequest& req) {
+  // Long messages never reach here: the TCP PTL has no rendezvous of its
+  // own, so the BML runs them through the fragment schedule.
+  assert(req.total_bytes() <= eager_limit());
   auto pit = peers_.find(req.dst_gid);
   if (pit == peers_.end()) {
     req.fail(Status::kUnreachable);
     return;
   }
   OQS_TRACE_SPAN(span_, node_, "ptl", "send_first", "len", req.total_bytes());
-  TcpEndpoint& peer = pit->second;
   const std::size_t total = req.total_bytes();
-
-  if (total <= eager_limit()) {
-    req.hdr.kind = FragKind::kEager;
-    std::vector<std::uint8_t> payload(total);
-    if (total > 0) req.convertor.pack(payload.data(), total);
-    post_frame(peer, req.hdr, payload.data(), payload.size());
-    pml_.send_progress(req, total);
-    return;
-  }
-
-  const std::uint64_t id = next_id_++;
-  if (inline_len > eager_limit()) inline_len = eager_limit();
-  req.hdr.kind = FragKind::kRendezvous;
-  req.hdr.cookie = id;
-  std::vector<std::uint8_t> payload(inline_len);
-  if (inline_len > 0) req.convertor.pack(payload.data(), inline_len);
-  sends_.emplace(id, PendingSend{&req, total - inline_len, req.dst_gid});
-  OQS_METRIC_INC("ptl.rdv.started");
-  OQS_TRACE_INSTANT(node_, "ptl", "rdv.first_frag", "cookie", id, "rest",
-                    total - inline_len);
-  post_frame(peer, req.hdr, payload.data(), payload.size());
-  if (inline_len > 0) pml_.send_progress(req, inline_len);
-}
-
-void PtlTcp::matched(pml::RecvRequest& req, std::unique_ptr<pml::FirstFrag> frag) {
-  auto* tf = static_cast<TcpFirstFrag*>(frag.get());
-  auto pit = peers_.find(tf->hdr.src_gid);
-  if (pit == peers_.end()) {
-    req.fail(Status::kUnreachable);
-    return;
-  }
-  const std::uint64_t id = next_id_++;
-  recvs_.emplace(id, PendingRecv{&req, tf->hdr.len - tf->inline_data.size(),
-                                 tf->hdr.src_gid});
-  MatchHeader ack;
-  ack.kind = FragKind::kAck;
-  ack.cookie = tf->send_cookie;
-  ack.aux = id;  // receiver-side cookie for the data chunks
-  ack.src_gid = pml_.ctx().gid;
-  ack.dst_gid = tf->hdr.src_gid;
-  OQS_TRACE_INSTANT(node_, "ptl", "rdv.ack_sent", "cookie", tf->send_cookie,
-                    "rest", tf->hdr.len - tf->inline_data.size());
-  post_frame(pit->second, ack, nullptr, 0);
+  req.hdr.kind = FragKind::kEager;
+  std::vector<std::uint8_t> payload(total);
+  if (total > 0) req.convertor.pack(payload.data(), total);
+  post_frame(pit->second, req.hdr, payload.data(), payload.size());
+  pml_.send_progress(req, total);
 }
 
 // ------------------------------------------------ BML striping hooks ----
@@ -254,12 +218,10 @@ void PtlTcp::handle_frame(std::vector<std::uint8_t>&& frame) {
 
   switch (hdr.kind) {
     case FragKind::kEager:
-    case FragKind::kRendezvous:
     case FragKind::kRendezvousStriped: {
-      auto ff = std::make_unique<TcpFirstFrag>();
+      auto ff = std::make_unique<pml::FirstFrag>();
       ff->hdr = hdr;
       ff->ptl = this;
-      ff->send_cookie = hdr.cookie;
       ff->inline_data.assign(frame.begin() + sizeof(MatchHeader), frame.end());
       pml_.incoming_first(std::move(ff));
       break;
@@ -313,85 +275,6 @@ void PtlTcp::handle_frame(std::vector<std::uint8_t>&& frame) {
       if (op.done) op.done(Status::kOk);
       break;
     }
-    case FragKind::kAck: {
-      auto it = sends_.find(hdr.cookie);
-      if (it == sends_.end()) {
-        log::warn(name_, "ACK for unknown cookie ", hdr.cookie);
-        // Aborted send (revoke) raced the ACK: answer with an error FIN so
-        // the receiver's matched recv fails instead of waiting for data.
-        if (auto pit = peers_.find(hdr.src_gid);
-            pit != peers_.end() && pit->second.alive) {
-          MatchHeader fin;
-          fin.kind = FragKind::kFin;
-          fin.cookie = hdr.aux;  // receiver's cookie
-          fin.status = static_cast<std::uint16_t>(Status::kRevoked);
-          fin.src_gid = pml_.ctx().gid;
-          fin.dst_gid = hdr.src_gid;
-          post_frame(pit->second, fin, nullptr, 0);
-        }
-        break;
-      }
-      PendingSend op = it->second;
-      sends_.erase(it);
-      TcpEndpoint& peer = peers_.at(op.gid);
-      const std::uint32_t chunk = net_.params().tcp_chunk;
-      std::size_t off = 0;
-      std::vector<std::uint8_t> buf;
-      while (off < op.rest) {
-        const std::size_t part = std::min<std::size_t>(chunk, op.rest - off);
-        buf.resize(part);
-        op.req->convertor.pack(buf.data(), part);
-        MatchHeader data;
-        data.kind = FragKind::kData;
-        data.cookie = hdr.aux;  // receiver's cookie
-        data.aux = off;
-        data.len = part;
-        data.src_gid = pml_.ctx().gid;
-        data.dst_gid = op.gid;
-        post_frame(peer, data, buf.data(), part);
-        off += part;
-      }
-      OQS_METRIC_INC("ptl.rdv.send_done");
-      OQS_TRACE_INSTANT(node_, "ptl", "rdv.send_done", "cookie", hdr.cookie,
-                        "rest", op.rest);
-      pml_.send_progress(*op.req, op.rest);
-      break;
-    }
-    case FragKind::kData: {
-      auto it = recvs_.find(hdr.cookie);
-      if (it == recvs_.end()) {
-        log::warn(name_, "DATA for unknown cookie ", hdr.cookie);
-        break;
-      }
-      PendingRecv& op = it->second;
-      const std::size_t part = frame.size() - sizeof(MatchHeader);
-      assert(part <= op.remaining && "chunk overruns the posted receive");
-      op.req->convertor.unpack(frame.data() + sizeof(MatchHeader), part);
-      op.remaining -= part;
-      pml::RecvRequest* req = op.req;
-      if (op.remaining == 0) {
-        recvs_.erase(it);
-        OQS_METRIC_INC("ptl.rdv.recv_done");
-        OQS_TRACE_INSTANT(node_, "ptl", "rdv.recv_done", "cookie", hdr.cookie,
-                          "rest", part);
-      }
-      pml_.recv_progress(*req, part);
-      break;
-    }
-    case FragKind::kFin: {
-      // Only the error form exists on TCP (data completion rides kData):
-      // the sender aborted a rendezvous after our ACK.
-      auto it = recvs_.find(hdr.cookie);
-      if (it == recvs_.end() || hdr.status == 0) {
-        log::warn(name_, "unexpected FIN for cookie ", hdr.cookie);
-        break;
-      }
-      pml::RecvRequest* req = it->second.req;
-      recvs_.erase(it);
-      OQS_METRIC_INC("ptl.failure.recvs_purged");
-      req->fail(static_cast<Status>(hdr.status));
-      break;
-    }
     case FragKind::kFrameAck:
       break;  // pure ack carrier: consumed by the gate above
     case FragKind::kGoodbye: {
@@ -426,7 +309,6 @@ void PtlTcp::finalize() {
   finalized_ = true;
   const sim::ProcessCtx& host = pml_.ctx();
   auto sweep = [this] { return progress(); };
-  host.wait_until(sim::Cadence::kSocketPoll, [this] { return !active(); }, sweep);
   if (reliability_) {
     // Flush cumulative acks so peers can prune, then wait for our own
     // frames to be acknowledged before the endpoint detaches.
@@ -467,26 +349,6 @@ void PtlTcp::peer_failed(int gid) {
     pit->second.stream.reset();  // window/backlog toward the corpse released
   }
   std::vector<std::uint64_t> doomed;
-  for (auto& [id, op] : sends_)
-    if (op.gid == gid) doomed.push_back(id);
-  for (std::uint64_t id : doomed) {
-    auto it = sends_.find(id);
-    if (it == sends_.end()) continue;
-    pml::SendRequest* req = it->second.req;
-    sends_.erase(it);
-    if (req != nullptr) req->fail(Status::kErrProcFailed);
-  }
-  doomed.clear();
-  for (auto& [id, op] : recvs_)
-    if (op.gid == gid) doomed.push_back(id);
-  for (std::uint64_t id : doomed) {
-    auto it = recvs_.find(id);
-    if (it == recvs_.end()) continue;
-    pml::RecvRequest* req = it->second.req;
-    recvs_.erase(it);
-    if (req != nullptr) req->fail(Status::kErrProcFailed);
-  }
-  doomed.clear();
   for (auto& [id, sp] : stripe_pulls_)
     if (sp.gid == gid) doomed.push_back(id);
   for (std::uint64_t id : doomed) {
@@ -498,30 +360,11 @@ void PtlTcp::peer_failed(int gid) {
   }
 }
 
-bool PtlTcp::abort_send(pml::SendRequest* req) {
-  for (auto it = sends_.begin(); it != sends_.end(); ++it) {
-    if (it->second.req != req) continue;
-    // A TCP pending send only exists while awaiting the receiver's ACK
-    // (the data chunks stream synchronously once the ACK arrives), so a
-    // found entry is always still abortable.
-    sends_.erase(it);
-    OQS_METRIC_INC("ptl.failure.sends_aborted");
-    return true;
-  }
-  return false;
-}
-
 void PtlTcp::halt() {
   if (finalized_) return;
   finalized_ = true;
   halted_ = true;
   *alive_ = false;
-  for (auto& [id, op] : sends_)
-    if (op.req != nullptr) op.req->fail(Status::kErrProcFailed);
-  sends_.clear();
-  for (auto& [id, op] : recvs_)
-    if (op.req != nullptr) op.req->fail(Status::kErrProcFailed);
-  recvs_.clear();
   stripe_pulls_.clear();
   stripe_regions_.clear();
   peers_.clear();

@@ -2,10 +2,12 @@
 //
 // Runs the same PML protocol over a simulated kernel socket path: every
 // frame pays syscall + user/kernel copy + protocol-stack time, and all data
-// moves through send/recv copies (no RDMA). Long messages are rendezvous
-// plus in-order data chunks. Exists (a) as the semantic contrast the paper
-// draws — poll/select progress, copies, OS overhead — and (b) to exercise
-// concurrent multi-network scheduling in the PML.
+// moves through send/recv copies (no RDMA). Eager messages ride one frame;
+// long messages take the BML's fragment schedule like every other rail,
+// with pulls emulated as request/response pairs over the socket. Exists (a)
+// as the semantic contrast the paper draws — poll/select progress, copies,
+// OS overhead — and (b) to exercise concurrent multi-network scheduling in
+// the PML.
 //
 // The shared go-back-N framing (ptl::ReliableStream) can be layered on per
 // construction flag. The Ethernet model is lossless, so this never
@@ -28,10 +30,6 @@
 #include "ptl/reliable_stream.h"
 
 namespace oqs::ptl_tcp {
-
-struct TcpFirstFrag final : pml::FirstFrag {
-  std::uint64_t send_cookie = 0;
-};
 
 // Per-peer connection state: Ethernet address plus (with reliability on)
 // the framing stream.
@@ -73,8 +71,7 @@ class PtlTcp final : public pml::Ptl, private net::EthNet::Sink {
       if (peer.alive) return true;
     return false;
   }
-  void send_first(pml::SendRequest& req, std::size_t inline_len) override;
-  void matched(pml::RecvRequest& req, std::unique_ptr<pml::FirstFrag> frag) override;
+  void send_first(pml::SendRequest& req) override;
 
   // BML striping hooks: no RDMA engine here, so a "pull" is a request/
   // response pair over the socket (kPullReq / kPullResp). The TCP rail
@@ -100,29 +97,16 @@ class PtlTcp final : public pml::Ptl, private net::EthNet::Sink {
   }
 
   int progress() override;
-  bool active() const override { return !sends_.empty() || !recvs_.empty(); }
   void finalize() override;
   void peer_failed(int gid) override;
   void halt() override;
-  bool abort_send(pml::SendRequest* req) override;
 
-  std::size_t pending_ops() const { return sends_.size() + recvs_.size(); }
   bool reliability() const { return reliability_; }
   std::uint64_t acks_sent() const { return counters_.acks_sent; }
   std::uint64_t frames_dropped() const { return counters_.frames_dropped; }
   std::uint64_t tx_bytes() const { return tx_bytes_; }
 
  private:
-  struct PendingSend {
-    pml::SendRequest* req = nullptr;
-    std::size_t rest = 0;
-    int gid = -1;
-  };
-  struct PendingRecv {
-    pml::RecvRequest* req = nullptr;
-    std::size_t remaining = 0;
-    int gid = -1;
-  };
   struct StripeRegion {
     const std::uint8_t* base = nullptr;
     std::size_t len = 0;
@@ -155,8 +139,6 @@ class PtlTcp final : public pml::Ptl, private net::EthNet::Sink {
   ptl::ReliableTuning rtuning_;
   ptl::ReliableCounters counters_;
   std::map<int, TcpEndpoint> peers_;
-  std::map<std::uint64_t, PendingSend> sends_;
-  std::map<std::uint64_t, PendingRecv> recvs_;
   std::map<std::uint64_t, StripeRegion> stripe_regions_;
   std::map<std::uint64_t, StripePull> stripe_pulls_;
   std::deque<std::vector<std::uint8_t>> inbox_;

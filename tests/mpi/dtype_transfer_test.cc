@@ -1,5 +1,6 @@
 // Non-contiguous datatypes end-to-end: eager, rendezvous (staging through
-// E4-addressable buffers), both RDMA schemes, type mismatch between sides.
+// E4-addressable buffers) under the fragment schedule and both paper RDMA
+// schemes, type mismatch between sides.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -41,6 +42,7 @@ TEST_P(DtypeRdvSchemes, LargeVectorStagesThroughRdma) {
   mpi::Options opts;
   opts.elan4.scheme = GetParam();
   TestBed bed;
+  const test::RdvCounts before;
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();
     auto t = dtype::Datatype::vec(4000, 8, 10, dtype::double_type());
@@ -61,10 +63,12 @@ TEST_P(DtypeRdvSchemes, LargeVectorStagesThroughRdma) {
     }
     c.barrier();
   }, opts);
+  test::expect_rendezvous_path(GetParam(), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, DtypeRdvSchemes,
-                         ::testing::Values(ptl_elan4::Scheme::kRdmaRead,
+                         ::testing::Values(ptl_elan4::Scheme::kPipelined,
+                                           ptl_elan4::Scheme::kRdmaRead,
                                            ptl_elan4::Scheme::kRdmaWrite));
 
 TEST(DtypeTransfer, ContiguousSenderNoncontiguousReceiver) {

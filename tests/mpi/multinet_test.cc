@@ -1,7 +1,8 @@
-// Concurrent multi-network support: TCP-only operation, PML scheduling
+// Concurrent multi-network support: TCP-only operation, BML striping
 // across Elan4 + TCP, and the multirail Elan4 extension.
 #include <gtest/gtest.h>
 
+#include "ptl/tcp/ptl_tcp.h"
 #include "testbed.h"
 
 namespace oqs {
@@ -62,26 +63,41 @@ TEST(MultiNet, TcpIsMuchSlowerThanElan4) {
   EXPECT_GT(tcp, 8 * elan);
 }
 
-TEST(MultiNet, RoundRobinSchedulesAcrossBothNetworks) {
+TEST(MultiNet, LongMessagesStripeAcrossBothNetworks) {
+  // One job drives both networks: eager traffic takes the best rail (Elan4),
+  // while each long message's pull fragments fan out over Elan4 AND TCP.
+  // All 10 must arrive intact and in send order.
   mpi::Options opts;
   opts.use_elan4 = true;
   opts.use_tcp = true;
-  opts.sched = pml::SchedPolicy::kRoundRobin;
   TestBed bed;
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();
-    // 20 messages alternate PTLs; all must arrive correctly and in order.
+    // Large enough that TCP's bandwidth-weighted share of the pull
+    // fragments is nonzero even beside two Elan4 rails.
+    constexpr std::size_t kBytes = 1 << 20;
     if (c.rank() == 0) {
-      for (int i = 0; i < 20; ++i) {
-        std::vector<std::uint8_t> buf(5000, static_cast<std::uint8_t>(i));
+      for (int i = 0; i < 10; ++i) {
+        std::vector<std::uint8_t> buf(kBytes, static_cast<std::uint8_t>(i));
         c.send(buf.data(), buf.size(), dtype::byte_type(), 1, 4);
       }
     } else {
-      for (int i = 0; i < 20; ++i) {
-        std::vector<std::uint8_t> buf(5000, 0);
+      for (int i = 0; i < 10; ++i) {
+        std::vector<std::uint8_t> buf(kBytes, 0);
         c.recv(buf.data(), buf.size(), dtype::byte_type(), 0, 4);
-        EXPECT_EQ(buf, std::vector<std::uint8_t>(5000, static_cast<std::uint8_t>(i)))
+        EXPECT_EQ(buf, std::vector<std::uint8_t>(kBytes, static_cast<std::uint8_t>(i)))
             << "message " << i;
+      }
+    }
+    c.barrier();
+    // Eager traffic never picks TCP, so any bytes the sender put on its
+    // socket answered pulls of payload fragments.
+    if (c.rank() == 0) {
+      for (std::size_t i = 0; i < w.pml().num_ptls(); ++i) {
+        const pml::Ptl& p = w.pml().ptl(i);
+        if (p.name() == "tcp") {
+          EXPECT_GT(static_cast<const ptl_tcp::PtlTcp&>(p).tx_bytes(), 0u);
+        }
       }
     }
     c.barrier();

@@ -108,10 +108,11 @@ TEST(Multirail, PipelinedFragmentsStripeBelowOldThreshold) {
   // rails once it splits into several fragments.
   mpi::Options opts;
   opts.elan4.rails = 2;
-  opts.pipeline_frag_bytes = 2048;
-  opts.pipeline_depth = 2;
-  opts.pipeline_push_frags = 0;  // keep the payload in pull fragments
-  TestBed bed(8, 2);
+  ModelParams p;
+  p.pipeline_frag_bytes = 2048;
+  p.pipeline_depth = 2;
+  p.pipeline_push_frags = 0;  // keep the payload in pull fragments
+  TestBed bed(8, 2, p);
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();
     const std::size_t bytes = 24 * 1024;
@@ -139,9 +140,9 @@ TEST(Multirail, RailKillWithFragmentsInFlightCompletesOnSurvivor) {
   // per-fragment FIN aggregation still completes the sender exactly once.
   mpi::Options opts;
   opts.elan4.rails = 2;
-  opts.pipeline_frag_bytes = 8192;
-  opts.pipeline_depth = 4;
   ModelParams p;
+  p.pipeline_frag_bytes = 8192;
+  p.pipeline_depth = 4;
   p.stripe_timeout_ns = 300'000;
   TestBed bed(8, 2, p);
   bed.run_mpi(2, [&](mpi::World& w) {
@@ -213,9 +214,10 @@ TEST(MultirailSoak, PipelinedFragmentsUnderHeavyFaults) {
     opts.elan4.rails = 2;
     opts.elan4.reliability = true;
     opts.elan4.max_data_retries = 50;
-    opts.pipeline_frag_bytes = 2048;
-    opts.pipeline_depth = 3;
-    TestBed bed(8, 2);
+    ModelParams p;
+    p.pipeline_frag_bytes = 2048;
+    p.pipeline_depth = 3;
+    TestBed bed(8, 2, p);
     net::FaultProfile profile;
     profile.drop = 0.05;
     profile.corrupt = 0.02;

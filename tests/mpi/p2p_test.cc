@@ -1,6 +1,6 @@
 // Point-to-point semantics over the full stack (MPI -> PML -> PTL/Elan4 ->
-// simulated NIC/fabric): eager and rendezvous paths, both RDMA schemes,
-// ordering, wildcards, nonblocking ops.
+// simulated NIC/fabric): eager and rendezvous paths (the fragment schedule
+// and both paper RDMA schemes), ordering, wildcards, nonblocking ops.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -56,35 +56,125 @@ TEST_P(P2PSchemes, PayloadRoundTrips) {
   mpi::Options opts;
   opts.elan4.scheme = sc.scheme;
   opts.elan4.chained_fin = sc.chained;
+  const test::RdvCounts before;
   pingpong_payload_roundtrip(opts, sc.bytes);
+  if (sc.bytes > 1984) {
+    test::expect_rendezvous_path(sc.scheme, before);
+  } else {
+    const test::RdvCounts after;
+    EXPECT_EQ(after.paper, before.paper);
+    EXPECT_EQ(after.pipelined, before.pipelined);
+  }
 }
+
+using ptl_elan4::Scheme;
 
 INSTANTIATE_TEST_SUITE_P(
     SizesAndSchemes, P2PSchemes,
     ::testing::Values(
-        // Eager path (<= 1984B): scheme-independent, but run under both.
-        SchemeCase{ptl_elan4::Scheme::kRdmaRead, true, 0},
-        SchemeCase{ptl_elan4::Scheme::kRdmaRead, true, 1},
-        SchemeCase{ptl_elan4::Scheme::kRdmaRead, true, 64},
-        SchemeCase{ptl_elan4::Scheme::kRdmaRead, true, 1984},
-        SchemeCase{ptl_elan4::Scheme::kRdmaWrite, true, 1984},
-        // Rendezvous threshold crossing and long messages, both schemes,
-        // with and without the chained FIN.
-        SchemeCase{ptl_elan4::Scheme::kRdmaRead, true, 1985},
-        SchemeCase{ptl_elan4::Scheme::kRdmaRead, true, 4096},
-        SchemeCase{ptl_elan4::Scheme::kRdmaRead, false, 4096},
-        SchemeCase{ptl_elan4::Scheme::kRdmaRead, true, 65536},
-        SchemeCase{ptl_elan4::Scheme::kRdmaRead, true, 1 << 20},
-        SchemeCase{ptl_elan4::Scheme::kRdmaWrite, true, 1985},
-        SchemeCase{ptl_elan4::Scheme::kRdmaWrite, true, 4096},
-        SchemeCase{ptl_elan4::Scheme::kRdmaWrite, false, 4096},
-        SchemeCase{ptl_elan4::Scheme::kRdmaWrite, true, 65536},
-        SchemeCase{ptl_elan4::Scheme::kRdmaWrite, false, 1 << 20}));
+        // Eager path (<= 1984B): no rendezvous engine runs under any scheme.
+        SchemeCase{Scheme::kPipelined, true, 0},
+        SchemeCase{Scheme::kRdmaRead, true, 1},
+        SchemeCase{Scheme::kPipelined, true, 64},
+        SchemeCase{Scheme::kRdmaRead, true, 1984},
+        SchemeCase{Scheme::kRdmaWrite, true, 1984},
+        // Rendezvous threshold crossing and long messages: the fragment
+        // schedule, then both paper schemes with and without the chained
+        // FIN (the write scheme's unchained FIN is host-posted after the
+        // PUT completes).
+        SchemeCase{Scheme::kPipelined, true, 1985},
+        SchemeCase{Scheme::kPipelined, true, 4096},
+        SchemeCase{Scheme::kPipelined, true, 65536},
+        SchemeCase{Scheme::kPipelined, true, 1 << 20},
+        SchemeCase{Scheme::kRdmaRead, true, 1985},
+        SchemeCase{Scheme::kRdmaRead, true, 4096},
+        SchemeCase{Scheme::kRdmaRead, false, 4096},
+        SchemeCase{Scheme::kRdmaRead, true, 65536},
+        SchemeCase{Scheme::kRdmaRead, true, 1 << 20},
+        SchemeCase{Scheme::kRdmaWrite, true, 1985},
+        SchemeCase{Scheme::kRdmaWrite, true, 4096},
+        SchemeCase{Scheme::kRdmaWrite, false, 4096},
+        SchemeCase{Scheme::kRdmaWrite, true, 65536},
+        SchemeCase{Scheme::kRdmaWrite, false, 1 << 20}));
 
 TEST(P2P, InlineRendezvousCarriesPayload) {
-  mpi::Options opts;
-  opts.inline_rendezvous = true;
-  pingpong_payload_roundtrip(opts, 8192);
+  for (const Scheme scheme : {Scheme::kRdmaRead, Scheme::kRdmaWrite}) {
+    mpi::Options opts;
+    opts.elan4.scheme = scheme;
+    opts.elan4.inline_rendezvous = true;
+    const test::RdvCounts before;
+    pingpong_payload_roundtrip(opts, 8192);
+    test::expect_rendezvous_path(scheme, before);
+  }
+}
+
+// One-way 4 KB latency of the paper's rendezvous, pinned to the nanosecond:
+// kIters round trips after a warmup, so the one-way figure is
+// elapsed / (2 * kIters). The values are the Fig. 7 and Fig. 8 columns at
+// 4 KB; any change to the paper protocol's cost shows here first.
+sim::Time paper_round_trips_4k(const mpi::Options& opts) {
+  constexpr int kWarmup = 10;
+  constexpr int kIters = 20;
+  TestBed bed;
+  bed.pin_transport = true;
+  sim::Time elapsed = 0;
+  bed.run_mpi(2, [&](mpi::World& w) {
+    auto& c = w.comm();
+    std::vector<std::uint8_t> buf(4096, 0x42);
+    auto once = [&] {
+      if (c.rank() == 0) {
+        c.send(buf.data(), buf.size(), dtype::byte_type(), 1, 0);
+        c.recv(buf.data(), buf.size(), dtype::byte_type(), 1, 0);
+      } else {
+        c.recv(buf.data(), buf.size(), dtype::byte_type(), 0, 0);
+        c.send(buf.data(), buf.size(), dtype::byte_type(), 0, 0);
+      }
+    };
+    for (int i = 0; i < kWarmup; ++i) once();
+    c.barrier();
+    const sim::Time t0 = w.net().engine().now();
+    for (int i = 0; i < kIters; ++i) once();
+    if (c.rank() == 0) elapsed = w.net().engine().now() - t0;
+    c.barrier();
+  }, opts);
+  return elapsed;
+}
+
+mpi::Options paper_opts(Scheme scheme, bool inline_rdv, bool dtp,
+                        bool chained = true) {
+  mpi::Options o;
+  o.elan4.scheme = scheme;
+  o.elan4.inline_rendezvous = inline_rdv;
+  o.elan4.use_dtype_engine = dtp;
+  o.elan4.chained_fin = chained;
+  return o;
+}
+
+TEST(PaperTiming, Fig7ColumnsAt4KB) {
+  // RDMA-Read, Read-NoInline, Read-DTP, RDMA-Write, Write-NoInline,
+  // Write-DTP (the "RDMA-*" and "*-DTP" columns inline the first 1968 B).
+  EXPECT_EQ(paper_round_trips_4k(paper_opts(Scheme::kRdmaRead, true, false)),
+            651280u);
+  EXPECT_EQ(paper_round_trips_4k(paper_opts(Scheme::kRdmaRead, false, false)),
+            579000u);
+  EXPECT_EQ(paper_round_trips_4k(paper_opts(Scheme::kRdmaRead, true, true)),
+            674220u);
+  EXPECT_EQ(paper_round_trips_4k(paper_opts(Scheme::kRdmaWrite, true, false)),
+            817880u);
+  EXPECT_EQ(paper_round_trips_4k(paper_opts(Scheme::kRdmaWrite, false, false)),
+            756800u);
+  EXPECT_EQ(paper_round_trips_4k(paper_opts(Scheme::kRdmaWrite, true, true)),
+            844020u);
+}
+
+TEST(PaperTiming, Fig8ChainedFinAckAt4KB) {
+  // RDMA-Read with the FIN_ACK chained to the read, and host-posted.
+  EXPECT_EQ(paper_round_trips_4k(
+                paper_opts(Scheme::kRdmaRead, false, false, /*chained=*/true)),
+            579000u);
+  EXPECT_EQ(paper_round_trips_4k(
+                paper_opts(Scheme::kRdmaRead, false, false, /*chained=*/false)),
+            602880u);
 }
 
 TEST(P2P, MessagesFromOneSenderArriveInOrder) {

@@ -12,20 +12,22 @@ using test::TestBed;
 struct ProgressCase {
   ptl_elan4::Progress progress;
   ptl_elan4::Completion completion;
-  ptl_elan4::Scheme scheme;
 };
 
-class ProgressModes : public ::testing::TestWithParam<ProgressCase> {};
+class ProgressModes
+    : public ::testing::TestWithParam<
+          std::tuple<ProgressCase, ptl_elan4::Scheme>> {};
 
 TEST_P(ProgressModes, PingPongSmallAndLarge) {
-  const ProgressCase& pc = GetParam();
+  const auto& [pc, scheme] = GetParam();
   mpi::Options opts;
   opts.elan4.progress = pc.progress;
   opts.elan4.completion = pc.completion;
-  opts.elan4.scheme = pc.scheme;
+  opts.elan4.scheme = scheme;
 
   TestBed bed;
   int done = 0;
+  const test::RdvCounts before;
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();
     for (std::size_t bytes : {4ul, 4096ul, 100000ul}) {
@@ -45,33 +47,30 @@ TEST_P(ProgressModes, PingPongSmallAndLarge) {
     ++done;
   }, opts);
   EXPECT_EQ(done, 2);
+  test::expect_rendezvous_path(scheme, before);
 }
 
+// Every progress/completion pairing under the fragment schedule and both
+// paper schemes.
 INSTANTIATE_TEST_SUITE_P(
     AllModes, ProgressModes,
-    ::testing::Values(
-        ProgressCase{ptl_elan4::Progress::kPolling, ptl_elan4::Completion::kDirectPoll,
-                     ptl_elan4::Scheme::kRdmaRead},
-        ProgressCase{ptl_elan4::Progress::kPolling, ptl_elan4::Completion::kDirectPoll,
-                     ptl_elan4::Scheme::kRdmaWrite},
-        ProgressCase{ptl_elan4::Progress::kPolling,
-                     ptl_elan4::Completion::kSharedCombined,
-                     ptl_elan4::Scheme::kRdmaRead},
-        ProgressCase{ptl_elan4::Progress::kPolling,
-                     ptl_elan4::Completion::kSharedSeparate,
-                     ptl_elan4::Scheme::kRdmaRead},
-        ProgressCase{ptl_elan4::Progress::kInterrupt,
-                     ptl_elan4::Completion::kSharedCombined,
-                     ptl_elan4::Scheme::kRdmaRead},
-        ProgressCase{ptl_elan4::Progress::kOneThread,
-                     ptl_elan4::Completion::kSharedCombined,
-                     ptl_elan4::Scheme::kRdmaRead},
-        ProgressCase{ptl_elan4::Progress::kOneThread,
-                     ptl_elan4::Completion::kSharedCombined,
-                     ptl_elan4::Scheme::kRdmaWrite},
-        ProgressCase{ptl_elan4::Progress::kTwoThreads,
-                     ptl_elan4::Completion::kSharedSeparate,
-                     ptl_elan4::Scheme::kRdmaRead}));
+    ::testing::Combine(
+        ::testing::Values(
+            ProgressCase{ptl_elan4::Progress::kPolling,
+                         ptl_elan4::Completion::kDirectPoll},
+            ProgressCase{ptl_elan4::Progress::kPolling,
+                         ptl_elan4::Completion::kSharedCombined},
+            ProgressCase{ptl_elan4::Progress::kPolling,
+                         ptl_elan4::Completion::kSharedSeparate},
+            ProgressCase{ptl_elan4::Progress::kInterrupt,
+                         ptl_elan4::Completion::kSharedCombined},
+            ProgressCase{ptl_elan4::Progress::kOneThread,
+                         ptl_elan4::Completion::kSharedCombined},
+            ProgressCase{ptl_elan4::Progress::kTwoThreads,
+                         ptl_elan4::Completion::kSharedSeparate}),
+        ::testing::Values(ptl_elan4::Scheme::kPipelined,
+                          ptl_elan4::Scheme::kRdmaRead,
+                          ptl_elan4::Scheme::kRdmaWrite)));
 
 TEST(Progress, LatencyOrderingAcrossModes) {
   // Table 1's qualitative ordering must emerge from the model:
@@ -79,7 +78,6 @@ TEST(Progress, LatencyOrderingAcrossModes) {
   auto measure = [](ptl_elan4::Progress mode) {
     mpi::Options opts;
     opts.elan4.progress = mode;
-    opts.elan4.scheme = ptl_elan4::Scheme::kRdmaRead;
     TestBed bed;
     // The interrupt/thread cost ladder only exists when the sole wired PTL
     // can block; a second rail or the TCP PTL forces polling in wait().

@@ -74,9 +74,9 @@ TEST(Reliability, RendezvousPayloadRecoversByRereading) {
   mpi::Options o = reliable();
   o.elan4.max_data_retries = 25;  // survive an aggressive corruption rate
   // Asserts the PTL's data_retries counter, which the BML's fragmented path
-  // (with its own per-fragment CRC re-pulls) bypasses — force the
+  // (with its own per-fragment CRC re-pulls) bypasses — run the paper's
   // monolithic single-pull rendezvous.
-  o.pipeline_rendezvous = false;
+  o.elan4.scheme = ptl_elan4::Scheme::kRdmaRead;
   TestBed bed;
   bed.pin_transport = true;
   bed.net->set_corruption(0.04, /*seed=*/5);
@@ -109,7 +109,7 @@ TEST(Reliability, UnrecoverablePayloadFailsBothSides) {
   o.elan4.max_data_retries = 0;  // no recovery allowed
   // Expects the monolithic scheme's FIN_ACK failure path; the fragmented
   // path recovers via CRC re-pulls instead of failing.
-  o.pipeline_rendezvous = false;
+  o.elan4.scheme = ptl_elan4::Scheme::kRdmaRead;
   TestBed bed;
   bed.pin_transport = true;
   bed.net->set_corruption(0.5, /*seed=*/3);  // certain corruption
@@ -186,6 +186,48 @@ TEST(Reliability, ChecksumCostsShowInLatency) {
   const double on = lat(true);
   EXPECT_GT(on, off + 0.5);  // two CRC passes over ~1.1KB per one-way
   EXPECT_LT(on, off * 2.0);  // but not catastrophic
+}
+
+// Simulated time from a peer's crash until the survivor's retransmission
+// watchdog first reports it suspect (rte.failure.suspects rises); 0 if the
+// heartbeat detector declared the death first.
+sim::Time first_suspect_after_crash(int suspect_timeouts) {
+  ModelParams p;
+  p.suspect_timeouts = suspect_timeouts;
+  TestBed bed(8, 1, p);
+  bed.pin_transport = true;
+  const obs::Counter& suspects = obs::metrics().counter("rte.failure.suspects");
+  const std::uint64_t base = suspects.value();
+  sim::Time crashed_at = 0;
+  sim::Time first = 0;
+  bed.run_mpi(2, [&](mpi::World& w) {
+    auto& c = w.comm();
+    sim::Engine& engine = w.net().engine();
+    c.barrier();
+    if (c.rank() == 1) {
+      crashed_at = engine.now();
+      w.crash();
+      return;
+    }
+    // The corpse never acks this frame, so every retransmission timeout
+    // against it is unproductive.
+    std::uint32_t v = 1;
+    c.send(&v, sizeof(v), dtype::byte_type(), 1, 0);
+    while (!w.proc_dead(c.gid_of(1))) {
+      if (first == 0 && suspects.value() > base) first = engine.now();
+      engine.sleep(1000);
+    }
+  }, reliable());
+  return first == 0 ? 0 : first - crashed_at;
+}
+
+TEST(Reliability, SuspectThresholdComesFromModelParams) {
+  // ModelParams::suspect_timeouts is the watchdog's threshold: one
+  // unproductive timeout reports the corpse sooner than three do.
+  const sim::Time after_one = first_suspect_after_crash(1);
+  const sim::Time after_three = first_suspect_after_crash(3);
+  EXPECT_GT(after_one, 0u);
+  EXPECT_GT(after_three, after_one);
 }
 
 }  // namespace

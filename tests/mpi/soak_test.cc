@@ -38,6 +38,7 @@ TEST_P(Soak, AllToAllRandomSizesArriveIntact) {
   opts.elan4.scheme = sc.scheme;
   TestBed bed;
   int ranks_ok = 0;
+  const test::RdvCounts before;
 
   bed.run_mpi(sc.nprocs, [&](mpi::World& w) {
     auto& c = w.comm();
@@ -91,15 +92,23 @@ TEST_P(Soak, AllToAllRandomSizesArriveIntact) {
     if (all_good) ++ranks_ok;
   }, opts);
   EXPECT_EQ(ranks_ok, sc.nprocs);
+  test::expect_rendezvous_path(sc.scheme, before);
 }
+
+using ptl_elan4::Scheme;
 
 INSTANTIATE_TEST_SUITE_P(
     Sweeps, Soak,
-    ::testing::Values(SoakCase{4, 6, 1, ptl_elan4::Scheme::kRdmaRead},
-                      SoakCase{4, 6, 2, ptl_elan4::Scheme::kRdmaWrite},
-                      SoakCase{8, 3, 3, ptl_elan4::Scheme::kRdmaRead},
-                      SoakCase{3, 10, 4, ptl_elan4::Scheme::kRdmaWrite},
-                      SoakCase{8, 3, 5, ptl_elan4::Scheme::kRdmaRead}));
+    ::testing::Values(SoakCase{4, 6, 1, Scheme::kPipelined},
+                      SoakCase{4, 6, 2, Scheme::kPipelined},
+                      SoakCase{8, 3, 3, Scheme::kPipelined},
+                      SoakCase{3, 10, 4, Scheme::kPipelined},
+                      SoakCase{8, 3, 5, Scheme::kPipelined},
+                      SoakCase{4, 6, 1, Scheme::kRdmaRead},
+                      SoakCase{4, 6, 2, Scheme::kRdmaWrite},
+                      SoakCase{8, 3, 3, Scheme::kRdmaRead},
+                      SoakCase{3, 10, 4, Scheme::kRdmaWrite},
+                      SoakCase{8, 3, 5, Scheme::kRdmaRead}));
 
 TEST(Soak, MixedCommunicatorsAndWildcardsDrainCompletely) {
   TestBed bed;

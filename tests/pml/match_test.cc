@@ -1,6 +1,6 @@
 // PML matching semantics in isolation, via a mock PTL: posted/unexpected
-// queues, wildcards, per-sender sequence reordering across PTLs, scheduling
-// policy, instrumentation probes.
+// queues, wildcards, per-sender sequence reordering across PTLs, blocking
+// waits, instrumentation probes.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -30,13 +30,12 @@ class MockPtl final : public Ptl {
   void remove_peer(int gid) override { peers_.erase(gid); }
   bool reaches(int gid) const override { return peers_.count(gid) > 0; }
 
-  void send_first(SendRequest& req, std::size_t inline_len) override {
-    ++sends;
+  void send_first(SendRequest& req) override {
     auto frag = std::make_unique<FirstFrag>();
     frag->hdr = req.hdr;
     frag->hdr.kind = FragKind::kEager;
-    frag->inline_data.resize(inline_len);
-    req.convertor.pack(frag->inline_data.data(), inline_len);
+    frag->inline_data.resize(req.total_bytes());
+    req.convertor.pack(frag->inline_data.data(), req.total_bytes());
     pending.push_back(std::move(frag));
     // Buffered completion.
     req.add_progress(req.total_bytes());
@@ -62,7 +61,6 @@ class MockPtl final : public Ptl {
   }
 
   std::deque<std::unique_ptr<FirstFrag>> pending;
-  int sends = 0;
 
  private:
   std::string name_;
@@ -260,31 +258,6 @@ TEST_F(PmlFixture, ProbesObserveTraffic) {
   });
 }
 
-TEST_F(PmlFixture, RoundRobinAlternatesPtls) {
-  in_fiber([&] {
-    // Give the sender a second module with lower weight.
-    auto extra = std::make_unique<MockPtl>("mock2", 1.0);
-    MockPtl* tx2 = extra.get();
-    tx2->peer_pml = receiver.get();
-    tx2->add_peer(1, {});
-    sender->add_ptl(std::move(extra));
-
-    std::uint32_t v = 0;
-    std::unique_ptr<SendRequest> s[4];
-    // Best-weight policy: everything on the heavy module.
-    for (int i = 0; i < 2; ++i) send_bytes(&v, 4, 0, &s[i]);
-    EXPECT_EQ(tx->sends, 2);
-    EXPECT_EQ(tx2->sends, 0);
-
-    sender->set_sched_policy(SchedPolicy::kRoundRobin);
-    for (int i = 2; i < 4; ++i) send_bytes(&v, 4, 0, &s[i]);
-    EXPECT_EQ(tx->sends, 3);
-    EXPECT_EQ(tx2->sends, 1);
-    tx->pump_all();
-    tx2->pump_all();
-  });
-}
-
 // A blocking-capable rail whose completions only ever surface from
 // progress_blocking() — polling it yields nothing.
 class BlockingMockPtl final : public Ptl {
@@ -305,8 +278,7 @@ class BlockingMockPtl final : public Ptl {
   bool reaches(int) const override { return true; }
   bool wired() const override { return wired_v; }
   bool blocking_capable() const override { return true; }
-  void send_first(SendRequest&, std::size_t) override {}
-  void matched(RecvRequest&, std::unique_ptr<FirstFrag>) override {}
+  void send_first(SendRequest&) override {}
   int progress() override {
     ++progress_calls;
     return 0;

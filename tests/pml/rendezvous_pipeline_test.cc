@@ -184,17 +184,17 @@ std::vector<std::size_t> straddle_sizes(std::size_t eager, std::size_t frag,
 }
 
 TEST(RendezvousPipeline, FragmentBoundariesDeliverIntactInOrder) {
-  mpi::Options opts;
-  opts.pipeline_frag_bytes = 4096;
-  opts.pipeline_depth = 2;
-  opts.pipeline_push_frags = 2;
+  ModelParams p;
+  p.pipeline_frag_bytes = 4096;
+  p.pipeline_depth = 2;
+  p.pipeline_push_frags = 2;
   obs::metrics().reset();
-  TestBed bed;
+  TestBed bed(8, 1, p);
   bed.pin_transport = true;  // sizes below are computed from these exact knobs
   bed.run_mpi(2, [&](mpi::World& w) {
     const std::size_t eager = w.elan4_ptl()->eager_limit();
     exchange_sizes(w, straddle_sizes(eager, 4096, 2 * eager));
-  }, opts);
+  });
   const auto m = obs::metrics().snapshot();
   const auto get = [&m](const std::string& k) -> std::uint64_t {
     const auto it = m.find(k);
@@ -213,9 +213,10 @@ TEST(RendezvousPipeline, ReliabilityAndChecksumsPreserveBoundaries) {
   // sequenced path carries RTS/pushed fragments/FINs, pulls are verified.
   mpi::Options opts;
   opts.elan4.reliability = true;
-  opts.pipeline_frag_bytes = 4096;
-  opts.pipeline_depth = 3;
-  TestBed bed;
+  ModelParams p;
+  p.pipeline_frag_bytes = 4096;
+  p.pipeline_depth = 3;
+  TestBed bed(8, 1, p);
   bed.pin_transport = true;
   bed.run_mpi(2, [&](mpi::World& w) {
     const std::size_t eager = w.elan4_ptl()->eager_limit();
@@ -227,10 +228,10 @@ TEST(RendezvousPipeline, InterleavedEagerTrafficKeepsSenderOrder) {
   // MPI ordering law: messages on one (sender, tag) stream match in send
   // order even when a short eager message departs while pipeline fragments
   // of an earlier long message are still in flight.
-  mpi::Options opts;
-  opts.pipeline_frag_bytes = 2048;
-  opts.pipeline_depth = 2;
-  TestBed bed;
+  ModelParams p;
+  p.pipeline_frag_bytes = 2048;
+  p.pipeline_depth = 2;
+  TestBed bed(8, 1, p);
   bed.pin_transport = true;
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();
@@ -253,7 +254,7 @@ TEST(RendezvousPipeline, InterleavedEagerTrafficKeepsSenderOrder) {
       }
     }
     c.barrier();
-  }, opts);
+  });
 }
 
 struct PipelineRun {
@@ -268,9 +269,10 @@ PipelineRun run_faulted_pipeline(std::uint64_t seed) {
   obs::metrics().reset();
   mpi::Options opts;
   opts.elan4.reliability = true;
-  opts.pipeline_frag_bytes = 4096;
-  opts.pipeline_depth = 2;
-  TestBed bed;
+  ModelParams params;
+  params.pipeline_frag_bytes = 4096;
+  params.pipeline_depth = 2;
+  TestBed bed(8, 1, params);
   bed.pin_transport = true;
   net::FaultProfile p;
   p.drop = 0.03;
@@ -312,19 +314,20 @@ TEST(RendezvousPipeline, RandomizedKnobsStayConformant) {
   // not correctness knobs. Any seeded combination must deliver every byte.
   std::mt19937_64 rng(0xF1A6u);
   for (int iter = 0; iter < 5; ++iter) {
+    ModelParams p;
+    p.pipeline_frag_bytes = 512u << (rng() % 6);     // 512B .. 16KB
+    p.pipeline_depth = 1 + static_cast<int>(rng() % 4);
+    p.pipeline_push_frags = static_cast<int>(rng() % 4);
     mpi::Options opts;
-    opts.pipeline_frag_bytes = 512u << (rng() % 6);     // 512B .. 16KB
-    opts.pipeline_depth = 1 + static_cast<int>(rng() % 4);
-    opts.pipeline_push_frags = static_cast<int>(rng() % 4);
     opts.elan4.reliability = (rng() % 2) == 0;
-    const std::size_t frag = opts.pipeline_frag_bytes;
     std::vector<std::size_t> sizes;
     for (int s = 0; s < 6; ++s) sizes.push_back(1 + rng() % 150000);
     SCOPED_TRACE(testing::Message()
-                 << "iter=" << iter << " frag=" << frag << " depth="
-                 << opts.pipeline_depth << " push=" << opts.pipeline_push_frags
+                 << "iter=" << iter << " frag=" << p.pipeline_frag_bytes
+                 << " depth=" << p.pipeline_depth
+                 << " push=" << p.pipeline_push_frags
                  << " rel=" << opts.elan4.reliability);
-    TestBed bed;
+    TestBed bed(8, 1, p);
     bed.pin_transport = true;
     bed.run_mpi(2, [&](mpi::World& w) { exchange_sizes(w, sizes); }, opts);
   }

@@ -13,15 +13,15 @@
 
 namespace oqs::test {
 
-// CI variation hooks. Tests that leave the relevant mpi::Options at their
-// defaults pick these up, so one build can run the whole suite again as a
-// multirail and/or multi-network configuration:
+// CI variation hooks. Tests that leave the relevant mpi::Options or
+// ModelParams at their defaults pick these up, so one build can run the
+// whole suite again as a multirail and/or multi-network configuration:
 //   OQS_TEST_RAILS=N  bring up N Elan4 rails (fabric + PTL modules)
 //   OQS_TEST_TCP=1    additionally enable the TCP PTL beside Elan4
-//   OQS_TEST_FRAG=N   pipelined-rendezvous fragment size override (bytes) —
-//                     a small value forces multi-fragment schedules on
-//                     every long message in the suite
-//   OQS_TEST_DEPTH=N  pipelined-rendezvous per-rail depth override
+//   OQS_TEST_FRAG=N   ModelParams::pipeline_frag_bytes (bytes) — a small
+//                     value forces multi-fragment schedules on every
+//                     long message in the suite
+//   OQS_TEST_DEPTH=N  ModelParams::pipeline_depth
 //   OQS_TEST_FLUID=1  enable the fluid bulk-transfer fast path
 //                     (ModelParams::fluid_bulk) for every TestBed. The path
 //                     is timing-conformant in the uncontended model, so the
@@ -92,6 +92,27 @@ inline void env_coll(mpi::coll::CollOptions* coll) {
   }
 }
 
+// Rendezvous sends each engine has started so far (process-wide): the
+// paper schemes count ptl.rdv.started, the BML fragment schedule
+// bml.send.pipelined.
+struct RdvCounts {
+  std::uint64_t paper = obs::metrics().counter("ptl.rdv.started").value();
+  std::uint64_t pipelined =
+      obs::metrics().counter("bml.send.pipelined").value();
+};
+
+// Every rendezvous since `before` ran the engine `scheme` names, and at
+// least one did.
+inline void expect_rendezvous_path(ptl_elan4::Scheme scheme,
+                                   const RdvCounts& before) {
+  const RdvCounts now;
+  const std::uint64_t paper = now.paper - before.paper;
+  const std::uint64_t pipelined = now.pipelined - before.pipelined;
+  const bool pipe = scheme == ptl_elan4::Scheme::kPipelined;
+  EXPECT_GT(pipe ? pipelined : paper, 0u) << "no rendezvous ran";
+  EXPECT_EQ(pipe ? paper : pipelined, 0u) << "a rendezvous took the other engine";
+}
+
 struct TestBed {
   sim::Engine engine;
   ModelParams params;
@@ -127,15 +148,21 @@ struct TestBed {
   sim::Time run_mpi(int n, std::function<void(mpi::World&)> body,
                     mpi::Options opts = {}) {
     // Apply the environment variation only where it cannot change what a
-    // test explicitly configured: rails need polling progress, and both
-    // knobs respect a non-default setting.
+    // test explicitly configured: rails need polling progress, and the
+    // other knobs respect a non-default setting.
     if (!pin_transport) {
       if (opts.use_elan4 && opts.elan4.rails == 1 &&
           opts.elan4.progress == ptl_elan4::Progress::kPolling)
         opts.elan4.rails = env_rails();
       if (opts.use_elan4 && !opts.use_tcp && env_tcp()) opts.use_tcp = true;
-      if (opts.pipeline_frag_bytes == 0) opts.pipeline_frag_bytes = env_frag();
-      if (opts.pipeline_depth == 0) opts.pipeline_depth = env_depth();
+      const ModelParams defaults;
+      if (params.pipeline_frag_bytes == defaults.pipeline_frag_bytes &&
+          env_frag() > 0)
+        params.pipeline_frag_bytes = env_frag();
+      if (params.pipeline_depth == defaults.pipeline_depth && env_depth() > 0)
+        params.pipeline_depth = env_depth();
+      net->mutable_params().pipeline_frag_bytes = params.pipeline_frag_bytes;
+      net->mutable_params().pipeline_depth = params.pipeline_depth;
       if (opts.coll.all_auto()) env_coll(&opts.coll);
     }
     auto shared = std::make_shared<std::function<void(mpi::World&)>>(std::move(body));
