@@ -100,16 +100,16 @@ Tport::TxReq* Tport::send(Vpid dst, std::uint64_t tag, const void* buf,
 
     const std::uint64_t frag_off = off;
     const bool frag_first = first;
-    if (last && eager) {
-      // Local completion: the NIC has consumed the host buffer.
-      net.engine().schedule_at(inject_at, [tx] { tx->done = true; });
-    }
+    TxReq* local_done = last && eager ? tx : nullptr;
     net.engine().schedule_at(inject_at, [netp, peer, my_vpid, my_node, dst_node,
                                          msg_id, tag, len, frag, frag_off,
-                                         frag_first, last, src_bytes,
+                                         frag_first, last, src_bytes, local_done,
                                          tx = remote_flag]() {
       std::vector<std::uint8_t> payload(frag);
       if (frag > 0) std::memcpy(payload.data(), src_bytes + frag_off, frag);
+      // Local completion: the NIC has consumed the host buffer. Only now may
+      // the sender see it and reuse the buffer.
+      if (local_done != nullptr) local_done->done = true;
       netp->fabric().transmit(
           my_node, dst_node, static_cast<std::uint32_t>(frag) + kTportHeaderBytes,
           [peer, msg_id, my_vpid, my_node, tag, len, frag_off, frag_first, last,

@@ -3,12 +3,16 @@
 // (a wrapped deadline lands in the past and turns the rtx timer into a
 // busy loop), and sustained unproductive timeouts must escalate to the
 // peer_suspect hook — the PTL-side half of the failure detector's
-// corroboration channel — exactly once per silence episode.
+// corroboration channel — exactly once per silence episode. A cumulative
+// ack that lands while a retransmission is suspended mid-walk must not make
+// the walk resend a stale slot or skip an unacked frame.
 #include "ptl/reliable_stream.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <vector>
 
 #include "pml/header.h"
@@ -20,8 +24,9 @@ struct StreamFixture {
   ReliableTuning tuning;
   ReliableCounters counters;
   sim::Time now = 0;
-  int wires = 0;
   int suspects = 0;
+  std::vector<std::uint16_t> wired;  // frame sequence of every wire() call
+  std::function<void()> on_charge;   // runs inside charge_crc when set
   ReliableStream stream;
 
   explicit StreamFixture(ReliableTuning t)
@@ -29,8 +34,16 @@ struct StreamFixture {
 
   ReliableStream::Hooks hooks() {
     ReliableStream::Hooks h;
-    h.wire = [this](const std::vector<std::uint8_t>&, void*) { ++wires; };
-    h.charge_crc = [](std::size_t) {};
+    h.wire = [this](const std::vector<std::uint8_t>& frame, void*) {
+      std::uint16_t seq = 0;
+      std::memcpy(&seq, frame.data(), sizeof seq);
+      wired.push_back(seq);
+    };
+    // charge_crc is where a real PTL's fiber suspends for simulated CPU
+    // time, so it is where other events (an arriving ack) can run.
+    h.charge_crc = [this](std::size_t) {
+      if (on_charge) on_charge();
+    };
     h.now = [this] { return now; };
     h.arm_rtx = [](sim::Time) {};
     h.arm_ack = [] {};
@@ -41,11 +54,12 @@ struct StreamFixture {
     return h;
   }
 
-  // Post one sequenced frame (content is irrelevant; submit only needs
-  // room for the CRC trailer).
+  // Post one sequenced frame; its first two bytes carry its sequence so
+  // the wire hook can tell frames apart.
   void post() {
     std::vector<std::uint8_t> frame(pml::kMatchHeaderBytes + 4, 0);
-    stream.assign_seq();
+    const std::uint16_t seq = stream.assign_seq();
+    std::memcpy(frame.data(), &seq, sizeof seq);
     stream.submit(std::move(frame), nullptr);
   }
 };
@@ -132,6 +146,38 @@ TEST(ReliableStreamBackoff, SilenceEscalatesToSuspectOncePerEpisode) {
     deadline = f.stream.rtx_check(f.now);
   }
   EXPECT_EQ(f.suspects, 2);
+}
+
+TEST(ReliableStreamRetransmit, AckLandingMidWalkResendsOnlyUnackedFrames) {
+  // Frames 1..6 are outstanding when the retransmission timer fires. While
+  // the walk is suspended charging CRC for frame 3, an ack for 1..3 lands.
+  // Frames 1 and 2 were already resent; 3 is now acked and must not go out,
+  // and the walk must go on with exactly 4, 5, 6 — reading slots by their
+  // old index would skip 4 and 5, and a reference held across the charge
+  // would resend a freed frame.
+  ReliableTuning t;
+  t.retransmit_timeout_ns = 1000;
+  t.suspect_timeouts = 0;
+  StreamFixture f(t);
+  for (int i = 0; i < 6; ++i) f.post();
+  ASSERT_EQ(f.wired, (std::vector<std::uint16_t>{1, 2, 3, 4, 5, 6}));
+  f.wired.clear();
+
+  int charges = 0;
+  std::size_t wired_before_ack = 0;
+  f.on_charge = [&] {
+    if (++charges != 3) return;
+    wired_before_ack = f.wired.size();
+    f.stream.harvest_ack(3);  // re-entrant, as if delivered during the charge
+  };
+  f.now = t.retransmit_timeout_ns;
+  f.stream.rtx_check(f.now);
+
+  ASSERT_EQ(wired_before_ack, 2u);
+  // After the ack: exactly the still-unacked window, in order, once each.
+  EXPECT_EQ(f.wired, (std::vector<std::uint16_t>{1, 2, 4, 5, 6}));
+  EXPECT_EQ(f.stream.window_in_use(), 3u);
+  EXPECT_EQ(f.counters.retransmissions, 5u);
 }
 
 }  // namespace
