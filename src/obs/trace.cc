@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <ostream>
 
@@ -50,8 +51,7 @@ void set_tracer(Tracer* t) { detail::g_tracer = t; }
 void set_clock(std::function<TimeNs()> now_ns) { g_clock = std::move(now_ns); }
 TimeNs now_ns() { return g_clock ? g_clock() : 0; }
 
-void Tracer::fold(const TraceEvent& e) {
-  std::uint64_t h = digest_;
+std::uint64_t Tracer::fold(std::uint64_t h, const TraceEvent& e) {
   h = fnv1a_u64(h, e.ts);
   h = fnv1a_u64(h, static_cast<std::uint64_t>(e.node));
   h = fnv1a_u64(h, static_cast<std::uint64_t>(e.ph));
@@ -62,11 +62,13 @@ void Tracer::fold(const TraceEvent& e) {
   h = fnv1a_u64(h, e.v0);
   h = fnv1a_str(h, e.k1);
   h = fnv1a_u64(h, e.v1);
-  digest_ = h;
+  return h;
 }
 
 void Tracer::push(const TraceEvent& e) {
-  fold(e);
+  digest_ = fold(digest_, e);
+  if (std::strcmp(e.layer, "sim") != 0)
+    protocol_digest_ = fold(protocol_digest_, e);
   if (events_.size() >= store_limit_) {
     ++dropped_;
     return;

@@ -64,6 +64,12 @@ class Tracer {
   // Order-sensitive 64-bit FNV-1a over the full stream (incrementally
   // maintained, so reading it is free).
   std::uint64_t digest() const { return digest_; }
+  // The same fold over only the events outside the "sim" layer: protocol
+  // order with the DES kernel's own dispatches, parks and spawns left out.
+  // An execution change that keeps every protocol event and its timing
+  // (e.g. parking an idle poller instead of dispatching its steps) moves
+  // digest() but must leave this one alone.
+  std::uint64_t protocol_digest() const { return protocol_digest_; }
 
   // Number of recorded events whose layer string equals `layer`.
   std::size_t count_layer(const char* layer) const;
@@ -73,13 +79,14 @@ class Tracer {
   bool write_chrome_json_file(const std::string& path) const;
 
  private:
-  void fold(const TraceEvent& e);
+  static std::uint64_t fold(std::uint64_t h, const TraceEvent& e);
   void push(const TraceEvent& e);
 
   std::vector<TraceEvent> events_;
   std::size_t store_limit_ = 1u << 20;
   std::size_t dropped_ = 0;
   std::uint64_t digest_ = 14695981039346656037ull;  // FNV offset basis
+  std::uint64_t protocol_digest_ = 14695981039346656037ull;
 };
 
 // --- global installation -------------------------------------------------
