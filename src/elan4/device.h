@@ -48,8 +48,10 @@ class Elan4Device {
   // read; returns false if abort() holds first.
   template <class Abort = decltype(sim::kNoAbort)>
   bool wait_event(const E4Event* ev, Abort abort = {}) {
-    return host().wait_until(sim::Cadence::kEventWord,
-                             [ev] { return ev->done(); }, sim::kNoSweep, abort);
+    return host().wait_until(
+        sim::Cadence::kEventWord,
+        sim::watched(&ev->signal(), [ev] { return ev->done(); }),
+        sim::kNoSweep, abort);
   }
 
   // --- Events (allocated in "elan memory"; live until close() or an

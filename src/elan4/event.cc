@@ -69,6 +69,7 @@ void E4Event::trigger(Status status) {
     batch.swap(waiters_);
     for (sim::Fiber* f : batch) engine_.unpark(f, delay);
   }
+  signal_.notify();
 }
 
 }  // namespace oqs::elan4

@@ -24,6 +24,7 @@
 #include "base/status.h"
 #include "elan4/commands.h"
 #include "sim/engine.h"
+#include "sim/idle.h"
 
 namespace oqs::elan4 {
 
@@ -48,6 +49,8 @@ class E4Event {
   int count() const { return count_; }
   // Host word: set when the event triggered since the last init().
   bool done() const { return done_; }
+  // Notified when the event triggers, for idle waits polling done().
+  sim::Signal& signal() const { return signal_; }
   // Cumulative trigger counter (diagnostic; not host-visible on hardware).
   std::uint64_t triggers() const { return triggers_; }
   std::uint64_t lost_fires() const { return lost_fires_; }
@@ -84,6 +87,7 @@ class E4Event {
   std::uint64_t lost_fires_ = 0;
   std::vector<Command> chained_;
   std::vector<sim::Fiber*> waiters_;
+  mutable sim::Signal signal_;
 };
 
 }  // namespace oqs::elan4

@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
+#include "sim/idle.h"
 #include "sim/node.h"
 
 namespace oqs::elan4 {
@@ -43,6 +44,8 @@ class QdmaQueue {
   std::uint32_t num_slots() const { return num_slots_; }
 
   bool has_pending() const { return !ring_.empty(); }
+  // Notified when a message lands, for idle waits polling the ring.
+  sim::Signal& signal() { return signal_; }
   std::size_t pending() const { return ring_.size(); }
   std::uint64_t total_posted() const { return posted_; }
   std::uint64_t overflows() const { return overflows_; }
@@ -86,6 +89,7 @@ class QdmaQueue {
     OQS_TRACE_INSTANT(node_ != nullptr ? node_->id() : -1, "elan4", "qdma.land",
                       "queue", static_cast<std::uint64_t>(id_), "depth",
                       ring_.size());
+    signal_.notify();
     if (waiters_.empty()) return;
     // Interrupt-driven wakeup; concurrent IRQs serialize on the node.
     sim::Time delay = params_.interrupt_ns;
@@ -110,6 +114,7 @@ class QdmaQueue {
   std::uint32_t num_slots_;
   std::deque<Slot> ring_;
   std::vector<sim::Fiber*> waiters_;
+  sim::Signal signal_;
   std::uint64_t posted_ = 0;
   std::uint64_t overflows_ = 0;
 };

@@ -50,12 +50,14 @@ void Colls::charge_copy(std::size_t bytes) {
                              ModelParams::xfer_ns(bytes, p.host_memcpy_mbps));
 }
 
-Status Colls::shm_wait(const std::uint64_t& gen, std::uint64_t want) {
-  const auto& epoch = world_.pml().abort_epoch;
+Status Colls::shm_wait(ShmSeg::Gen& gen, std::uint64_t want) {
+  pml::Pml& pml = world_.pml();
+  const auto& epoch = pml.abort_epoch;
   const std::uint64_t stamp = epoch ? epoch() : 0;
-  const bool seen = world_.pml().ctx().wait_until(
-      sim::Cadence::kShmFlag, [&] { return gen >= want; }, sim::kNoSweep,
-      [&] { return epoch && epoch() > stamp; });
+  const bool seen = pml.ctx().wait_until(
+      sim::Cadence::kShmFlag,
+      sim::watched(&gen.signal(), [&] { return gen >= want; }), sim::kNoSweep,
+      sim::watched(pml.abort_signal, [&] { return epoch && epoch() > stamp; }));
   return seen ? Status::kOk : Status::kRevoked;
 }
 

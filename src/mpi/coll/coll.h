@@ -33,6 +33,7 @@
 #include "dtype/datatype.h"
 #include "elan4/device.h"
 #include "mpi/coll/options.h"
+#include "sim/idle.h"
 
 namespace oqs::mpi {
 class Communicator;
@@ -92,16 +93,19 @@ class Colls {
   // ranks attach). Synchronization is by monotonic generation counters:
   // each hierarchical collective is a round; writers set a counter to the
   // round number, readers poll for >= round. The trailing ack sweep is
-  // what makes slot/out reuse in the next round safe.
+  // what makes slot/out reuse in the next round safe. Every counter write
+  // notifies the readers polling it (sim::Word).
   struct ShmSeg {
+    using Gen = sim::Word<std::uint64_t>;
     struct Slot {
       std::vector<std::uint8_t> data;
-      std::uint64_t in_gen = 0;   // local rank's contribution deposited
-      std::uint64_t ack_gen = 0;  // local rank consumed the round's result
+      Gen in_gen;   // local rank's contribution deposited
+      Gen ack_gen;  // local rank consumed the round's result
     };
+    explicit ShmSeg(std::size_t nlocal) : slots(nlocal) {}
     std::vector<Slot> slots;        // one per local rank
     std::vector<std::uint8_t> out;  // leader's published result
-    std::uint64_t out_gen = 0;
+    Gen out_gen;
   };
 
   struct HierState {
@@ -203,7 +207,7 @@ class Colls {
   // copies use charge_copy). shm_wait aborts with kRevoked when the abort
   // epoch moves while polling — a dead local rank would leave its
   // generation counter behind forever.
-  Status shm_wait(const std::uint64_t& gen, std::uint64_t want);
+  Status shm_wait(ShmSeg::Gen& gen, std::uint64_t want);
   void charge_flag();
 
   // Uniform-across-ranks heuristics for the kAuto rules.

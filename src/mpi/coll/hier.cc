@@ -76,8 +76,7 @@ void Colls::ensure_hier(Communicator& c, CommState& st) {
   h.shm_key = world_.env().job + "/coll/" + std::to_string(c.context_id());
   const std::size_t nlocal = h.locals.size();
   h.seg = world_.net().node(mynode).shm_attach<ShmSeg>(h.shm_key, [nlocal] {
-    auto seg = std::make_shared<ShmSeg>();
-    seg->slots.resize(nlocal);
+    auto seg = std::make_shared<ShmSeg>(nlocal);
     return seg;
   });
   OQS_METRIC_INC("coll.hier.maps_built");

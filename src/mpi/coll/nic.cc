@@ -137,7 +137,8 @@ Status Colls::nic_round(NicState& st, double* buf, std::size_t count) {
   // NIC path entirely, see the degraded gates in coll.cc).
   const auto& epoch = world_.pml().abort_epoch;
   const std::uint64_t stamp = epoch ? epoch() : 0;
-  const auto tree_broken = [&] { return epoch && epoch() > stamp; };
+  const auto tree_broken = sim::watched(
+      world_.pml().abort_signal, [&] { return epoch && epoch() > stamp; });
 
   // (Re)attach this round's chains — the previous trigger consumed them.
   // One PIO word each; safe before SETEVENT because up[s] still needs our

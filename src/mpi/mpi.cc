@@ -505,6 +505,7 @@ void World::open_stack() {
   pml_->peer_dead = [&fs](int gid) { return fs.dead(gid); };
   pml_->abort_epoch = [&fs] { return fs.abort_epoch(); };
   pml_->revoke_count = [&fs] { return fs.revokes(); };
+  pml_->abort_signal = &fs.epoch_signal();
   for (std::size_t i = 0; i < pml_->num_ptls(); ++i)
     pml_->ptl(i).set_suspect_reporter(
         [this](int target) { env_.rte->failure().report_suspect(gid_, target); });

@@ -98,6 +98,9 @@ class Pml {
   // bare death declaration only aborts receives whose named sender is in
   // the dead-set (kErrProcFailed) — survivor-survivor traffic proceeds.
   std::function<std::uint64_t()> revoke_count;
+  // Notified whenever abort_epoch(), revoke_count() or peer_dead() may have
+  // changed; required with them, so blocked waits can park on it.
+  sim::Signal* abort_signal = nullptr;
 
   // The failure detector declared gid dead: purge unexpected fragments and
   // held out-of-order state from it, then sweep the rails (in-flight ops

@@ -18,6 +18,7 @@
 #include "pml/endpoint.h"
 #include "pml/header.h"
 #include "pml/request.h"
+#include "sim/idle.h"
 
 namespace oqs::pml {
 
@@ -172,6 +173,10 @@ class Ptl {
   // Poll the network once; deliver arrivals into the PML. Returns the
   // number of events handled. Used by the PML's non-blocking progress mode.
   virtual int progress() = 0;
+  // progress() as data, if this module can describe its idle round as poll
+  // points (sim::PollPlan) so a blocked wait may park on them; nullptr if
+  // its sweep is opaque.
+  virtual sim::PollPlan* poll_plan() { return nullptr; }
 
   // Interrupt-driven progress: block inside the PTL until at least one
   // event is handled. The paper notes this is "not really workable" with

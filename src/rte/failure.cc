@@ -47,6 +47,7 @@ void FailureService::report_suspect(int observer_gid, int target_gid) {
 
 void FailureService::revoke() {
   ++revokes_;
+  epoch_signal_.notify();
   OQS_METRIC_INC("rte.failure.revokes");
   FailureEvent ev;
   ev.gid = -1;  // synthetic: no new death, only the abort epoch moved
@@ -105,6 +106,7 @@ void FailureService::monitor_fire() {
     e.declared = true;
     ++epoch_;
     dead_set_.insert(gid);
+    epoch_signal_.notify();
     const sim::Time latency = now - e.silence_start;
     obs::metrics().histogram("rte.failure.detect_ns").add(static_cast<double>(latency));
     OQS_METRIC_INC("rte.failure.deaths");

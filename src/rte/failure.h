@@ -34,6 +34,7 @@
 
 #include "base/params.h"
 #include "sim/engine.h"
+#include "sim/idle.h"
 
 namespace oqs::rte {
 
@@ -79,6 +80,9 @@ class FailureService {
   // Monotonic abort epoch: requests stamp it at post time; blocked waits
   // abort once it moves past their stamp.
   std::uint64_t abort_epoch() const { return epoch_ + revokes_; }
+  // Notified whenever the abort epoch moves (a declaration or a revoke),
+  // for idle waits that poll it.
+  sim::Signal& epoch_signal() { return epoch_signal_; }
 
   // Death notifications. Subscribers run in plain event context (no fiber):
   // they must not block — spawn a fiber for any work that charges CPU.
@@ -109,6 +113,7 @@ class FailureService {
   std::set<int> dead_set_;
   std::uint64_t epoch_ = 0;
   std::uint64_t revokes_ = 0;
+  sim::Signal epoch_signal_;
   std::map<int, Subscriber> subs_;
   int next_sub_ = 1;
   sim::Time armed_deadline_ = 0;  // 0 = no timer outstanding

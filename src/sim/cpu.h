@@ -18,6 +18,8 @@
 
 namespace oqs::sim {
 
+class IdleWait;
+
 class Cpu {
  public:
   Cpu(Engine& engine, unsigned cores, Time ctx_switch_ns,
@@ -31,12 +33,34 @@ class Cpu {
 
   // Charge `dur` ns of CPU work from the calling fiber; blocks while all
   // cores are busy. Zero-duration compute still requires a core grant if the
-  // machine is saturated, but fast-paths when one is free.
+  // machine is saturated, but fast-paths when one is free. A parked idle
+  // wait on this Cpu (sim/idle.h) first resumes, so the charge sees the
+  // cores exactly as the wait's spinning twin would have left them.
   void compute(Time dur);
+  // compute() in two halves: take a core (blocking while none is free),
+  // and hand it on to the oldest waiter or free it.
+  int acquire();
+  void release(int core);
 
-  // Total busy time integrated over all cores (for utilization reporting).
-  Time busy_ns() const { return busy_ns_; }
+  // Total busy time integrated over all cores (for utilization reporting),
+  // including the charges a parked idle wait has made so far.
+  Time busy_ns() const;
   std::uint64_t switches() const { return switches_; }
+
+  // --- idle waits (sim/idle.h) ---
+  // Fibers inside a charged wait (ProcessCtx::wait_until) on this Cpu.
+  void add_charged_waiter(int delta) { charged_waiters_ += delta; }
+  // Cheap pre-check at the top of a round: one charged waiter, none parked.
+  bool may_park() const { return charged_waiters_ == 1 && idle_ == nullptr; }
+  // A charged wait of `f` may park: it is the one charged waiter, no core
+  // is busy or awaited, and the core it would take last ran `f` (so every
+  // virtual charge costs exactly its length, with no switch).
+  bool can_park(const Fiber* f) const;
+  // Returns the core the parked wait's charges run on.
+  int park_idle(IdleWait* w);
+  // The parked wait resumes: settle its `charged` ns; `holding`: it resumes
+  // at the end of a charge, so that core is busy until it releases it.
+  void unpark_idle(int core, Time charged, bool holding);
 
  private:
   struct Core {
@@ -61,6 +85,8 @@ class Cpu {
   std::deque<Waiter*> wait_queue_;
   Time busy_ns_ = 0;
   std::uint64_t switches_ = 0;
+  int charged_waiters_ = 0;
+  IdleWait* idle_ = nullptr;  // the parked charged wait, if any
 };
 
 }  // namespace oqs::sim

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/engine.h"
+#include "sim/idle.h"
 
 namespace oqs::sim {
 
@@ -58,13 +59,17 @@ class Flag {
   void set(Time delay = 0) {
     set_ = true;
     cond_.notify_all(delay);
+    signal_.notify();
   }
   bool is_set() const { return set_; }
   void reset() { set_ = false; }
+  // Notified on set(), for idle waits polling is_set().
+  Signal& signal() { return signal_; }
 
  private:
   Engine& engine_;
   Notifier cond_;
+  Signal signal_;
   bool set_ = false;
 };
 

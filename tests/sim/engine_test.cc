@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -166,6 +167,37 @@ TEST(Engine, StackCanaryDetectsOverflow) {
   e.run();
   EXPECT_EQ(e.stack_canary_violations(), 1u);
   EXPECT_EQ(e.pooled_stacks(), 0u);  // a violated stack is never reused
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+#define OQS_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define OQS_TEST_ASAN 1
+#endif
+#endif
+
+// A pointer into a reaped fiber's frame is the bug class that parked waits
+// (records in fiber frames) make easy to write. Under ASan a pooled stack
+// is poisoned, so reading through such a pointer faults at once.
+TEST(EngineDeathTest, ReadingAReapedFibersLocalFaultsUnderAsan) {
+#ifndef OQS_TEST_ASAN
+  GTEST_SKIP() << "needs AddressSanitizer";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Engine e;
+        volatile int* saved = nullptr;
+        e.spawn("short-lived", [&saved] {
+          volatile int local = 42;
+          saved = &local;
+        });
+        e.run();
+        std::printf("%d\n", *saved);
+      },
+      "AddressSanitizer");
+#endif
 }
 
 TEST(Engine, StackSizeKnobClampsAndDropsStalePool) {
