@@ -150,16 +150,16 @@ int main(int argc, char** argv) {
     json += row;
   }
   std::printf(
-      "\nExpected: events per run grow 2.1-2.8x per doubling of ranks. The "
-      "collective-state allgathers take ceil(log2 n) steps, so what still "
-      "grows faster than n is host poll loops spinning while ranks wait "
-      "(most dispatched events are poll-loop sleep wakeups) and wire-up, "
-      "which adds every peer on every rank (n^2 add_peer calls). "
-      "setup_events and setup_wall_s cover the run until every rank has "
-      "left its first barrier. events/s fades ~3x across the 16x sweep; "
-      "dispatch is O(1) amortized in the pending-event population "
-      "(calendar queue, pooled nodes and stacks), so the fade is not queue "
-      "work. --no-fluid lands at the same sim_ms (the fluid path is "
+      "\nExpected: events per run grow 2.5-3.3x per doubling of ranks. "
+      "Parked idle waits replay their poll steps without dispatching them, "
+      "both ranks of a node included, so the events left are protocol "
+      "work, resumed waits and wire-up, which adds every peer on every "
+      "rank (n^2 add_peer calls); the collective-state allgathers take "
+      "ceil(log2 n) steps. setup_events and setup_wall_s cover the run "
+      "until every rank has left its first barrier. events/s counts "
+      "dispatched events only; replaying parked steps takes wall time too, "
+      "but no events. "
+      "--no-fluid lands at the same sim_ms (the fluid path is "
       "timing-conformant) but a different event total: host-side poll loops "
       "fill fixed wait windows, so their iteration count shifts with poll "
       "phase and can swamp the ~3-events-per-fragment the fluid path folds "

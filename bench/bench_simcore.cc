@@ -150,6 +150,54 @@ void BM_IdleWait(benchmark::State& state) {
 }
 BENCHMARK(BM_IdleWait)->ArgName("parked")->Arg(0)->Arg(1);
 
+// Two fibers on one 2-core Cpu each poll their own QDMA queue until a
+// timer lands a message in both 1 ms later: their contended charges
+// interleave, so parked (parked:1) the Cpu replays both in one joint
+// replay. wall_ns_per_step divides the wall time by the steps the spinning
+// twins dispatch, so under parked:1 it is the replay's cost per step.
+std::uint64_t idle_wait_pair(bool parked) {
+  constexpr sim::Time kWait = sim::kMs;
+  sim::Engine e;
+  sim::Cpu cpu(e, 2, 900, 0.35);
+  ModelParams params;
+  const sim::ProcessCtx ctx{&e, &cpu, &params, 0};
+  elan4::QdmaQueue q0(e, params, nullptr, 0, 2048, 64);
+  elan4::QdmaQueue q1(e, params, nullptr, 1, 2048, 64);
+  QueuePoll plan0(ctx, q0);
+  QueuePoll plan1(ctx, q1);
+  e.schedule(kWait, [&] {
+    q0.post(0, std::vector<std::uint8_t>(64));
+    q1.post(0, std::vector<std::uint8_t>(64));
+  });
+  for (QueuePoll* plan : {&plan0, &plan1}) {
+    e.spawn("poller", [&ctx, plan, parked] {
+      auto done = [plan] { return plan->got() > 0; };
+      if (parked)
+        ctx.wait_until(sim::Cadence::kPoll, sim::watched(nullptr, done),
+                       static_cast<sim::PollPlan*>(plan));
+      else
+        ctx.wait_until(sim::Cadence::kPoll, done,
+                       [plan] { return plan->sweep(0, false); });
+    });
+  }
+  e.run();
+  return e.events_executed();
+}
+
+void BM_IdleWaitPair(benchmark::State& state) {
+  const bool parked = state.range(0) != 0;
+  const auto steps = static_cast<double>(idle_wait_pair(false));
+  for (auto _ : state) idle_wait_pair(parked);
+  state.counters["wall_ns_per_sim_us"] = benchmark::Counter(
+      static_cast<double>(sim::kMs) / 1e3 * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.counters["wall_ns_per_step"] = benchmark::Counter(
+      steps * 1e-9, benchmark::Counter::kIsIterationInvariantRate |
+                        benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_IdleWaitPair)->ArgName("parked")->Arg(0)->Arg(1);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -13,32 +13,42 @@ int Cpu::find_free() const {
 }
 
 void Cpu::compute(Time dur) {
-  if (idle_ != nullptr) idle_->resume_at(engine_.position());
   Fiber* self = engine_.current();
   const int core = acquire();
+  const Time cost = charge(core, self->serial(), dur);
+  if (cost > 0) engine_.sleep(cost);
+  release(core);
+}
 
+Time Cpu::charge(int core, std::uint64_t serial, Time dur) {
   // Other busy cores contend for the shared memory bus.
   unsigned others = 0;
   for (std::size_t i = 0; i < cores_.size(); ++i)
     if (static_cast<int>(i) != core && cores_[i].busy) ++others;
   Time cost = dur + static_cast<Time>(static_cast<double>(dur) *
                                       memory_contention_ * others);
-  if (cores_[core].last != 0 && cores_[core].last != self->serial()) {
+  Core& c = cores_[static_cast<std::size_t>(core)];
+  if (c.last != 0 && c.last != serial) {
     cost += ctx_switch_ns_;
     ++switches_;
   }
-  cores_[core].last = self->serial();
+  c.last = serial;
   busy_ns_ += cost;
-  if (cost > 0) engine_.sleep(cost);
-  release(core);
+  return cost;
+}
+
+int Cpu::take() {
+  const int core = find_free();
+  if (core >= 0) cores_[static_cast<std::size_t>(core)].busy = true;
+  return core;
 }
 
 int Cpu::acquire() {
   Fiber* self = engine_.current();
   assert(self != nullptr && "compute() outside a fiber");
-  int core = find_free();
+  const int core = take();
   if (core >= 0) {
-    cores_[core].busy = true;
+    if (!parked_.empty()) restate();
     return core;
   }
   // All cores busy: queue FIFO and wait for a releasing fiber to hand one
@@ -47,6 +57,7 @@ int Cpu::acquire() {
   // wakeups.
   Waiter w{self, -1};
   wait_queue_.push_back(&w);
+  if (!parked_.empty()) restate();
   engine_.park();
   assert(w.granted_core >= 0 && cores_[w.granted_core].busy);
   return w.granted_core;
@@ -62,29 +73,17 @@ void Cpu::release(int core) {
   } else {
     cores_[core].busy = false;
   }
+  if (!parked_.empty()) restate();
 }
 
-Time Cpu::busy_ns() const {
-  if (idle_ == nullptr) return busy_ns_;
-  return busy_ns_ + idle_->charged_ns(engine_.position());
+void Cpu::restate() {
+  for (IdleWait* w : parked_) w->classify();
 }
 
-bool Cpu::can_park(const Fiber* f) const {
-  if (!may_park() || !wait_queue_.empty()) return false;
-  for (const Core& c : cores_)
-    if (c.busy) return false;
-  return cores_.front().last == f->serial();
-}
-
-int Cpu::park_idle(IdleWait* w) {
-  idle_ = w;
-  return 0;  // every core is free, and the first free one is taken
-}
-
-void Cpu::unpark_idle(int core, Time charged, bool holding) {
-  idle_ = nullptr;
-  busy_ns_ += charged;
-  if (holding) cores_[static_cast<std::size_t>(core)].busy = true;
+bool Cpu::give_back(int core) {
+  if (!wait_queue_.empty()) return false;
+  cores_[static_cast<std::size_t>(core)].busy = false;
+  return true;
 }
 
 }  // namespace oqs::sim

@@ -33,36 +33,25 @@ class Cpu {
 
   // Charge `dur` ns of CPU work from the calling fiber; blocks while all
   // cores are busy. Zero-duration compute still requires a core grant if the
-  // machine is saturated, but fast-paths when one is free. A parked idle
-  // wait on this Cpu (sim/idle.h) first resumes, so the charge sees the
-  // cores exactly as the wait's spinning twin would have left them.
+  // machine is saturated, but fast-paths when one is free.
   void compute(Time dur);
   // compute() in two halves: take a core (blocking while none is free),
   // and hand it on to the oldest waiter or free it.
   int acquire();
   void release(int core);
 
-  // Total busy time integrated over all cores (for utilization reporting),
-  // including the charges a parked idle wait has made so far.
-  Time busy_ns() const;
+  // Total busy time integrated over all cores (for utilization reporting).
+  // Parked idle waits (sim/idle.h) charge as their spinning twins would, in
+  // dispatch order, so this is exact between any two dispatches.
+  Time busy_ns() const { return busy_ns_; }
   std::uint64_t switches() const { return switches_; }
-
-  // --- idle waits (sim/idle.h) ---
-  // Fibers inside a charged wait (ProcessCtx::wait_until) on this Cpu.
-  void add_charged_waiter(int delta) { charged_waiters_ += delta; }
-  // Cheap pre-check at the top of a round: one charged waiter, none parked.
-  bool may_park() const { return charged_waiters_ == 1 && idle_ == nullptr; }
-  // A charged wait of `f` may park: it is the one charged waiter, no core
-  // is busy or awaited, and the core it would take last ran `f` (so every
-  // virtual charge costs exactly its length, with no switch).
-  bool can_park(const Fiber* f) const;
-  // Returns the core the parked wait's charges run on.
-  int park_idle(IdleWait* w);
-  // The parked wait resumes: settle its `charged` ns; `holding`: it resumes
-  // at the end of a charge, so that core is busy until it releases it.
-  void unpark_idle(int core, Time charged, bool holding);
+  // Serial of the fiber that last ran on `core` (0: none yet).
+  std::uint64_t last_on(unsigned core) const { return cores_[core].last; }
 
  private:
+  // Parked idle waits (sim/idle.h) replay their charges through the
+  // take/charge/give_back halves of compute().
+  friend class IdleWait;
   struct Core {
     bool busy = false;
     // Serial of the last occupant (0: none yet). Not a Fiber*: a reaped
@@ -76,6 +65,14 @@ class Cpu {
   };
 
   int find_free() const;
+  // The lowest free core, taken; -1 if every core is busy.
+  int take();
+  // Charge `dur` on `core`, which the fiber with `serial` holds, exactly as
+  // compute() does: contention from the other busy cores, and a switch if
+  // the core last ran someone else. Returns the charge's length.
+  Time charge(int core, std::uint64_t serial, Time dur);
+  // Free `core` if no fiber waits for one; false (still held) otherwise.
+  bool give_back(int core);
 
   Engine& engine_;
   Time ctx_switch_ns_;
@@ -85,8 +82,11 @@ class Cpu {
   std::deque<Waiter*> wait_queue_;
   Time busy_ns_ = 0;
   std::uint64_t switches_ = 0;
-  int charged_waiters_ = 0;
-  IdleWait* idle_ = nullptr;  // the parked charged wait, if any
+  // Tell the parked waits here the cores changed under them.
+  void restate();
+  // Parked idle waits charging here: at most one per core, so they never
+  // queue for a core among themselves.
+  std::vector<IdleWait*> parked_;
 };
 
 }  // namespace oqs::sim

@@ -155,39 +155,171 @@ void Engine::resume(Fiber* f) {
   if (f->done()) release_stack(std::move(f->stack_), f->stack_bytes_);
 }
 
-void Engine::dispatch_one() {
-  EventQueue::Event* ev = queue_.pop(&now_);
+bool Engine::dispatch_one(Time deadline) {
+  IdleWait* w = nullptr;
+  if (!parked_.empty()) {
+    // Replay the parked steps that sort before the next event and end by
+    // `deadline`: a lane that may skip goes to the next event at once, any
+    // other wait up to the next parked step.
+    Key next{deadline, ~std::uint64_t{0}, ~std::uint64_t{0}};
+    if (!queue_.empty()) next = std::min(next, queue_.next_key());
+    while (parked_.front().key < next && !(w = parked_.front().wait)->woken_) {
+      if (skip_lane(next)) continue;
+      Key bound = next;
+      for (std::size_t c = 1; c <= kArity && c < parked_.size(); ++c)
+        bound = std::min(bound, parked_[c].key);
+      w->advance(bound);
+      parked_.front().key = w->next_;
+      sift_parked(0);
+    }
+    w = parked_.front().wait;
+    if (w->woken_ && parked_.front().key < next) {
+      swap_parked(0, parked_.size() - 1);
+      parked_.pop_back();
+      if (!parked_.empty()) sift_parked(0);
+      --woken_;
+      now_ = w->next_.when;
+    } else {
+      w = nullptr;
+      if (queue_.empty() || queue_.next_time() > deadline) return false;
+    }
+  }
+  EventQueue::Event* ev = w == nullptr ? queue_.pop(&now_) : nullptr;
   ++events_executed_;
   // Hot path: with OQS_TRACE=OFF this compiles away; with it ON but no
   // tracer installed it is one load and a never-taken branch. Every
   // dispatched event enters the digest, so the replay fingerprint covers
   // the DES's complete execution order, not just protocol milestones.
   OQS_TRACE_INSTANT(-1, "sim", "dispatch", "n", events_executed_);
-  const Key outer = dispatching_;
-  dispatching_ = EventQueue::key_of(ev);
   ++depth_;
-  // Logged at the start so a nested run's entries follow this one; the
-  // push count is filled in once the event has run.
-  const std::size_t logged = parked_.empty() ? SIZE_MAX : log_.size();
-  if (logged != SIZE_MAX) log_.push_back({dispatching_, 0});
-  EventQueue::run(ev);
-  queue_.recycle(ev);
-  if (logged < log_.size()) log_[logged].pushes_after = queue_.pushes();
-  if (--depth_ == 0) {
-    if (parked_.empty()) {
-      log_.clear();
-    } else if (log_.size() > kLogCap * (1 + parked_.size() / 64)) {
-      for (IdleWait* w : parked_) w->rebase(dispatching_);
-      log_.clear();
-    }
+  if (w != nullptr) {
+    resume(w->fiber_);
+  } else {
+    EventQueue::run(ev);
+    queue_.recycle(ev);
   }
-  dispatching_ = outer;
+  --depth_;
+  return true;
+}
+
+bool Engine::live() const {
+  if (!queue_.empty() || woken_ > 0) return true;
+  for (const Parked& p : parked_)
+    if (p.wait->blocks_a_fiber()) return true;
+  return false;
+}
+
+Time Engine::next_time() const {
+  if (queue_.empty()) return parked_.front().key.when;
+  if (parked_.empty()) return queue_.next_time();
+  return std::min(queue_.next_time(), parked_.front().key.when);
+}
+
+std::uint64_t Engine::tie_for(Time at, Time len) {
+  assert(len <= 0xffffffffu);
+  if (at != tie_at_) {
+    tie_at_ = at;
+    ties_ = 0;
+  }
+  // Above every rank a skipped lane hands out (skip_lane).
+  return tie_of(len, 0x80000000u | ++ties_);
+}
+
+void Engine::join_lane(IdleWait& w) {
+  if (w.lane_step_ == 0) {
+    ++irregular_;
+    w.lane_ = nullptr;
+    return;
+  }
+  auto& phases = lanes_[w.lane_step_];
+  if (phases.empty()) phases.resize(static_cast<std::size_t>(w.lane_step_));
+  w.lane_ = &phases[static_cast<std::size_t>(w.lane_phase_)];
+  w.lane_->push_back(&w);
+}
+
+void Engine::leave_lane(IdleWait& w) {
+  if (w.lane_ == nullptr)
+    --irregular_;
+  else
+    std::erase(*w.lane_, &w);
+}
+
+bool Engine::skip_lane(const Key& bound) {
+  // An irregular wait may push at any (instant, length), and a woken one's
+  // step is an event to come.
+  IdleWait& top = *parked_.front().wait;
+  if (irregular_ != 0 || woken_ != 0 || top.lane_ == nullptr) return false;
+  // Nothing has pushed at this instant in dispatch order yet, and every
+  // member ends its pending step now, before `bound`: they step in
+  // lockstep, in the order they have now, each pushing at instants no
+  // other lane pushes at.
+  const Time now = top.next_.when;
+  if (tie_at_ == now && ties_ != 0) return false;
+  std::vector<IdleWait*>& lane = *top.lane_;
+  if (lane.size() == 1) {  // the top, whose step sorts before `bound`
+    top.skip(bound, 0);
+    parked_.front().key = top.next_;
+    sift_parked(0);
+    return true;
+  }
+  for (const IdleWait* m : lane)
+    if (m->next_.when != now || !(m->next_ < bound)) return false;
+  // Lanes are small: insertion sorts.
+  const auto sort_by = [&lane](auto before) {
+    for (std::size_t i = 1; i < lane.size(); ++i)
+      for (std::size_t j = i; j > 0 && before(lane[j], lane[j - 1]); --j)
+        std::swap(lane[j], lane[j - 1]);
+  };
+  sort_by([](const IdleWait* a, const IdleWait* b) {
+    return a->next_ < b->next_;
+  });
+  for (std::size_t r = 0; r < lane.size(); ++r) {
+    lane[r]->skip(bound, static_cast<std::uint32_t>(r));
+    parked_[lane[r]->slot_].key = lane[r]->next_;
+  }
+  // Sift the grown keys down, deepest first: each sift moves only slots
+  // at or below its own.
+  sort_by([](const IdleWait* a, const IdleWait* b) {
+    return a->slot_ > b->slot_;
+  });
+  for (const IdleWait* m : lane) sift_parked(m->slot_);
+  return true;
+}
+
+void Engine::add_parked(IdleWait* w) {
+  w->slot_ = parked_.size();
+  parked_.push_back({w->next_, w});
+  for (std::size_t i = parked_.size() - 1; i > 0;) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!(parked_[i].key < parked_[parent].key)) break;
+    swap_parked(i, parent);
+    i = parent;
+  }
+}
+
+void Engine::sift_parked(std::size_t i) {
+  const std::size_t n = parked_.size();
+  for (;;) {
+    std::size_t best = i;
+    for (std::size_t c = kArity * i + 1; c <= kArity * i + kArity && c < n;
+         ++c)
+      if (parked_[c].key < parked_[best].key) best = c;
+    if (best == i) return;
+    swap_parked(i, best);
+    i = best;
+  }
+}
+
+void Engine::swap_parked(std::size_t a, std::size_t b) {
+  std::swap(parked_[a], parked_[b]);
+  parked_[a].wait->slot_ = a;
+  parked_[b].wait->slot_ = b;
 }
 
 void Engine::report_parked() const {
   std::string names;
-  for (const IdleWait* w : parked_)
-    names += (names.empty() ? "'" : ", '") + w->fiber_->name() + "'";
+  for (const Parked& p : parked_)
+    names += (names.empty() ? "'" : ", '") + p.wait->fiber_->name() + "'";
   OQS_METRIC_ADD("sim.idle.stranded", parked_.size());
   log::error("sim", "run() drained with ", parked_.size(),
              " idle wait(s) still parked, which nothing can end: ", names);
@@ -197,9 +329,10 @@ Time Engine::run() {
   running_ = true;
   stopped_ = false;
   reap();  // a deferred reap from a nested run resolves at top-level entry
-  while (!queue_.empty() && !stopped_) {
-    dispatch_one();
-    if (reap_pending_ || (events_executed_ & 0xffff) == 0) reap();
+  while (!stopped_ && live()) {
+    if (dispatch_one(~Time{0}) &&
+        (reap_pending_ || (events_executed_ & 0xffff) == 0))
+      reap();
   }
   running_ = false;
   if (!stopped_ && !parked_.empty()) report_parked();
@@ -211,9 +344,10 @@ Time Engine::run_until(Time deadline) {
   running_ = true;
   stopped_ = false;
   reap();
-  while (!queue_.empty() && !stopped_ && queue_.next_time() <= deadline) {
-    dispatch_one();
-    if (reap_pending_ || (events_executed_ & 0xffff) == 0) reap();
+  while (!stopped_ && live() && next_time() <= deadline) {
+    if (dispatch_one(deadline) &&
+        (reap_pending_ || (events_executed_ & 0xffff) == 0))
+      reap();
   }
   running_ = false;
   if (now_ < deadline) now_ = deadline;

@@ -34,11 +34,6 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   Time now() const { return now_; }
-  // The dispatch in progress; outside the loop, a position after every
-  // event at now().
-  Key position() const {
-    return depth_ > 0 ? dispatching_ : Key{now_, ~std::uint64_t{0}, ~Time{0}};
-  }
 
   // Schedule a callback `delay` ns from now. Any move-constructible
   // callable goes straight into the queue's pooled node storage — no
@@ -69,9 +64,10 @@ class Engine {
   void unpark(Fiber* f, Time delay = 0);
 
   // Run until the queue drains or stop() is called. Returns the final time.
-  // A drain that leaves idle waits parked (sim/idle.h) is a wait nothing
-  // will ever end; spinning, it would never return. It logs an error naming
-  // the waits, and parked_waits() stays nonzero.
+  // Parked idle waits (sim/idle.h) replay their steps between events; once
+  // nothing else is pending and none of them can wake, they are waits
+  // nothing will ever end, and spinning, run() would never return. It
+  // stops, logs an error naming the waits, and parked_waits() stays nonzero.
   Time run();
   // Run no event past `deadline`; now() advances to at most `deadline`.
   Time run_until(Time deadline);
@@ -101,15 +97,34 @@ class Engine {
  private:
   friend class Fiber;
   friend class IdleWait;
-  // One real dispatch while a wait is parked: its key and the push count
-  // after it ran.
-  struct LogEntry {
-    Key key;
-    std::uint64_t pushes_after;
-  };
-  static constexpr std::size_t kLogCap = 4096;
-  void dispatch_one();
+  // Dispatch the next event, or replay parked steps up to it and to no
+  // later than `deadline`; true if an event was dispatched.
+  bool dispatch_one(Time deadline);
+  // Something is pending that can run: an event, a woken parked wait, or a
+  // parked wait whose replay will wake it (a fiber queues for its core).
+  bool live() const;
+  Time next_time() const;
   void report_parked() const;
+  // The tie of a parked step pushed at `at`, `len` ns long. Of the twins
+  // that end at one instant within one push gap, a longer one was pushed
+  // earlier, and those pushed at one instant went in dispatch order; the
+  // ranks given here lie above every rank a skipped lane takes
+  // (skip_lane). Calls come in dispatch order.
+  std::uint64_t tie_for(Time at, Time len);
+  static std::uint64_t tie_of(Time len, std::uint32_t rank) {
+    return (static_cast<std::uint64_t>(0xffffffffu - len) << 32) | rank;
+  }
+  // The heap of parked waits, on their pending steps' keys.
+  void add_parked(IdleWait* w);
+  void sift_parked(std::size_t i);
+  void swap_parked(std::size_t a, std::size_t b);
+  // Regular parked waits by lane (IdleWait::classify).
+  void join_lane(IdleWait& w);
+  void leave_lane(IdleWait& w);
+  // Skip the lane of the parked wait at the top of the heap up to `bound`
+  // if no push outside the lane can share an (instant, length) with its
+  // members'; false if it may not.
+  bool skip_lane(const Key& bound);
   void resume(Fiber* f);
   void reap();
 
@@ -136,20 +151,25 @@ class Engine {
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::uint64_t fibers_spawned_ = 0;  // last serial handed out
   std::uint64_t events_executed_ = 0;
-  Key dispatching_{};
   int depth_ = 0;  // dispatches in progress (nested run_until() adds one)
-  // Idle waits, and the dispatch log their tie keys come from (kept only
-  // while one is parked). Past kLogCap entries per 64 parked waits every
-  // wait rebases and the log is cleared, so that costs O(1) per dispatch.
-  std::vector<IdleWait*> parked_;
-  std::vector<LogEntry> log_;
-  // Grids of one step length and phase: the parked ones by rank, and how
-  // many are parked or have a resume pending.
-  struct Lane {
-    std::vector<IdleWait*> parked;
-    std::size_t active = 0;
+  // Parked idle waits, a min-heap on their pending steps' keys (kept here
+  // too, so sifting reads one array, not the waits' fiber stacks), and how
+  // many of those steps will resume their fibers.
+  struct Parked {
+    Key key;
+    IdleWait* wait;
   };
-  std::map<std::pair<Time, Time>, Lane> lanes_;
+  static constexpr std::size_t kArity = 4;  // a shallower heap sifts faster
+  std::vector<Parked> parked_;
+  std::size_t woken_ = 0;
+  // tie_for(): the parked steps pushed so far at instant tie_at_.
+  Time tie_at_ = 0;
+  std::uint32_t ties_ = 0;
+  // Regular parked waits by step and phase (lanes_[step][phase], grown on
+  // first use and never shrunk, so a lane's address is stable), and how
+  // many are irregular.
+  std::map<Time, std::vector<std::vector<IdleWait*>>> lanes_;
+  std::size_t irregular_ = 0;
 };
 
 }  // namespace oqs::sim

@@ -2,12 +2,13 @@
 //
 // Events scheduled for the same instant execute in scheduling order, which
 // makes the whole simulation deterministic. The n-th push carries tie key
-// seq = 2n+1. A parked idle poller (sim/idle.h) resumes with push_resumed(),
-// whose key 2v (v = the push count when its spinning twin would have been
-// pushed) sorts it exactly where that twin would have sat: after the v
-// pushes made before it, ahead of every later one. Two resumed steps with
-// equal (when, seq) were due in the same push gap, and `tie` orders them
-// as their twins were pushed (IdleWait::tie).
+// seq = 2n+1. The steps of parked idle pollers (sim/idle.h) are not pushed
+// here: the engine keeps them beside the queue under the key 2v (v = the
+// push count when their spinning twin would have been pushed), which sorts
+// each exactly where that twin would have sat: after the v pushes made
+// before it, ahead of every later one. Steps with equal (when, seq) were
+// pushed in the same push gap, and `tie` orders them as their twins were
+// pushed (Engine::tie_for).
 //
 // Structure: a calendar queue (R. Brown, CACM '88) over intrusive,
 // pool-allocated event nodes. The near future — `epoch_` plus
@@ -50,7 +51,6 @@ class EventQueue {
   struct Event {
     Time when;
     std::uint64_t seq;
-    std::uint64_t tie;  // resumed idle steps: order within one push gap
     Event* next;
     void (*invoke)(Event*);
     void (*destroy)(Event*);
@@ -61,7 +61,8 @@ class EventQueue {
   // rarer, larger callables take the heap-holder path in push().
   static_assert(sizeof(Event) == 128);
 
-  // A dispatch position in (when, seq, tie) order.
+  // A dispatch position in (when, seq, tie) order. A pushed event's tie is
+  // 0; a parked step's orders it within its push gap.
   struct Key {
     Time when = 0;
     std::uint64_t seq = 0;
@@ -81,52 +82,28 @@ class EventQueue {
     for (Bucket& b : buckets_)
       for (Event* e = b.head; e != nullptr; e = e->next) e->destroy(e);
     for (Event* e : far_) e->destroy(e);
-    for (Event* e : resumed_) e->destroy(e);
     // Slab memory is released wholesale by the vector of unique_ptrs.
   }
 
   template <typename F>
   void push(Time when, F&& fn) {
-    insert(make(when, 2 * seq_++ + 1, 0, std::forward<F>(fn)));
-  }
-
-  // Schedule a parked poller's resume step with the key its spinning twin
-  // would have had: `pushes` pushes had happened when the twin was due to be
-  // pushed, and `tie` orders it among resumed steps due in the same gap.
-  // Resumed steps wait in a small heap of their own: they sort ahead of
-  // the later pushes at their instant, so inserting them into a calendar
-  // bucket would walk every same-instant event there.
-  template <typename F>
-  void push_resumed(Time when, std::uint64_t pushes, std::uint64_t tie,
-                    F&& fn) {
-    heap_push(resumed_, make(when, 2 * pushes, tie, std::forward<F>(fn)));
+    insert(make(when, 2 * seq_++ + 1, std::forward<F>(fn)));
   }
 
   // Pushes so far (the tie counter).
   std::uint64_t pushes() const { return seq_; }
 
-  static Key key_of(const Event* e) { return {e->when, e->seq, e->tie}; }
+  static Key key_of(const Event* e) { return {e->when, e->seq, 0}; }
 
-  bool empty() const { return calendar_empty() && resumed_.empty(); }
-  std::size_t size() const {
-    return near_size_ + far_.size() + resumed_.size();
-  }
+  bool empty() const { return near_size_ == 0 && far_.empty(); }
+  std::size_t size() const { return near_size_ + far_.size(); }
 
   // Earliest pending timestamp. The scan position only ever moves forward
   // to the first occupied bucket, so caching it keeps the following pop at
   // O(1); pushes of earlier events move it back.
-  Time next_time() const {
-    assert(!empty());
-    if (calendar_empty()) return resumed_.front()->when;
-    Time t = far_.empty() ? 0 : far_.front()->when;
-    if (near_size_ != 0) {
-      while (buckets_[cur_].head == nullptr) ++cur_;
-      t = buckets_[cur_].head->when;
-    }
-    if (!resumed_.empty() && resumed_.front()->when < t)
-      t = resumed_.front()->when;
-    return t;
-  }
+  Time next_time() const { return peek()->when; }
+  // Key of the earliest pending event.
+  Key next_key() const { return key_of(peek()); }
 
   // Dequeue the earliest event (FIFO among equal timestamps) and report its
   // time. The caller runs it with run() and returns the node via recycle();
@@ -134,20 +111,13 @@ class EventQueue {
   // from the std::priority_queue era.
   Event* pop(Time* when) {
     assert(!empty());
-    Event* e = nullptr;
-    if (!calendar_empty()) {
-      if (near_size_ == 0) replenish();
-      while (buckets_[cur_].head == nullptr) ++cur_;
-      e = buckets_[cur_].head;
-    }
-    if (e != nullptr && (resumed_.empty() || earlier(e, resumed_.front()))) {
-      Bucket& b = buckets_[cur_];
-      b.head = e->next;
-      if (b.head == nullptr) b.tail = nullptr;
-      --near_size_;
-    } else {
-      e = heap_pop(resumed_);
-    }
+    if (near_size_ == 0) replenish();
+    while (buckets_[cur_].head == nullptr) ++cur_;
+    Bucket& b = buckets_[cur_];
+    Event* e = b.head;
+    b.head = e->next;
+    if (b.head == nullptr) b.tail = nullptr;
+    --near_size_;
     *when = e->when;
     return e;
   }
@@ -179,21 +149,25 @@ class EventQueue {
   static constexpr std::size_t kSlabEvents = 512;
   static constexpr std::size_t kNodeBytes = sizeof(Event);
 
-  bool calendar_empty() const { return near_size_ == 0 && far_.empty(); }
+  // The earliest event: the near calendar's first, else the far heap's.
+  const Event* peek() const {
+    assert(!empty());
+    if (near_size_ == 0) return far_.front();
+    while (buckets_[cur_].head == nullptr) ++cur_;
+    return buckets_[cur_].head;
+  }
 
   static bool earlier(const Event* a, const Event* b) {
     if (a->when != b->when) return a->when < b->when;
-    if (a->seq != b->seq) return a->seq < b->seq;
-    return a->tie < b->tie;
+    return a->seq < b->seq;
   }
 
   template <typename F>
-  Event* make(Time when, std::uint64_t seq, std::uint64_t tie, F&& fn) {
+  Event* make(Time when, std::uint64_t seq, F&& fn) {
     using Fn = std::decay_t<F>;
     Event* e = alloc();
     e->when = when;
     e->seq = seq;
-    e->tie = tie;
     if constexpr (sizeof(Fn) <= kInlineBytes &&
                   alignof(Fn) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(e->storage)) Fn(std::forward<F>(fn));
@@ -297,7 +271,7 @@ class EventQueue {
     p->next = e;
   }
 
-  // ---- binary min-heaps on (when, seq, tie): the far tier, resumed steps
+  // ---- the far tier: a binary min-heap on (when, seq)
 
   static void heap_push(std::vector<Event*>& h, Event* e) {
     h.push_back(e);
@@ -431,7 +405,6 @@ class EventQueue {
   int width_shift_ = kInitialWidthShift;
   std::size_t near_size_ = 0;
   std::vector<Event*> far_;
-  std::vector<Event*> resumed_;
   std::uint64_t seq_ = 0;
   std::uint64_t near_pushes_ = 0;
   std::uint64_t walk_steps_ = 0;

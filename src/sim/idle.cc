@@ -1,10 +1,9 @@
 #include "sim/idle.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 #include "sim/cpu.h"
 #include "sim/engine.h"
+#include "sim/fiber.h"
 
 namespace oqs::sim {
 
@@ -18,14 +17,18 @@ void Signal::notify() {
 
 void IdleWait::notified() {
   dirty_ = true;
-  if (parked_) resume_at(engine_.position());
+  if (parked_ && !woken_) wake();
+}
+
+void IdleWait::wake() {
+  woken_ = true;
+  ++engine_.woken_;
 }
 
 bool IdleWait::begin_round() {
   clear();
   dirty_ = false;
-  armed_ = step_ != 0 && engine_.depth_ == 1 &&
-           (cpu_ == nullptr || cpu_->may_park());
+  armed_ = step_ != 0 && engine_.depth_ == 1;
   return armed_;
 }
 
@@ -55,153 +58,138 @@ void IdleWait::clear() {
   armed_ = false;
 }
 
-bool IdleWait::can_park() {
-  const Engine& e = engine_;
-  // A nested run_until() dispatches inside an outer dispatch, so its log
-  // would not be in dispatch order: waits there spin.
-  if (!armed_ || dirty_ || e.depth_ != 1 || step_ >= 0xffffffffu) return false;
-  if (cpu_ != nullptr && !cpu_->can_park(e.current())) return false;
-  return take_rank();
-}
-
-bool IdleWait::take_rank() {
-  const Engine& e = engine_;
-  const auto it = e.lanes_.find({step_, e.now() % step_});
-  if (it == e.lanes_.end()) {
-    rank_ = 0x80000000u;
-    return true;
+bool IdleWait::park(bool at_top) {
+  Engine& e = engine_;
+  // A nested run_until() dispatches inside an outer dispatch, out of the
+  // order parked steps are replayed in: waits there spin. A step longer
+  // than the tie key's length field spins too.
+  if (!armed_ || dirty_ || e.depth_ != 1 || step_ >= 0xffffffu) return false;
+  const std::size_t first = at_top && points_ > 0 ? 1 : 0;
+  if (cpu_ != nullptr &&
+      (cpu_->parked_.size() == cpu_->num_cores() ||
+       (is_charge(first) && cpu_->find_free() < 0)))
+    return false;
+  fiber_ = e.current();
+  serial_ = fiber_->serial();
+  start_step(e.now(), first);
+  parked_ = true;
+  e.add_parked(this);
+  e.join_lane(*this);
+  if (cpu_ != nullptr) {
+    cpu_->parked_.push_back(this);
+    cpu_->restate();
+  } else {
+    classify();
   }
-  const Engine::Lane& lane = it->second;
-  // A pending resume's key was fixed from a log it no longer follows.
-  if (lane.active != lane.parked.size()) return false;
-  // Members whose step ending now already ran come first: a prefix of the
-  // lane's rank order, since members step in that order.
-  const Key at = e.position();
-  const auto ran = [&](const IdleWait* m) {
-    return m->end_of(m->pending(at)) > e.now();
-  };
-  const std::size_t i = static_cast<std::size_t>(
-      std::partition_point(lane.parked.begin(), lane.parked.end(), ran) -
-      lane.parked.begin());
-  const std::uint64_t lo = i > 0 ? lane.parked[i - 1]->rank_ : 0;
-  const std::uint64_t hi =
-      i < lane.parked.size() ? lane.parked[i]->rank_ : 0xffffffffu;
-  if (hi - lo < 2) return false;  // no rank left between them: spin
-  rank_ = static_cast<std::uint32_t>(lo + (hi - lo) / 2);
+  OQS_METRIC_INC("sim.idle.parks");
+  e.park();
+  parked_ = false;
+  woken_ = false;
+  e.leave_lane(*this);
+  resumed_ = phase_;
+  if (cpu_ != nullptr) {
+    std::erase(cpu_->parked_, this);
+    // Resumed at the end of a step: a charge ends by releasing its core.
+    if (is_charge(phase_))
+      cpu_->release(core_);
+    else
+      cpu_->restate();
+  }
   return true;
 }
 
-void IdleWait::park(bool at_top) {
-  Engine& e = engine_;
-  first_ = at_top && points_ > 0 ? 1 : 0;
-  fiber_ = e.current();
-  t0_ = e.now();
-  Engine::Lane& lane = e.lanes_[lane_key()];
-  ++lane.active;
-  const auto by_rank = [](const IdleWait* m, std::uint32_t r) {
-    return m->rank_ < r;
-  };
-  lane.parked.insert(std::lower_bound(lane.parked.begin(), lane.parked.end(),
-                                      rank_, by_rank),
-                     this);
-  base_ = known_ = 0;
-  base_pushes_ = known_pushes_ = pushes_at_base_ = e.queue_.pushes();
-  log_base_ = e.log_.size();
-  slot_ = e.parked_.size();
-  e.parked_.push_back(this);
-  if (cpu_ != nullptr) core_ = cpu_->park_idle(this);
-  OQS_METRIC_INC("sim.idle.parks");
-  parked_ = true;
-  e.park();
-  // Resumed at the end of a step: a charge ends by releasing its core.
-  if (cpu_ != nullptr && is_charge(resumed_step_)) cpu_->release(core_);
-}
-
-void IdleWait::unlink() {
-  parked_ = false;
-  Engine& e = engine_;
-  IdleWait* last = e.parked_.back();
-  e.parked_[slot_] = last;
-  last->slot_ = slot_;
-  e.parked_.pop_back();
-  auto& members = e.lanes_[lane_key()].parked;
-  members.erase(std::find(members.begin(), members.end(), this));
-}
-
-void IdleWait::resume_at(const Key& at) {
-  const std::uint64_t g = pending(at);
-  const std::uint64_t due = due_pushes(g);
-  unlink();
-  if (cpu_ != nullptr)
-    cpu_->unpark_idle(core_, static_cast<Time>(charges_through(g)) * step_,
-                      is_charge(g));
-  resumed_step_ = g;
-  resumed_ = phase(g);
-  engine_.queue_.push_resumed(end_of(g), due, tie(), [this] {
-    const auto it = engine_.lanes_.find(lane_key());
-    if (--it->second.active == 0) engine_.lanes_.erase(it);
-    engine_.resume(fiber_);
-  });
-}
-
-Time IdleWait::charged_ns(const Key& at) const {
-  return static_cast<Time>(charges_through(pending(at))) * step_;
-}
-
-void IdleWait::rebase(const Key& at) {
-  const std::uint64_t g = pending(at);
-  base_pushes_ = known_pushes_ = due_pushes(g);
-  base_ = known_ = g;
-  pushes_at_base_ = engine_.queue_.pushes();
-  log_base_ = 0;
-}
-
-std::uint64_t IdleWait::pushes_before(const Key& at) const {
-  const auto& log = engine_.log_;
-  const auto first = log.begin() + static_cast<std::ptrdiff_t>(log_base_);
-  const auto it = std::lower_bound(
-      first, log.end(), at,
-      [](const Engine::LogEntry& e, const Key& k) { return e.key < k; });
-  return it == first ? pushes_at_base_ : std::prev(it)->pushes_after;
-}
-
-bool IdleWait::logged_at(Time t) const {
-  const auto& log = engine_.log_;
-  const auto first = log.begin() + static_cast<std::ptrdiff_t>(log_base_);
-  const auto it = std::lower_bound(
-      first, log.end(), Key{t, 0, 0},
-      [](const Engine::LogEntry& e, const Key& k) { return e.key < k; });
-  return it != log.end() && it->key.when == t;
-}
-
-std::uint64_t IdleWait::due_pushes(std::uint64_t g) const {
-  // Start from the latest known step at or before g.
-  std::uint64_t from = base_;
-  std::uint64_t from_pushes = base_pushes_;
-  if (known_ <= g) {
-    from = known_;
-    from_pushes = known_pushes_;
+void IdleWait::start_step(Time at, std::size_t phase) {
+  phase_ = phase;
+  len_ = step_;
+  if (cpu_ != nullptr && is_charge(phase)) {
+    core_ = cpu_->take();
+    len_ = cpu_->charge(core_, serial_, step_);
   }
-  if (g == from) return from_pushes;
-  // Step k+1 was due when step k was dispatched. Where no real dispatch
-  // shares step k's instant, that count does not depend on step k's own
-  // key, so walk back only across such shared instants.
-  std::uint64_t k = g - 1;
-  while (k > from && logged_at(end_of(k))) --k;
-  std::uint64_t due = pushes_before(k == from ? key_of(k, from_pushes)
-                                              : Key{end_of(k), 0, 0});
-  for (++k; k < g; ++k) due = pushes_before(key_of(k, due));
-  known_ = g;
-  known_pushes_ = due;
-  return due;
+  next_ = {at + len_, 2 * engine_.queue_.pushes(), engine_.tie_for(at, len_)};
 }
 
-std::uint64_t IdleWait::pending(const Key& at) const {
-  // The first step ending at or after `at`, then past it if it sorts first.
-  std::uint64_t g = at.when > t0_ ? (at.when - t0_ - 1) / step_ : 0;
-  g = std::max(g, base_);
-  if (end_of(g) == at.when && key_of(g, due_pushes(g)) < at) ++g;
-  return g;
+void IdleWait::skip(const Key& bound, std::uint32_t rank) {
+  // Steps k = 0, 1, ... end at next_.when + k*step_; step 0 is the pending
+  // one, and every later one is pushed now.
+  const Key later{0, 2 * engine_.queue_.pushes(), Engine::tie_of(step_, rank)};
+  std::uint64_t n = 1;  // steps that end before `bound`
+  if (bound.when > next_.when) {
+    const Time gap = bound.when - next_.when - 1;
+    n = gap < step_ ? 1 : gap / step_ + 1;  // most gaps are short
+    if (Key{next_.when + n * step_, later.seq, later.tie} < bound) ++n;
+  }
+  const std::uint64_t round = points_ + 1;
+  std::uint64_t phase = phase_ + n;
+  const std::uint64_t rounds = phase < round ? 0 : phase / round;
+  if (charges() > 0) {
+    // The n steps that follow the ones skipped: charges, less idle steps.
+    cpu_->busy_ns_ += (n - (idle_charged_ ? 0 : rounds)) * step_;
+  }
+  phase_ = static_cast<std::size_t>(phase - rounds * round);
+  if (charges() > 0) {
+    core_ = 0;
+    cpu_->cores_.front().busy = is_charge(phase_);
+  }
+  next_ = {next_.when + n * step_, later.seq, later.tie};
+}
+
+void IdleWait::advance(const Key& bound) {
+  const std::size_t charges = this->charges();
+  // Nothing else touches the Cpu before `bound`, so once a charge costs no
+  // switch every later one costs the same, and whole rounds repeat.
+  Time steady = charges == 0 || lane_step_ != 0 ? step_ : 0;
+  do {
+    const std::size_t next = phase_ == points_ ? 0 : phase_ + 1;
+    if (charges > 0) {
+      const bool blocked = is_charge(phase_) ? !cpu_->give_back(core_)
+                                             : is_charge(next) &&
+                                                   cpu_->find_free() < 0;
+      if (blocked) {
+        wake();
+        return;
+      }
+    }
+    const std::uint64_t switches = charges == 0 ? 0 : cpu_->switches_;
+    start_step(next_.when, next);
+    if (steady == 0 && is_charge(next) && cpu_->switches_ == switches)
+      steady = len_;
+    if (steady == 0) continue;
+    const Time round = steady * charges +
+                       step_ * static_cast<Time>(points_ + 1 - charges);
+    if (bound.when == ~Time{0} || next_.when + round > bound.when) continue;
+    const Time n = (bound.when - next_.when) / round;
+    if (charges > 0) cpu_->busy_ns_ += n * charges * steady;
+    next_.when += n * round;
+    next_.tie = engine_.tie_for(next_.when - len_, len_);
+  } while (next_ < bound);
+  // A regular wait stays regular through its own steps.
+  if (lane_step_ == 0) classify();
+}
+
+void IdleWait::classify() {
+  // Regular: every step, the pending one too, is step_ long. With charges
+  // that takes the Cpu to itself: no other wait, core or waiter busy, and
+  // core 0, the one its charges take, last ran this fiber.
+  bool regular = len_ == step_;
+  if (regular && charges() > 0) {
+    const bool holds = is_charge(phase_);
+    unsigned busy = 0;
+    for (const Cpu::Core& c : cpu_->cores_) busy += c.busy ? 1 : 0;
+    regular = cpu_->parked_.size() == 1 && cpu_->wait_queue_.empty() &&
+              busy == (holds ? 1u : 0u) && (!holds || core_ == 0) &&
+              cpu_->cores_.front().last == serial_;
+  }
+  const Time step = regular ? step_ : 0;
+  const Time phase = regular ? next_.when % step_ : 0;
+  if (step == lane_step_ && phase == lane_phase_) return;
+  engine_.leave_lane(*this);
+  lane_step_ = step;
+  lane_phase_ = phase;
+  engine_.join_lane(*this);
+}
+
+bool IdleWait::blocks_a_fiber() const {
+  return cpu_ != nullptr && !cpu_->wait_queue_.empty();
 }
 
 }  // namespace oqs::sim

@@ -1,38 +1,46 @@
 // Exact idle-poll elision: a waiting fiber whose round found nothing parks
-// on the words that round reads and resumes on its unchanged polling grid.
+// on the words that round reads, and a replay runs its steps without it.
 //
-// A spinning wait (ProcessCtx::wait_until) runs steps of one length d: the
-// idle step, then one host_poll_ns charge per poll point, each ending in a
-// probe, then the idle step again. A wait parks at the start of its idle
-// step, or at the top of a round whose probes would all find nothing; from
-// park time t0, step g ends at t0 + (g+1)*d. Parked, the fiber dispatches
-// none of them. The first change to a watched word (Signal::notify) resumes
-// it at the first step of the grid that follows the changing event in dispatch order, with the tie key
-// that step's event would have had (EventQueue::push_resumed), so it sorts
-// among same-instant events exactly as the spinning loop's did. That key is
-// the push count when the step was due to be pushed, i.e. when the previous
-// step would have been dispatched; the engine logs its real dispatches while
-// any fiber is parked, and the log gives that count.
+// A spinning wait (ProcessCtx::wait_until) runs steps: the idle step, then
+// one host_poll_ns charge per poll point, each ending in a probe, then the
+// idle step again. Each step ends in one dispatch of the waiting fiber,
+// which releases the core its charge held, probes, and starts the next
+// step: it takes the lowest free core and pays Cpu::compute's price,
+// dur * (1 + fsb_contention * busy others), plus ctx_switch_ns if the core
+// last ran someone else. A wait parks at the start of its idle step, or at
+// the top of a round whose probes would all find nothing, and from then on
+// the engine keeps its pending step beside the event queue and replays it
+// instead of dispatching it: the same release, take and charge on the same
+// Cpu, in the same dispatch order, with no fiber switch. So the Cpu's
+// cores, busy time and switches are the spinning twin's after every
+// dispatch, and a foreign compute() sees what the twin would have left.
 //
-// Charged steps run on the node's Cpu. A charged wait parks only while it is
-// the Cpu's one charged waiter and the Cpu is otherwise idle, so every
-// virtual charge costs exactly d with no switch. Cpu::busy_ns() counts them
-// as they pass, and any other fiber's compute() first resumes the parked
-// one (IdleWait::resume_at), turning the virtual steps back into real ones.
+// A parked step sorts where its twin's event would have: (when, 2v, tie),
+// v the push count when the twin was pushed (EventQueue), and tie the order
+// of the twins pushed in one push gap: a longer step was pushed earlier,
+// and steps pushed at one instant go in replay order (Engine::tie_for).
+// Since the replay runs in dispatch order, that holds across Cpus too.
 //
-// Two resumed steps can share (when, seq) when no real push fell between
-// their twins' pushes. Their twins were pushed when the previous steps ran,
-// at when - d, so a longer step was pushed first. Grids of one step length
-// tie only within a lane (same step, same phase), where they step in
-// lockstep: whichever of two such steps ran first at one instant runs first
-// at every later one. A wait joining a lane takes a rank that puts it after
-// the members whose step at its park instant already ran, and before the
-// rest; IdleWait::tie() folds step length and rank into the key.
+// The first change to a watched word (Signal::notify) wakes the wait: its
+// pending step, the first after the notifying event, is dispatched for real
+// and resumes the fiber where its twin would be. So does a step whose
+// replay would have to queue for a core or hand one to a queued fiber. A
+// Cpu holds at most one parked wait per core, so parked waits never queue
+// for a core among themselves.
+//
+// Where order cannot matter the replay skips. A regular wait is alone on
+// an otherwise idle Cpu with every step `step` long on core 0; its lane is
+// its step length and phase. While no parked wait is irregular or woken, a
+// lane's pushes share no (instant, length) with any other push, so its
+// members, which step in lockstep, take tie ranks 0, 1, ... in the order
+// they have and jump to the next event in O(1). An irregular wait whose
+// Cpu sees nothing else advances whole rounds at a time.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -144,92 +152,71 @@ class IdleWait {
   // Drop every registration: the round will not park.
   void clear();
 
-  // The round registered, saw no change, and may park now: the engine is
-  // not in a nested run, its lane has no resume pending and a rank free at
-  // its place, and for a charged wait the Cpu allows it (Cpu::can_park).
-  // Sets the rank park() will use.
-  bool can_park();
-  // Park the calling fiber (can_park() must hold) at the start of its idle
-  // step, or with `at_top` at the start of the round's first poll point. On
-  // return the fiber has resumed at the end of step resumed_step() of the
-  // round (0: the idle step, i >= 1: poll point i-1) with that step's core
-  // released; the registrations stay, so the rest of the round still sees
-  // changes.
-  void park(bool at_top = false);
+  // Park the calling fiber at the start of its idle step, or with `at_top`
+  // at the start of the round's first poll point. It parks only if the
+  // round registered and saw no change, the engine is not in a nested run,
+  // the Cpu has a core without a parked wait, and the step's charge finds
+  // a free core; otherwise park() returns false at once. On true the fiber
+  // has resumed at the end of step resumed_step() of the round (0: the idle
+  // step, i >= 1: poll point i-1) with that step's core released; the
+  // registrations stay, so the rest of the round still sees changes.
+  bool park(bool at_top = false);
   std::size_t resumed_step() const { return resumed_; }
 
-  // --- Cpu side ---
-  // Schedule the resume at the first step after dispatch position `at`.
-  void resume_at(const Key& at);
-  // CPU time the virtual steps have charged up to `at`.
-  Time charged_ns(const Key& at) const;
-
  private:
+  friend class Cpu;
   friend class Engine;
   friend class Signal;
   void notified();
-  // Rebase past the engine's dispatch log, which is about to be cleared.
-  void rebase(const Key& at);
-  std::pair<Time, Time> lane_key() const { return {step_, t0_ % step_}; }
-  Time end_of(std::uint64_t g) const {
-    return t0_ + static_cast<Time>(g + 1) * step_;
+  // The pending step is dispatched for real: it resumes the fiber.
+  void wake();
+  bool is_charge(std::size_t phase) const {
+    return idle_charged_ || phase != 0;
   }
-  Key key_of(std::uint64_t g, std::uint64_t v) const {
-    return {end_of(g), 2 * v, tie()};
+  // Begin step `phase` at `at` as the twin would: take and charge a core if
+  // it is a charge, and key its end. The charge must find a free core.
+  void start_step(Time at, std::size_t phase);
+  std::size_t charges() const {
+    return cpu_ == nullptr ? 0 : idle_charged_ ? points_ + 1 : points_;
   }
-  // Longer steps first (pushed earlier), then lane rank.
-  std::uint64_t tie() const {
-    return (static_cast<std::uint64_t>(0xffffffffu - step_) << 32) | rank_;
-  }
-  bool take_rank();
-  // Step g's place in the round (0: the idle step).
-  std::size_t phase(std::uint64_t g) const {
-    return static_cast<std::size_t>((g + first_) % (points_ + 1));
-  }
-  bool is_charge(std::uint64_t g) const {
-    return idle_charged_ || phase(g) != 0;
-  }
-  // Charges among steps 0..g: all of them, less the idle steps.
-  std::uint64_t charges_through(std::uint64_t g) const {
-    if (idle_charged_) return g + 1;
-    return g + 1 - (g + first_) / (points_ + 1) - (first_ == 0 ? 1 : 0);
-  }
-  // Push count at dispatch position `at`, from the log.
-  std::uint64_t pushes_before(const Key& at) const;
-  bool logged_at(Time t) const;
-  // Push count when step g was due to be pushed (its tie key).
-  std::uint64_t due_pushes(std::uint64_t g) const;
-  // The first step whose key follows `at`.
-  std::uint64_t pending(const Key& at) const;
-  void unlink();
+  // Replay the pending step's end, and the steps after it, while they sort
+  // before `bound` (nothing else is dispatched before it). Stops, woken, at
+  // a step whose twin would queue for a core or hand one on.
+  void advance(const Key& bound);
+  // advance() in O(1) for a regular wait whose lane steps in lockstep with
+  // no other push sharing an (instant, length) (Engine::skip_lane): its
+  // pushes take tie rank `rank`, its place in the lane, instead of a place
+  // in dispatch order.
+  void skip(const Key& bound, std::uint32_t rank);
+  // A fiber queues for a core on this wait's Cpu.
+  bool blocks_a_fiber() const;
+  // Work out the lane of the pushes to come (below); called whenever this
+  // wait's Cpu or its own pending step changes.
+  void classify();
 
   Engine& engine_;
   Cpu* cpu_;
   Time step_;
   bool idle_charged_;
   std::size_t points_ = 0;
-  std::size_t first_ = 0;  // phase of step 0
-  std::uint32_t rank_ = 0;  // order among the lane's grids
   Fiber* fiber_ = nullptr;
-  int core_ = -1;
-  Time t0_ = 0;
-  // Base of the log-derived keys: step base_ is due with push count
-  // base_pushes_; entries from log_base_ on postdate it, and with none
-  // before a position the count there is pushes_at_base_.
-  std::uint64_t base_ = 0;
-  std::uint64_t base_pushes_ = 0;
-  std::uint64_t pushes_at_base_ = 0;
-  std::size_t log_base_ = 0;
-  // The latest step whose due count is known (at or after base_): queries
-  // move forward, and the log entries behind a known count never change.
-  mutable std::uint64_t known_ = 0;
-  mutable std::uint64_t known_pushes_ = 0;
-  std::size_t slot_ = 0;  // index in the engine's parked list
-  std::uint64_t resumed_step_ = 0;  // grid index of the resume step
-  std::size_t resumed_ = 0;         // its step within the round
+  std::uint64_t serial_ = 0;  // the fiber's, read by every replayed charge
+  Key next_{};             // the pending step's end, keyed as its twin's
+  Time len_ = 0;           // its length
+  std::size_t phase_ = 0;  // its place in the round (0: the idle step)
+  int core_ = -1;          // the core its charge holds
+  std::size_t resumed_ = 0;
   bool armed_ = false;  // registered for this round
   bool parked_ = false;
   bool dirty_ = false;  // a registered source changed this round
+  bool woken_ = false;  // the pending step resumes the fiber
+  // The lane: while nothing else touches the Cpu, every push of this wait,
+  // the pending step's included, is lane_step_ long and ends on lane_phase_
+  // modulo it; lane_step_ 0 means no such promise (irregular).
+  Time lane_step_ = 0;
+  Time lane_phase_ = 0;
+  std::vector<IdleWait*>* lane_ = nullptr;  // the lane's regular waits
+  std::size_t slot_ = 0;                    // index in the engine's heap
   Watch watches_[kMaxWatches];
   int nwatches_ = 0;
 };

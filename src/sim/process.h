@@ -105,13 +105,6 @@ struct ProcessCtx {
     const bool sweeps = c == Cadence::kPoll || c == Cadence::kSocketPoll;
     const bool charged = c == Cadence::kPoll || c == Cadence::kEventWord;
     const Time period = poll_period(c);
-    if (charged) cpu->add_charged_waiter(1);
-    struct Leave {
-      Cpu* cpu;
-      ~Leave() {
-        if (cpu != nullptr) cpu->add_charged_waiter(-1);
-      }
-    } leave{charged ? cpu : nullptr};
     constexpr bool elidable = detail::watchable_v<Done> &&
                               detail::watchable_v<Abort> &&
                               detail::plannable_v<Sweep>;
@@ -123,9 +116,10 @@ struct ProcessCtx {
     std::size_t from = 0;
     bool paid = false;
     const auto park = [&](bool at_top) {
-      idle.park(at_top);
+      if (!parks || !idle.park(at_top)) return false;
       from = idle.resumed_step() == 0 ? 0 : idle.resumed_step() - 1;
       paid = idle.resumed_step() != 0;
+      return true;
     };
     for (;;) {
       if (!paid) {
@@ -133,10 +127,7 @@ struct ProcessCtx {
         if (done()) break;
         if (abort()) return false;
         // A round that starts quiet parks before its first charge.
-        if (parks && detail::quiet(sweep) && idle.can_park()) {
-          park(/*at_top=*/true);
-          continue;
-        }
+        if (parks && detail::quiet(sweep) && park(/*at_top=*/true)) continue;
       }
       if (sweeps && detail::run_sweep(sweep, from, paid) != 0) {
         from = 0;
@@ -145,10 +136,7 @@ struct ProcessCtx {
       }
       from = 0;
       paid = false;
-      if (parks && idle.can_park()) {
-        park(/*at_top=*/false);
-        continue;
-      }
+      if (park(/*at_top=*/false)) continue;
       if (c == Cadence::kEventWord)
         compute(period);
       else

@@ -7,7 +7,9 @@
 
 #include <functional>
 #include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -23,8 +25,9 @@ namespace {
 // source is a counter; a probe consumes what was deposited since the last.
 class Rail final : public PollPlan {
  public:
-  Rail(const ProcessCtx& ctx, std::vector<std::string>& log, int& unconsumed)
-      : ctx_(ctx), log_(log), unconsumed_(unconsumed) {}
+  Rail(const ProcessCtx& ctx, std::vector<std::string>& log, int& unconsumed,
+       std::string who = "")
+      : ctx_(ctx), log_(log), unconsumed_(unconsumed), who_(std::move(who)) {}
 
   void add() {
     sources_.push_back(std::make_unique<Word<int>>());
@@ -47,7 +50,7 @@ class Rail final : public PollPlan {
       // Probes are only logged while a deposit waits: the others are the
       // steps elision removes, and they observe nothing.
       if (unconsumed_ > 0)
-        log_.push_back("probe" + std::to_string(i) + "@" +
+        log_.push_back(who_ + "probe" + std::to_string(i) + "@" +
                        std::to_string(ctx_.engine->now()));
       if (*sources_[i] > seen_[i]) {
         ++seen_[i];
@@ -77,6 +80,7 @@ class Rail final : public PollPlan {
   const ProcessCtx& ctx_;
   std::vector<std::string>& log_;
   int& unconsumed_;
+  std::string who_;
   std::vector<std::unique_ptr<Word<int>>> sources_;
   std::vector<int> seen_;
   Signal shape_;
@@ -266,7 +270,8 @@ constexpr Cadence kElidable[] = {Cadence::kPoll, Cadence::kEventWord,
 // Tagged events at every instant of [from, to], one pushed at time 0 and
 // one pushed by an event at the same instant: they sort around the resumed
 // steps by when they were pushed.
-void tag_range(Bed& bed, Time from, Time to) {
+template <class B>
+void tag_range(B& bed, Time from, Time to) {
   for (Time t = from; t <= to; ++t) {
     bed.tag(t, "early");
     bed.engine.schedule_at(t, [&bed] { bed.tag(bed.engine.now(), "late"); });
@@ -533,5 +538,487 @@ TEST(WaitElision, DrainWithOnlyParkedWaitsIsAnError) {
   EXPECT_EQ(obs::metrics().counter("sim.idle.stranded").value(), before + 1);
 }
 
+
+// ---- Joint parking: several waits share a Cpu ----
+//
+// Each poller waits `rounds` times for one deposit into its own rail
+// (kPoll) or event word (kEventWord), computing `work` ns after each. The
+// same run twice, with watched sources (the waits park together and the
+// Cpu replays their charges) and with opaque predicates (they spin), must
+// agree on every resume instant, the Cpus' busy time, switches and last
+// core owners, and the dispatch order of tagged events.
+struct Poller {
+  Cadence cadence = Cadence::kPoll;
+  std::size_t points = 2;
+  int cpu = 0;
+  Time start = 1000;   // its first wait begins here
+  bool warmup = true;  // after one host_poll_ns charge
+  int rounds = 1;
+  Time work = 0;
+  int signal_to = -1;  // after each round, deposit into this poller
+};
+
+struct JointBed {
+  Engine engine;
+  ModelParams params;
+  std::vector<std::unique_ptr<Cpu>> cpus;
+  std::vector<Poller> pollers;
+  std::vector<std::unique_ptr<ProcessCtx>> ctxs;
+  std::vector<std::string> log;
+  std::vector<std::unique_ptr<int>> unconsumed;
+  std::vector<std::unique_ptr<Rail>> rails;
+  std::vector<std::unique_ptr<Word<int>>> flags;
+  std::size_t sampled = 0;  // parked waits at the sample instant
+
+  void deposit(int p, std::size_t point = 0) {
+    const std::size_t i = static_cast<std::size_t>(p);
+    ++*unconsumed[i];
+    log.push_back(std::to_string(p) + " deposit@" +
+                  std::to_string(engine.now()));
+    if (pollers[i].cadence == Cadence::kPoll) {
+      Word<int>& w = rails[i]->source(point);
+      w = w + 1;
+    } else {
+      *flags[i] = *flags[i] + 1;
+    }
+  }
+  void tag(Time when, std::string name) {
+    engine.schedule_at(when, [this, name = std::move(name)] {
+      log.push_back(name + "@" + std::to_string(engine.now()));
+    });
+  }
+  // A fiber that charges `dur` ns on Cpu `c` at `when`.
+  void foreign(int c, Time when, Time dur, const std::string& name) {
+    engine.spawn(name, [this, c, when, dur, name] {
+      engine.sleep(when);
+      log.push_back(name + "@" + std::to_string(engine.now()));
+      cpus[static_cast<std::size_t>(c)]->compute(dur);
+      log.push_back(name + "-done@" + std::to_string(engine.now()));
+    });
+  }
+};
+
+struct Joint {
+  std::vector<unsigned> cores = {2};
+  std::vector<Poller> pollers;
+  Time cut = 0;     // nonzero: run_until(cut), read the Cpus, go on
+  Time sample = 0;  // nonzero: count the parked waits at this instant
+  std::function<void(JointBed&)> setup;
+};
+
+struct JointOutcome {
+  std::vector<std::vector<Time>> returned;  // per poller, per round
+  std::vector<Time> busy;
+  std::vector<std::uint64_t> switches;
+  std::vector<std::vector<std::uint64_t>> owners;
+  std::vector<Time> busy_at_cut;
+  std::vector<std::uint64_t> switches_at_cut;
+  std::size_t sampled = 0;
+  std::size_t stranded = 0;
+  std::uint64_t events = 0;
+  std::vector<std::string> log;
+};
+
+JointOutcome run_joint(const Joint& j, bool watched_sources) {
+  JointBed bed;
+  for (unsigned n : j.cores)
+    bed.cpus.push_back(std::make_unique<Cpu>(bed.engine, n, 900, 0.35));
+  bed.pollers = j.pollers;
+  JointOutcome out;
+  out.returned.resize(j.pollers.size());
+  for (std::size_t i = 0; i < j.pollers.size(); ++i) {
+    const Poller& p = j.pollers[i];
+    bed.ctxs.push_back(std::make_unique<ProcessCtx>(
+        ProcessCtx{&bed.engine, bed.cpus[static_cast<std::size_t>(p.cpu)].get(),
+                   &bed.params, static_cast<int>(i)}));
+    bed.unconsumed.push_back(std::make_unique<int>(0));
+    bed.rails.push_back(std::make_unique<Rail>(*bed.ctxs[i], bed.log,
+                                               *bed.unconsumed[i],
+                                               std::to_string(i) + " "));
+    for (std::size_t k = 0; k < p.points; ++k) bed.rails[i]->add();
+    bed.flags.push_back(std::make_unique<Word<int>>());
+  }
+  for (std::size_t i = 0; i < j.pollers.size(); ++i) {
+    bed.engine.spawn("poller" + std::to_string(i), [&, i] {
+      const Poller& p = j.pollers[i];
+      const ProcessCtx& ctx = *bed.ctxs[i];
+      Rail& rail = *bed.rails[i];
+      Word<int>& flag = *bed.flags[i];
+      bed.engine.sleep(p.start);
+      if (p.warmup) ctx.compute(bed.params.host_poll_ns);
+      PollPlan* plan = &rail;
+      for (int r = 1; r <= p.rounds; ++r) {
+        auto polled = [&rail, r] { return rail.hits() >= r; };
+        auto flagged = [&flag, r] { return flag >= r; };
+        if (p.cadence == Cadence::kPoll && watched_sources)
+          ctx.wait_until(p.cadence, watched(nullptr, polled), plan);
+        else if (p.cadence == Cadence::kPoll)
+          ctx.wait_until(p.cadence, polled,
+                         [plan] { return plan->sweep(0, false); });
+        else if (watched_sources)
+          ctx.wait_until(p.cadence, watched(&flag.signal(), flagged));
+        else
+          ctx.wait_until(p.cadence, flagged);
+        if (p.cadence != Cadence::kPoll) --*bed.unconsumed[i];
+        out.returned[i].push_back(bed.engine.now());
+        bed.log.push_back(std::to_string(i) + " returned@" +
+                          std::to_string(bed.engine.now()));
+        if (p.work != 0) ctx.compute(p.work);
+        if (p.signal_to >= 0) bed.deposit(p.signal_to);
+      }
+    });
+  }
+  if (j.sample != 0)
+    bed.engine.schedule_at(j.sample,
+                           [&] { out.sampled = bed.engine.parked_waits(); });
+  if (j.setup) j.setup(bed);
+  const auto read_cpus = [&](std::vector<Time>& busy,
+                             std::vector<std::uint64_t>& switches) {
+    for (const auto& c : bed.cpus) {
+      busy.push_back(c->busy_ns());
+      switches.push_back(c->switches());
+    }
+  };
+  if (j.cut != 0) {
+    bed.engine.run_until(j.cut);
+    read_cpus(out.busy_at_cut, out.switches_at_cut);
+  }
+  bed.engine.run();
+  read_cpus(out.busy, out.switches);
+  for (const auto& c : bed.cpus) {
+    out.owners.emplace_back();
+    for (unsigned k = 0; k < c->num_cores(); ++k)
+      out.owners.back().push_back(c->last_on(k));
+  }
+  out.stranded = bed.engine.parked_waits();
+  out.events = bed.engine.events_executed();
+  out.log = bed.log;
+  return out;
+}
+
+// Runs both ways and compares; returns {spun, parked}.
+std::pair<JointOutcome, JointOutcome> expect_joint_same(
+    const Joint& j, const std::string& what) {
+  const JointOutcome spun = run_joint(j, false);
+  const JointOutcome parked = run_joint(j, true);
+  EXPECT_EQ(parked.returned, spun.returned) << what;
+  EXPECT_EQ(parked.busy, spun.busy) << what;
+  EXPECT_EQ(parked.switches, spun.switches) << what;
+  EXPECT_EQ(parked.owners, spun.owners) << what;
+  EXPECT_EQ(parked.busy_at_cut, spun.busy_at_cut) << what;
+  EXPECT_EQ(parked.switches_at_cut, spun.switches_at_cut) << what;
+  EXPECT_EQ(parked.stranded, 0u) << what;
+  EXPECT_LE(parked.events, spun.events) << what;
+  if (parked.log != spun.log) {
+    std::size_t i = 0;
+    while (i < parked.log.size() && i < spun.log.size() &&
+           parked.log[i] == spun.log[i])
+      ++i;
+    ADD_FAILURE() << what << ": logs part at entry " << i << ": parked "
+                  << (i < parked.log.size() ? parked.log[i] : "(end)")
+                  << ", spun " << (i < spun.log.size() ? spun.log[i] : "(end)");
+  }
+  return {spun, parked};
+}
+
+// Two kPoll pollers with two points each on one 2-core Cpu, both warmed up
+// at 1000: they poll on their own cores with overlapping 108 ns charges
+// (80 ns plus 35% contention), 296 ns a round.
+Joint lockstep_pair() {
+  Joint j;
+  j.pollers = {Poller{}, Poller{}};
+  return j;
+}
+
+TEST(JointElision, BothParkInLockstep) {
+  const Time round = 80 + 2 * 108;
+  for (Time off = 0; off < 2 * round; off += 5) {
+    Joint j = lockstep_pair();
+    j.sample = 4000;
+    j.setup = [off](JointBed& bed) {
+      bed.engine.schedule_at(5000 + off, [&bed] { bed.deposit(0, 1); });
+      bed.engine.schedule_at(7000 + 3 * off, [&bed] { bed.deposit(1, 0); });
+      tag_range(bed, 5000 + off, 5000 + off + 2 * 108);
+    };
+    const auto [spun, parked] =
+        expect_joint_same(j, "offset " + std::to_string(off));
+    EXPECT_EQ(parked.sampled, 2u) << "offset " << off;
+    EXPECT_LT(parked.events, spun.events) << "offset " << off;
+  }
+}
+
+TEST(JointElision, OneParksWhileTheOtherIsMidCharge) {
+  // The second poller starts at every offset of the first one's round, so
+  // it parks while the first is anywhere in a charge or its idle step.
+  for (Time off = 0; off < 300; off += 3) {
+    Joint j = lockstep_pair();
+    j.pollers[1].start += off;
+    j.setup = [](JointBed& bed) {
+      bed.engine.schedule_at(6000, [&bed] { bed.deposit(1, 1); });
+      bed.engine.schedule_at(6500, [&bed] { bed.deposit(0, 0); });
+    };
+    expect_joint_same(j, "offset " + std::to_string(off));
+  }
+}
+
+TEST(JointElision, SwitchTransition) {
+  // Without a warm-up the second poller's first charge can land on the
+  // core the first one last ran on, and as their phases drift each takes
+  // the other's core: 980 ns charges, or 1,008 with contention.
+  bool switched = false;
+  for (Time off = 0; off < 300; off += 4) {
+    Joint j = lockstep_pair();
+    j.pollers[1].warmup = false;
+    j.pollers[1].points = 1;
+    j.pollers[1].start += off;
+    j.setup = [off](JointBed& bed) {
+      bed.engine.schedule_at(8000 + off, [&bed] { bed.deposit(0, 1); });
+      bed.engine.schedule_at(9000, [&bed] { bed.deposit(1, 0); });
+    };
+    const auto [spun, parked] =
+        expect_joint_same(j, "offset " + std::to_string(off));
+    switched = switched || spun.switches[0] > 1;
+  }
+  EXPECT_TRUE(switched) << "no run paid a switch";
+}
+
+TEST(JointElision, PollBesideEventWord) {
+  for (Time off = 0; off < 300; off += 3) {
+    Joint j = lockstep_pair();
+    j.pollers[1].cadence = Cadence::kEventWord;
+    j.pollers[1].points = 0;
+    j.pollers[1].start += off;
+    j.setup = [off](JointBed& bed) {
+      bed.engine.schedule_at(5000 + off, [&bed] { bed.deposit(1); });
+      bed.engine.schedule_at(5600, [&bed] { bed.deposit(0, 1); });
+      tag_range(bed, 5000 + off, 5000 + off + 120);
+    };
+    expect_joint_same(j, "offset " + std::to_string(off));
+  }
+}
+
+TEST(JointElision, ForeignComputeDuringJointPark) {
+  // A third fiber charges 333 ns while both waits are parked: it takes its
+  // core from the replayed occupancy and pays its contention and switch.
+  // With a fourth fiber at the same instant one of them must queue, and a
+  // parked wait's charge end hands it the core.
+  for (int foreign = 1; foreign <= 2; ++foreign) {
+    for (Time off = 0; off < 300; off += 3) {
+      Joint j = lockstep_pair();
+      j.setup = [off, foreign](JointBed& bed) {
+        for (int f = 0; f < foreign; ++f)
+          bed.foreign(0, 4000 + off, 333, "other" + std::to_string(f));
+        bed.engine.schedule_at(6000, [&bed] { bed.deposit(0, 0); });
+        bed.engine.schedule_at(6100, [&bed] { bed.deposit(1, 1); });
+        tag_range(bed, 4000 + off, 4000 + off + 400);
+      };
+      expect_joint_same(j, std::to_string(foreign) + " foreign, offset " +
+                               std::to_string(off));
+    }
+  }
+}
+
+TEST(JointElision, DepositTiedWithAJointStep) {
+  // Deposits at every instant across two rounds of the joint lockstep,
+  // pushed long before, one step before, or at the same instant.
+  const Time round = 80 + 2 * 108;
+  for (Time off = 0; off <= 2 * round; ++off) {
+    for (int pushed = 0; pushed < 3; ++pushed) {
+      Joint j = lockstep_pair();
+      j.setup = [off, pushed](JointBed& bed) {
+        const Time at = 5000 + off;
+        auto deposit = [&bed] { bed.deposit(0, 1); };
+        if (pushed == 0) {
+          bed.engine.schedule_at(at, deposit);
+        } else if (pushed == 1) {
+          bed.engine.schedule_at(at - 108, [&bed, deposit] {
+            bed.engine.schedule(108, deposit);
+          });
+        } else {
+          bed.engine.schedule_at(at, [&bed, deposit] {
+            bed.engine.schedule(0, deposit);
+          });
+        }
+        bed.engine.schedule_at(7000, [&bed] { bed.deposit(1, 0); });
+        tag_range(bed, at - 1, at + 110);
+      };
+      expect_joint_same(j, "offset " + std::to_string(off) + " pushed " +
+                               std::to_string(pushed));
+    }
+  }
+}
+
+// Pollers 0 and 1 on Cpu 0, 2 (and 3) on Cpu 1. Poller 0 and poller 2
+// play ping-pong; the partners idle until the end. With a partner on both
+// Cpus their step timelines are identical and their resumed steps tie on
+// (when, 2v); with one partner they differ.
+Joint two_cpus(bool partner_on_both, Time kick) {
+  Joint j;
+  j.cores = {2, 2};
+  Poller ping;
+  ping.rounds = 4;
+  ping.work = 80;
+  ping.signal_to = 2;
+  Poller pong = ping;
+  pong.cpu = 1;
+  pong.signal_to = 0;
+  Poller partner;
+  Poller partner2 = partner;
+  partner2.cpu = 1;
+  j.pollers = {ping, partner, pong};
+  if (partner_on_both) j.pollers.push_back(partner2);
+  j.setup = [kick, partner_on_both](JointBed& bed) {
+    bed.engine.schedule_at(kick, [&bed] { bed.deposit(0, 1); });
+    bed.engine.schedule_at(kick, [&bed] { bed.deposit(2, 1); });
+    bed.engine.schedule_at(40000, [&bed, partner_on_both] {
+      bed.deposit(1);
+      if (partner_on_both) bed.deposit(3);
+    });
+    for (Time t = kick; t < kick + 8000; t += 7) bed.tag(t, "tag");
+  };
+  return j;
+}
+
+TEST(JointElision, ResumedStepsOnTwoCpusTie) {
+  for (bool both : {true, false}) {
+    for (Time kick = 3000; kick < 3000 + 600; kick += 3) {
+      const Joint j = two_cpus(both, kick);
+      expect_joint_same(j, std::string(both ? "equal" : "different") +
+                               " timelines, kick " + std::to_string(kick));
+    }
+  }
+}
+
+TEST(JointElision, OneCoreAndFourCores) {
+  // One core: only one of the waits parks, the other spins beside it. Four
+  // cores: three waits park, and a foreign compute lands among them.
+  for (Time off = 0; off < 300; off += 3) {
+    Joint one = lockstep_pair();
+    one.cores = {1};
+    one.pollers[1].start += off;
+    one.setup = [](JointBed& bed) {
+      bed.engine.schedule_at(6000, [&bed] { bed.deposit(0, 1); });
+      bed.engine.schedule_at(6800, [&bed] { bed.deposit(1, 0); });
+    };
+    expect_joint_same(one, "1 core, offset " + std::to_string(off));
+
+    Joint four = lockstep_pair();
+    four.cores = {4};
+    four.pollers.push_back(Poller{});
+    four.pollers[1].start += off;
+    four.pollers[2].cadence = Cadence::kEventWord;
+    four.pollers[2].points = 0;
+    four.pollers[2].start += 2 * off;
+    four.sample = 3900;
+    four.setup = [off](JointBed& bed) {
+      bed.foreign(0, 4000 + off, 500, "other");
+      bed.engine.schedule_at(6000, [&bed] { bed.deposit(0, 1); });
+      bed.engine.schedule_at(6100, [&bed] { bed.deposit(2); });
+      bed.engine.schedule_at(6800, [&bed] { bed.deposit(1, 0); });
+    };
+    const JointOutcome parked =
+        expect_joint_same(four, "4 cores, offset " + std::to_string(off))
+            .second;
+    EXPECT_EQ(parked.sampled, 3u) << "offset " << off;
+  }
+}
+
+TEST(JointElision, RunUntilEndsMidJointPark) {
+  for (Time off = 0; off < 600; off += 7) {
+    Joint j = lockstep_pair();
+    j.pollers[1].start += 37;
+    j.cut = 5000 + off;
+    j.setup = [](JointBed& bed) {
+      bed.engine.schedule_at(20000, [&bed] { bed.deposit(0, 0); });
+      bed.engine.schedule_at(20000, [&bed] { bed.deposit(1, 1); });
+    };
+    expect_joint_same(j, "cut at offset " + std::to_string(off));
+  }
+}
+
+// Random configurations: pollers, their cadences, poll points, start
+// phases and rounds, foreign computes and deposit times, all drawn from
+// the seed.
+Joint random_joint(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  const auto draw = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  Joint j;
+  const int cpus = draw(1, 4);
+  for (int c = 0; c < cpus; ++c)
+    j.cores.push_back(static_cast<unsigned>(draw(1, 4)));
+  const int pollers = draw(2, 6);
+  for (int i = 0; i < pollers; ++i) {
+    Poller p;
+    p.cpu = draw(0, cpus - 1);
+    p.cadence = draw(0, 3) == 0 ? Cadence::kEventWord : Cadence::kPoll;
+    p.points = p.cadence == Cadence::kPoll
+                   ? static_cast<std::size_t>(draw(1, 3))
+                   : 0;
+    p.start = static_cast<Time>(draw(500, 1500));
+    p.warmup = draw(0, 3) != 0;
+    p.rounds = draw(1, 3);
+    p.work = static_cast<Time>(draw(0, 1) * draw(1, 400));
+    j.pollers.push_back(p);
+  }
+  const int foreign = draw(0, 4);
+  std::vector<std::pair<Time, Time>> computes;
+  for (int f = 0; f < foreign; ++f)
+    computes.emplace_back(static_cast<Time>(draw(1500, 8000)),
+                          static_cast<Time>(draw(1, 1200)));
+  std::vector<int> foreign_cpu;
+  for (int f = 0; f < foreign; ++f) foreign_cpu.push_back(draw(0, cpus - 1));
+  // One deposit per round of every poller, at a random point.
+  struct Deposit {
+    Time at;
+    int poller;
+    std::size_t point;
+    bool same_instant;
+  };
+  std::vector<Deposit> deposits;
+  for (int i = 0; i < pollers; ++i) {
+    const Poller& p = j.pollers[static_cast<std::size_t>(i)];
+    for (int r = 0; r < p.rounds; ++r)
+      deposits.push_back(
+          {static_cast<Time>(draw(2000, 12000)), i,
+           p.points == 0 ? 0
+                         : static_cast<std::size_t>(
+                               draw(0, static_cast<int>(p.points) - 1)),
+           draw(0, 2) == 0});
+  }
+  j.cut = draw(0, 1) == 0 ? static_cast<Time>(draw(1500, 12000)) : 0;
+  j.setup = [computes, foreign_cpu, deposits](JointBed& bed) {
+    for (std::size_t f = 0; f < computes.size(); ++f)
+      bed.foreign(foreign_cpu[f], computes[f].first, computes[f].second,
+                  "other" + std::to_string(f));
+    for (const Deposit& d : deposits) {
+      auto deposit = [&bed, d] { bed.deposit(d.poller, d.point); };
+      if (d.same_instant)
+        bed.engine.schedule_at(d.at, [&bed, deposit] {
+          bed.engine.schedule(0, deposit);
+        });
+      else
+        bed.engine.schedule_at(d.at, deposit);
+      bed.tag(d.at, "tag");
+    }
+  };
+  return j;
+}
+
+void differential(std::uint32_t first, std::uint32_t seeds) {
+  std::uint32_t elided = 0;
+  for (std::uint32_t seed = first; seed < first + seeds; ++seed) {
+    const auto [spun, parked] =
+        expect_joint_same(random_joint(seed), "seed " + std::to_string(seed));
+    if (::testing::Test::HasFailure()) return;  // one seed's report is enough
+    if (parked.events < spun.events) ++elided;
+  }
+  EXPECT_GT(elided, seeds * 3 / 4) << "too few runs parked";
+}
+
+TEST(JointElision, RandomizedDifferential) { differential(1, 50); }
+
+TEST(JointElisionSoak, RandomizedDifferential) { differential(1000, 2000); }
 }  // namespace
 }  // namespace oqs::sim
