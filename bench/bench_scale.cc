@@ -1,15 +1,17 @@
 // Extension benchmark — DES kernel scaling sweep.
 //
-// The paper's testbed is 8 nodes; the reason to rebuild the kernel (calendar
-// event queue, pooled event nodes, pooled fiber stacks, lazy link occupancy,
-// fluid bulk transfers) is to ask the paper's protocol questions at the rank
-// counts the fat-tree generation actually shipped at. This bench sweeps a
-// fixed communication workload — a ring exchange of rendezvous-sized
-// messages plus an allreduce and a barrier per round, 2 ranks per node on a
-// quaternary fat tree — from 64 to 1024 ranks and reports the only number
-// the kernel itself owns: wall-clock events per second. The setup columns
-// split off the part of the run until every rank has left its first
-// barrier (wire-up and the collective-state builds).
+// The paper's testbed is 8 nodes; the reason to rebuild the kernel (pooled
+// event nodes in a 4-ary heap, pooled fiber stacks, parked idle waits, lazy
+// link occupancy, fluid bulk transfers) is to ask the paper's protocol
+// questions at the rank counts the fat-tree generation actually shipped at.
+// This bench sweeps a fixed communication workload — a ring exchange of
+// rendezvous-sized messages plus an allreduce and a barrier per round, 2
+// ranks per node on a quaternary fat tree — from 64 to 1024 ranks and
+// reports the only number the kernel itself owns: wall-clock events per
+// second. The setup columns split off the part of the run until every rank
+// has left its first barrier (wire-up and the collective-state builds);
+// the teardown columns the part from the first rank entering finalize
+// (goodbyes and the engine drain).
 //
 //   bench_scale [--json=BENCH_scale.json]  also emit the rows as JSON
 //   bench_scale --max-ranks=64             trim the sweep (CI smoke)
@@ -43,6 +45,9 @@ struct Row {
   // exchange and allreduce, and the collective-state builds behind them.
   std::uint64_t setup_events = 0;
   double setup_wall_s = 0;
+  // From the first rank entering finalize to the end of the run.
+  std::uint64_t teardown_events = 0;
+  double teardown_wall_s = 0;
 };
 
 // One complete simulation at `np` ranks (np/2 nodes): 4 rounds of a ring
@@ -56,8 +61,11 @@ Row measure(int np, bool fluid) {
   constexpr std::size_t kMsgBytes = 64 * 1024;
   constexpr int kRounds = 4;
   std::chrono::steady_clock::time_point t0;  // set when the engine starts
+  std::chrono::steady_clock::time_point teardown_t0;
+  std::uint64_t teardown_from = 0;  // events dispatched before teardown
   Row row;
   int left_first_barrier = 0;
+  int finished = 0;
   auto body = [&](mpi::World& w) {
     auto& c = w.comm();
     const int next = (c.rank() + 1) % c.size();
@@ -79,6 +87,10 @@ Row measure(int np, bool fluid) {
                                .count();
       }
     }
+    if (++finished == 1) {  // the World's destructor finalizes next
+      teardown_from = bed.engine.events_executed();
+      teardown_t0 = std::chrono::steady_clock::now();
+    }
   };
   auto shared = std::make_shared<decltype(body)>(std::move(body));
   bed.rt->launch(np, [&bed, shared](rte::Env& env) {
@@ -88,8 +100,8 @@ Row measure(int np, bool fluid) {
 
   t0 = std::chrono::steady_clock::now();
   const sim::Time end = bed.engine.run();
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - t0;
+  const auto t1 = std::chrono::steady_clock::now();
+  const std::chrono::duration<double> wall = t1 - t0;
 
   row.ranks = np;
   row.events = bed.engine.events_executed();
@@ -97,6 +109,9 @@ Row measure(int np, bool fluid) {
   row.events_per_s =
       row.wall_s > 0 ? static_cast<double>(row.events) / row.wall_s : 0;
   row.sim_ms = sim::to_us(end) / 1000.0;
+  row.teardown_events = row.events - teardown_from;
+  row.teardown_wall_s =
+      std::chrono::duration<double>(t1 - teardown_t0).count();
   return row;
 }
 
@@ -123,30 +138,35 @@ int main(int argc, char** argv) {
 
   std::printf("DES kernel scaling, 2 ranks/node, fluid_bulk=%s\n",
               fluid ? "on" : "off");
-  std::printf("%-8s %-8s %14s %10s %14s %10s %14s %12s\n", "ranks", "nodes",
-              "events", "wall_s", "events/s", "sim_ms", "setup_events",
-              "setup_wall_s");
+  std::printf("%-8s %-8s %14s %10s %14s %10s %14s %12s %15s %15s\n",
+              "ranks", "nodes", "events", "wall_s", "events/s", "sim_ms",
+              "setup_events", "setup_wall_s", "teardown_events",
+              "teardown_wall_s");
 
   std::string json = "[\n";
   for (int np : nps) {
     const Row r = measure(np, fluid);
-    std::printf("%-8d %-8d %14llu %10.3f %14.0f %10.2f %14llu %12.3f\n",
-                r.ranks, np / 2, static_cast<unsigned long long>(r.events),
-                r.wall_s, r.events_per_s, r.sim_ms,
-                static_cast<unsigned long long>(r.setup_events),
-                r.setup_wall_s);
+    std::printf(
+        "%-8d %-8d %14llu %10.3f %14.0f %10.2f %14llu %12.3f %15llu %15.3f\n",
+        r.ranks, np / 2, static_cast<unsigned long long>(r.events), r.wall_s,
+        r.events_per_s, r.sim_ms,
+        static_cast<unsigned long long>(r.setup_events), r.setup_wall_s,
+        static_cast<unsigned long long>(r.teardown_events), r.teardown_wall_s);
     std::fflush(stdout);
-    char row[320];
+    char row[400];
     std::snprintf(row, sizeof(row),
                   "  {\"ranks\": %d, \"nodes\": %d, \"fluid\": %s, "
                   "\"events\": %llu, \"wall_s\": %.4f, "
                   "\"events_per_sec\": %.0f, \"sim_ms\": %.3f, "
-                  "\"setup_events\": %llu, \"setup_wall_s\": %.4f},\n",
+                  "\"setup_events\": %llu, \"setup_wall_s\": %.4f, "
+                  "\"teardown_events\": %llu, \"teardown_wall_s\": %.4f},\n",
                   r.ranks, np / 2, fluid ? "true" : "false",
                   static_cast<unsigned long long>(r.events), r.wall_s,
                   r.events_per_s, r.sim_ms,
                   static_cast<unsigned long long>(r.setup_events),
-                  r.setup_wall_s);
+                  r.setup_wall_s,
+                  static_cast<unsigned long long>(r.teardown_events),
+                  r.teardown_wall_s);
     json += row;
   }
   std::printf(
@@ -156,7 +176,9 @@ int main(int argc, char** argv) {
       "work, resumed waits and wire-up, which adds every peer on every "
       "rank (n^2 add_peer calls); the collective-state allgathers take "
       "ceil(log2 n) steps. setup_events and setup_wall_s cover the run "
-      "until every rank has left its first barrier. events/s counts "
+      "until every rank has left its first barrier; teardown_events and "
+      "teardown_wall_s cover it from the first rank entering finalize "
+      "(goodbyes to every peer). events/s counts "
       "dispatched events only; replaying parked steps takes wall time too, "
       "but no events. "
       "--no-fluid lands at the same sim_ms (the fluid path is "

@@ -4,6 +4,7 @@
 // itself, not the simulated network.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "base/checksum.h"
@@ -28,6 +29,43 @@ void BM_EventQueueThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_EventQueueThroughput);
+
+// The classic hold pattern at a steady queue depth: `depth` events
+// pending, each dispatch schedules one successor at a random delay in
+// [0, 4096) ns until 200,000 successors have been scheduled, then the last
+// `depth` drain. BM_EventQueueThroughput bulk-loads and drains, which
+// favours a bucketed queue; the workloads hold instead, at mean depths at
+// pop of about 24 (p2p_pair), 290 (mix_loss) and 11,600 (ring_scale),
+// which the three depths bracket.
+struct Hold {
+  sim::Engine* engine;
+  std::uint64_t x;     // xorshift64 state
+  std::uint64_t left;  // successors still to schedule
+  void step() {
+    if (left == 0) return;
+    --left;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    engine->schedule(x % 4096, [this] { step(); });
+  }
+};
+
+void BM_EventQueueHold(benchmark::State& state) {
+  const auto depth = static_cast<std::uint64_t>(state.range(0));
+  constexpr std::uint64_t kHolds = 200'000;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Engine e;
+    Hold hold{&e, 0x9E3779B97F4A7C15ull, kHolds};
+    for (std::uint64_t i = 0; i < depth; ++i)
+      e.schedule(i % 4096, [&hold] { hold.step(); });
+    e.run();
+    events += e.events_executed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueHold)->ArgName("depth")->Arg(32)->Arg(512)->Arg(16384);
 
 void BM_FiberSwitch(benchmark::State& state) {
   for (auto _ : state) {

@@ -166,17 +166,15 @@ bool Engine::dispatch_one(Time deadline) {
     while (parked_.front().key < next && !(w = parked_.front().wait)->woken_) {
       if (skip_lane(next)) continue;
       Key bound = next;
-      for (std::size_t c = 1; c <= kArity && c < parked_.size(); ++c)
+      for (std::size_t c = 1; c <= heap::kArity && c < parked_.size(); ++c)
         bound = std::min(bound, parked_[c].key);
       w->advance(bound);
       parked_.front().key = w->next_;
-      sift_parked(0);
+      heap::sift_down(parked_, 0, Slots{this});
     }
     w = parked_.front().wait;
     if (w->woken_ && parked_.front().key < next) {
-      swap_parked(0, parked_.size() - 1);
-      parked_.pop_back();
-      if (!parked_.empty()) sift_parked(0);
+      heap::pop(parked_, Slots{this});
       --woken_;
       now_ = w->next_.when;
     } else {
@@ -259,7 +257,7 @@ bool Engine::skip_lane(const Key& bound) {
   if (lane.size() == 1) {  // the top, whose step sorts before `bound`
     top.skip(bound, 0);
     parked_.front().key = top.next_;
-    sift_parked(0);
+    heap::sift_down(parked_, 0, Slots{this});
     return true;
   }
   for (const IdleWait* m : lane)
@@ -282,38 +280,13 @@ bool Engine::skip_lane(const Key& bound) {
   sort_by([](const IdleWait* a, const IdleWait* b) {
     return a->slot_ > b->slot_;
   });
-  for (const IdleWait* m : lane) sift_parked(m->slot_);
+  for (const IdleWait* m : lane)
+    heap::sift_down(parked_, m->slot_, Slots{this});
   return true;
 }
 
-void Engine::add_parked(IdleWait* w) {
-  w->slot_ = parked_.size();
-  parked_.push_back({w->next_, w});
-  for (std::size_t i = parked_.size() - 1; i > 0;) {
-    const std::size_t parent = (i - 1) / kArity;
-    if (!(parked_[i].key < parked_[parent].key)) break;
-    swap_parked(i, parent);
-    i = parent;
-  }
-}
-
-void Engine::sift_parked(std::size_t i) {
-  const std::size_t n = parked_.size();
-  for (;;) {
-    std::size_t best = i;
-    for (std::size_t c = kArity * i + 1; c <= kArity * i + kArity && c < n;
-         ++c)
-      if (parked_[c].key < parked_[best].key) best = c;
-    if (best == i) return;
-    swap_parked(i, best);
-    i = best;
-  }
-}
-
-void Engine::swap_parked(std::size_t a, std::size_t b) {
-  std::swap(parked_[a], parked_[b]);
-  parked_[a].wait->slot_ = a;
-  parked_[b].wait->slot_ = b;
+void Engine::Slots::operator()(std::size_t i) const {
+  engine->parked_[i].wait->slot_ = i;
 }
 
 void Engine::report_parked() const {

@@ -114,10 +114,11 @@ class Engine {
   static std::uint64_t tie_of(Time len, std::uint32_t rank) {
     return (static_cast<std::uint64_t>(0xffffffffu - len) << 32) | rank;
   }
-  // The heap of parked waits, on their pending steps' keys.
-  void add_parked(IdleWait* w);
-  void sift_parked(std::size_t i);
-  void swap_parked(std::size_t a, std::size_t b);
+  // Keeps each parked wait's slot_ current as the heap moves it.
+  struct Slots {
+    Engine* engine;
+    void operator()(std::size_t i) const;
+  };
   // Regular parked waits by lane (IdleWait::classify).
   void join_lane(IdleWait& w);
   void leave_lane(IdleWait& w);
@@ -159,8 +160,7 @@ class Engine {
     Key key;
     IdleWait* wait;
   };
-  static constexpr std::size_t kArity = 4;  // a shallower heap sifts faster
-  std::vector<Parked> parked_;
+  std::vector<Parked> parked_;  // a heap (sim/event_queue.h)
   std::size_t woken_ = 0;
   // tie_for(): the parked steps pushed so far at instant tie_at_.
   Time tie_at_ = 0;

@@ -73,7 +73,7 @@ bool IdleWait::park(bool at_top) {
   serial_ = fiber_->serial();
   start_step(e.now(), first);
   parked_ = true;
-  e.add_parked(this);
+  heap::push(e.parked_, {next_, this}, Engine::Slots{&e});
   e.join_lane(*this);
   if (cpu_ != nullptr) {
     cpu_->parked_.push_back(this);

@@ -88,9 +88,10 @@ RunResult run_pinned(std::uint64_t seed) {
 }
 
 // Golden fingerprints captured on the original binary-heap event queue.
-// A kernel replacement (calendar queue, node pooling) must preserve the
-// exact dispatch order — (when, seq) FIFO — so the digest, the event count
-// and the final time may never drift. If a deliberate model change moves
+// A kernel replacement (the calendar queue, node pooling, the 4-ary event
+// heap that replaced the calendar) must preserve the exact dispatch order
+// — (when, seq) FIFO — so the digest, the event count and the final time
+// may never drift. If a deliberate model change moves
 // these values, recapture them in the same commit and say why. Last
 // recaptured for an execution change, not a model change: idle waits park
 // on their polling grid instead of dispatching every idle step
