@@ -125,14 +125,15 @@ BENCHMARK(BM_Crc32cReference)->Arg(64)->Arg(2048)->Arg(16 << 10)->Arg(64 << 10);
 
 // One fiber polls a QDMA receive queue (one host_poll_ns charge and a probe
 // per round, then an idle step) until a timer lands a message 1 ms of
-// simulated time later. parked:0 hands wait_until an opaque sweep, so every
-// idle step is dispatched (how every wait ran before idle waits could
-// park); parked:1 hands it the same round as a PollPlan, so it parks on the
-// queue. Reported as wall ns per simulated microsecond of waiting.
+// simulated time later. parked:0 hands wait_until a plan that declines to
+// describe its round, so every idle step is dispatched (how every wait ran
+// before idle waits could park); parked:1 hands it the same round with its
+// description, so it parks on the queue. Reported as wall ns per simulated
+// microsecond of waiting.
 class QueuePoll final : public sim::PollPlan {
  public:
-  QueuePoll(const sim::ProcessCtx& ctx, elan4::QdmaQueue& q)
-      : ctx_(ctx), q_(q) {}
+  QueuePoll(const sim::ProcessCtx& ctx, elan4::QdmaQueue& q, bool parks)
+      : ctx_(ctx), q_(q), parks_(parks) {}
   int sweep(std::size_t /*from*/, bool paid) override {
     int n = 0;
     elan4::QdmaQueue::Slot slot;
@@ -145,7 +146,7 @@ class QueuePoll final : public sim::PollPlan {
     return n;
   }
   int watch(sim::IdleWait& w) override {
-    return w.watch(&q_.signal()) ? 1 : -1;
+    return parks_ && w.watch(&q_.signal()) ? 1 : -1;
   }
   bool quiet() const override { return !q_.has_pending(); }
   sim::Time point_ns() const override { return ctx_.params->host_poll_ns; }
@@ -154,6 +155,7 @@ class QueuePoll final : public sim::PollPlan {
  private:
   const sim::ProcessCtx& ctx_;
   elan4::QdmaQueue& q_;
+  bool parks_;
   int got_ = 0;
 };
 
@@ -166,16 +168,12 @@ void BM_IdleWait(benchmark::State& state) {
     ModelParams params;
     const sim::ProcessCtx ctx{&e, &cpu, &params, 0};
     elan4::QdmaQueue q(e, params, nullptr, 0, 2048, 64);
-    QueuePoll plan(ctx, q);
+    QueuePoll plan(ctx, q, parked);
     e.schedule(kWait, [&q] { q.post(0, std::vector<std::uint8_t>(64)); });
     e.spawn("poller", [&] {
-      auto done = [&plan] { return plan.got() > 0; };
-      if (parked)
-        ctx.wait_until(sim::Cadence::kPoll, sim::watched(nullptr, done),
-                       static_cast<sim::PollPlan*>(&plan));
-      else
-        ctx.wait_until(sim::Cadence::kPoll, done,
-                       [&plan] { return plan.sweep(0, false); });
+      ctx.wait_until(sim::Cadence::kPoll,
+                     sim::watched(nullptr, [&plan] { return plan.got() > 0; }),
+                     &plan);
     });
     e.run();
   }
@@ -201,21 +199,17 @@ std::uint64_t idle_wait_pair(bool parked) {
   const sim::ProcessCtx ctx{&e, &cpu, &params, 0};
   elan4::QdmaQueue q0(e, params, nullptr, 0, 2048, 64);
   elan4::QdmaQueue q1(e, params, nullptr, 1, 2048, 64);
-  QueuePoll plan0(ctx, q0);
-  QueuePoll plan1(ctx, q1);
+  QueuePoll plan0(ctx, q0, parked);
+  QueuePoll plan1(ctx, q1, parked);
   e.schedule(kWait, [&] {
     q0.post(0, std::vector<std::uint8_t>(64));
     q1.post(0, std::vector<std::uint8_t>(64));
   });
   for (QueuePoll* plan : {&plan0, &plan1}) {
-    e.spawn("poller", [&ctx, plan, parked] {
-      auto done = [plan] { return plan->got() > 0; };
-      if (parked)
-        ctx.wait_until(sim::Cadence::kPoll, sim::watched(nullptr, done),
-                       static_cast<sim::PollPlan*>(plan));
-      else
-        ctx.wait_until(sim::Cadence::kPoll, done,
-                       [plan] { return plan->sweep(0, false); });
+    e.spawn("poller", [&ctx, plan] {
+      ctx.wait_until(sim::Cadence::kPoll,
+                     sim::watched(nullptr, [plan] { return plan->got() > 0; }),
+                     plan);
     });
   }
   e.run();

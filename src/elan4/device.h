@@ -46,12 +46,13 @@ class Elan4Device {
   sim::ProcessCtx host();
   // Spin on `ev`'s host event word until it fires, one charged poll per
   // read; returns false if abort() holds first.
-  template <class Abort = decltype(sim::kNoAbort)>
-  bool wait_event(const E4Event* ev, Abort abort = {}) {
+  template <class Abort = sim::Never>
+  bool wait_event(const E4Event* ev,
+                  sim::Watched<Abort> abort = sim::kNoAbort) {
     return host().wait_until(
         sim::Cadence::kEventWord,
-        sim::watched(&ev->signal(), [ev] { return ev->done(); }),
-        sim::kNoSweep, abort);
+        sim::watched(&ev->signal(), [ev] { return ev->done(); }), nullptr,
+        abort);
   }
 
   // --- Events (allocated in "elan memory"; live until close() or an

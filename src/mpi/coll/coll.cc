@@ -56,7 +56,7 @@ Status Colls::shm_wait(ShmSeg::Gen& gen, std::uint64_t want) {
   const std::uint64_t stamp = epoch ? epoch() : 0;
   const bool seen = pml.ctx().wait_until(
       sim::Cadence::kShmFlag,
-      sim::watched(&gen.signal(), [&] { return gen >= want; }), sim::kNoSweep,
+      sim::watched(&gen.signal(), [&] { return gen >= want; }), nullptr,
       sim::watched(pml.abort_signal, [&] { return epoch && epoch() > stamp; }));
   return seen ? Status::kOk : Status::kRevoked;
 }

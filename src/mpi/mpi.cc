@@ -64,7 +64,8 @@ std::size_t wait_any(std::vector<Request>& reqs) {
       if (reqs[hit].valid() && reqs[hit].req_->complete()) return true;
     return false;
   };
-  p.ctx().wait_until(sim::Cadence::kPoll, any_done, [&p] { return p.progress(); });
+  p.ctx().wait_until(sim::Cadence::kPoll,
+                     sim::watched(&p.completions(), any_done), &p.bml());
   return hit;
 }
 
@@ -190,25 +191,37 @@ Status Communicator::sendrecv(const void* send_buf, std::size_t send_count,
   return s.req_->status();
 }
 
+namespace {
+void probed(const pml::MatchHeader& hdr, RecvStatus* st) {
+  if (st == nullptr) return;
+  st->source = hdr.src_rank;
+  st->tag = hdr.tag;
+  st->bytes = hdr.len;
+  st->status = Status::kOk;
+}
+}  // namespace
+
 bool Communicator::iprobe(int src, int tag, RecvStatus* st) {
   auto& p = world_->pml();
   p.progress();
   pml::MatchHeader hdr;
   if (!p.iprobe(ctx_, src, tag, &hdr)) return false;
-  if (st != nullptr) {
-    st->source = hdr.src_rank;
-    st->tag = hdr.tag;
-    st->bytes = hdr.len;
-    st->status = Status::kOk;
-  }
+  probed(hdr, st);
   return true;
 }
 
 void Communicator::probe(int src, int tag, RecvStatus* st) {
-  // iprobe() runs its own sweep; the wait's sweep is a second one.
+  // Each round matches the unexpected queue uncharged, then sweeps the
+  // rails once; the match that hits is charged once.
   auto& p = world_->pml();
-  p.ctx().wait_until(sim::Cadence::kPoll, [&] { return iprobe(src, tag, st); },
-                     [&p] { return p.progress(); });
+  pml::MatchHeader hdr;
+  p.ctx().wait_until(
+      sim::Cadence::kPoll, sim::watched(&p.unexpected_grew(), [&] {
+        return p.find_unexpected(ctx_, src, tag, &hdr);
+      }),
+      &p.bml());
+  p.ctx().compute(p.ctx().params->pml_match_ns);
+  probed(hdr, st);
 }
 
 // The routed collectives delegate to the framework (src/mpi/coll), which

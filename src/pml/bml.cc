@@ -242,7 +242,10 @@ void Bml::send_fragmented(SendRequest& req, Ptl* primary) {
 
   req.hdr.kind = FragKind::kRendezvousStriped;
   req.hdr.cookie = id;
-  if (plan.nfrags > 0) ssends_.emplace(id, std::move(op));
+  if (plan.nfrags > 0) {
+    ssends_.emplace(id, std::move(op));
+    striped_changed_.notify();
+  }
 
   OQS_METRIC_INC("bml.send.pipelined");
   OQS_TRACE_INSTANT(ctx.gid, "bml", "send.fragmented", "len", total, "frags",
@@ -300,6 +303,7 @@ void Bml::handle_stripe_fin(const MatchHeader& hdr) {
   // All fragments accounted for: one aggregated completion.
   StripedSend done = std::move(op);
   ssends_.erase(it);
+  striped_changed_.notify();
   for (auto& [rail, region] : done.regions) rail->stripe_unexpose(region);
   OQS_METRIC_INC("bml.stripe.send_done");
   OQS_TRACE_INSTANT(pml_.ctx().gid, "bml", "stripe.send_done", "len",
@@ -414,6 +418,7 @@ void Bml::matched_striped(RecvRequest& req, std::unique_ptr<FirstFrag> frag) {
   const auto key = std::make_pair(op.gid, op.sender_cookie);
   const std::uint32_t count = op.plan.nfrags;
   rrecvs_.emplace(rid, std::move(op));
+  striped_changed_.notify();
   by_cookie_[key] = rid;
   OQS_METRIC_INC("bml.recv.striped");
   OQS_TRACE_INSTANT(ctx.gid, "bml", "recv.striped", "len", frag->hdr.len,
@@ -714,6 +719,7 @@ void Bml::finish_recv(std::uint64_t rid) {
   auto it = rrecvs_.find(rid);
   StripedRecv op = std::move(it->second);
   rrecvs_.erase(it);
+  striped_changed_.notify();
   by_cookie_.erase(std::make_pair(op.gid, op.sender_cookie));
   const sim::ProcessCtx& ctx = pml_.ctx();
   if (op.staged) {
@@ -731,6 +737,7 @@ void Bml::fail_recv(std::uint64_t rid, Status st) {
   if (it == rrecvs_.end()) return;
   StripedRecv op = std::move(it->second);
   rrecvs_.erase(it);
+  striped_changed_.notify();
   by_cookie_.erase(std::make_pair(op.gid, op.sender_cookie));
   for (PendingPull& pend : op.pending) {
     if (!pend.done && pend.rail != nullptr && pend.pull_id != 0)
@@ -819,12 +826,6 @@ int Bml::progress() {
   return n;
 }
 
-sim::PollPlan* Bml::poll_plan() {
-  for (const auto& p : ptls_)
-    if (p->poll_plan() == nullptr) return nullptr;
-  return this;
-}
-
 int Bml::sweep(std::size_t from, bool paid) {
   if (from == 0 && !paid) return progress();
   int n = 0;
@@ -833,7 +834,7 @@ int Bml::sweep(std::size_t from, bool paid) {
       from -= plan_shape_[r];
       continue;
     }
-    n += ptls_[r]->poll_plan()->sweep(from, paid);
+    n += ptls_[r]->poll_plan().sweep(from, paid);
     from = 0;
     paid = false;
   }
@@ -844,9 +845,9 @@ int Bml::watch(sim::IdleWait& w) {
   plan_shape_.clear();
   int points = 0;
   for (const auto& p : ptls_) {
-    sim::PollPlan* plan = p->poll_plan();
-    if (plan == nullptr || plan->point_ns() != point_ns()) return -1;
-    const int n = plan->watch(w);
+    sim::PollPlan& plan = p->poll_plan();
+    if (plan.point_ns() != point_ns()) return -1;
+    const int n = plan.watch(w);
     if (n < 0) return -1;
     plan_shape_.push_back(static_cast<std::size_t>(n));
     points += n;
@@ -856,7 +857,7 @@ int Bml::watch(sim::IdleWait& w) {
 
 bool Bml::quiet() const {
   for (const auto& p : ptls_)
-    if (!p->poll_plan()->quiet()) return false;
+    if (!p->poll_plan().quiet()) return false;
   return true;
 }
 
@@ -866,9 +867,10 @@ void Bml::finalize() {
   if (finalized_) return;
   // Drain in-flight fragmented operations first (the failover timer keeps
   // running, so a dead rail cannot wedge the drain), then quiesce the rails.
-  pml_.ctx().wait_until(sim::Cadence::kPoll,
-                        [this] { return striped_active() == 0; },
-                        [this] { return progress(); });
+  pml_.ctx().wait_until(
+      sim::Cadence::kPoll,
+      sim::watched(&striped_changed_, [this] { return striped_active() == 0; }),
+      this);
   finalized_ = true;
   *alive_ = false;
   pipe_stash_.clear();
@@ -898,6 +900,7 @@ void Bml::peer_failed(int gid) {
     if (it == ssends_.end()) continue;
     StripedSend op = std::move(it->second);
     ssends_.erase(it);
+    striped_changed_.notify();
     for (auto& [rail, region] : op.regions) rail->stripe_unexpose(region);
     OQS_METRIC_INC("bml.failure.ssends_purged");
     if (op.req != nullptr) op.req->fail(Status::kErrProcFailed);
@@ -921,6 +924,7 @@ bool Bml::abort_send(SendRequest& req) {
     if (op.fin_mask != 0) return false;
     for (auto& [rail, region] : op.regions) rail->stripe_unexpose(region);
     ssends_.erase(it);
+    striped_changed_.notify();
     OQS_METRIC_INC("bml.failure.ssends_aborted");
     return true;
   }
@@ -938,9 +942,11 @@ void Bml::halt() {
   for (auto& [id, op] : ssends_)
     if (op.req != nullptr) op.req->fail(Status::kErrProcFailed);
   ssends_.clear();
+  striped_changed_.notify();
   for (auto& [rid, op] : rrecvs_)
     if (op.req != nullptr) op.req->fail(Status::kErrProcFailed);
   rrecvs_.clear();
+  striped_changed_.notify();
   by_cookie_.clear();
   pipe_stash_.clear();
   for (const auto& p : ptls_) p->halt();

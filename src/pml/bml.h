@@ -86,10 +86,8 @@ class Bml final : public sim::PollPlan {
                         std::size_t len);
 
   int progress();
-  // progress() as one round of every rail's poll points, in rail order,
-  // when every rail describes its round as data; nullptr otherwise.
-  sim::PollPlan* poll_plan();
-  // --- sim::PollPlan ---
+  // --- sim::PollPlan: progress() as one round of every rail's poll points,
+  // in rail order ---
   int sweep(std::size_t from, bool paid) override;
   int watch(sim::IdleWait& w) override;
   bool quiet() const override;
@@ -196,6 +194,8 @@ class Bml final : public sim::PollPlan {
   std::uint64_t next_recv_id_ = 1;  // local striped-recv key
   std::map<std::uint64_t, StripedSend> ssends_;
   std::map<std::uint64_t, StripedRecv> rrecvs_;
+  // Notified at every change to ssends_ or rrecvs_ (striped_active()).
+  sim::Signal striped_changed_;
   std::set<std::string> suspect_rails_;
   // Routing for pushed fragments: (sender gid, sender cookie) -> recv id
   // once matched; frames arriving before the match wait in the stash.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "base/log.h"
 #include "obs/metrics.h"
@@ -19,6 +20,7 @@ void Pml::start_send(SendRequest& req, int ctx_id, int src_rank, int dst_rank,
   OQS_TRACE_SPAN(span_, ctx_.gid, "pml", "start_send", "len",
                  req.total_bytes());
   req.set_wake_delay(request_wake_delay_);
+  req.completions = &completions_;
   // Opportunistic progress on entry (standard MPI behaviour): connection
   // control traffic — a peer's goodbye before it migrated, for instance —
   // must be seen before the routing decision below.
@@ -53,6 +55,7 @@ void Pml::post_recv(RecvRequest& req) {
   OQS_TRACE_SPAN(span_, ctx_.gid, "pml", "post_recv", "cap", req.capacity);
   OQS_METRIC_INC("pml.recv.posted");
   req.set_wake_delay(request_wake_delay_);
+  req.completions = &completions_;
   if (abort_epoch) req.epoch_stamp = abort_epoch();
   if (revoke_count) req.revoke_stamp = revoke_count();
   ctx_.compute(ctx_.params->pml_match_ns);
@@ -88,6 +91,11 @@ void Pml::cancel(RecvRequest& req) {
 
 bool Pml::iprobe(int ctx_id, int src_rank, int tag, MatchHeader* out) {
   ctx_.compute(ctx_.params->pml_match_ns);
+  return find_unexpected(ctx_id, src_rank, tag, out);
+}
+
+bool Pml::find_unexpected(int ctx_id, int src_rank, int tag,
+                          MatchHeader* out) const {
   for (const auto& frag : unexpected_) {
     const MatchHeader& h = frag->hdr;
     if (h.ctx != ctx_id) continue;
@@ -137,6 +145,7 @@ void Pml::admit(std::unique_ptr<FirstFrag> frag) {
   OQS_METRIC_INC("pml.match.unexpected_queued");
   OQS_TRACE_INSTANT(ctx_.gid, "pml", "match.miss", "len", frag->hdr.len);
   unexpected_.push_back(std::move(frag));
+  unexpected_grew_.notify();
 }
 
 void Pml::bind(RecvRequest& req, std::unique_ptr<FirstFrag> frag) {
@@ -244,6 +253,34 @@ bool Pml::epoch_aborted(Request& req) {
   return true;
 }
 
+namespace {
+// The interrupt-mode round as data: the sole rail's poll points, and when
+// they find nothing on an idle rail, a block inside the rail that counts as
+// progress. So only a round on an active rail (a protocol exchange in
+// flight) idles, and only such a round describes itself; the rail notifies
+// changed() when it goes idle.
+class BlockingRound final : public sim::PollPlan {
+ public:
+  explicit BlockingRound(Ptl& ptl) : ptl_(ptl), plan_(ptl.poll_plan()) {}
+  int sweep(std::size_t from, bool paid) override {
+    if (plan_.sweep(from, paid) > 0) return 1;
+    if (ptl_.active()) return 0;  // protocol in flight: keep polling
+    ptl_.progress_blocking();
+    return 1;
+  }
+  int watch(sim::IdleWait& w) override {
+    if (!ptl_.active() || !w.watch(&ptl_.changed())) return -1;
+    return plan_.watch(w);
+  }
+  bool quiet() const override { return ptl_.active() && plan_.quiet(); }
+  sim::Time point_ns() const override { return plan_.point_ns(); }
+
+ private:
+  Ptl& ptl_;
+  sim::PollPlan& plan_;
+};
+}  // namespace
+
 void Pml::wait(Request& req) {
   if (bml_.any_threaded()) {
     req.done_flag().wait();
@@ -255,34 +292,23 @@ void Pml::wait(Request& req) {
   // objects, so a dormant secondary module does not forfeit blocking waits.
   // Block only while the PTL is idle; once a protocol exchange is in flight
   // (rendezvous answered, RDMA outstanding), poll it to completion so a
-  // multi-step protocol costs one interrupt, not one per step. A block
-  // counts as progress: no idle step follows it. A dead peer raises no
-  // interrupt, but the World's failure subscriber calls wake_waits() after
-  // every declaration/revoke, so the block returns and the checks run.
-  // Otherwise the sweep polls every rail, and the PTLs charge its cost.
-  Ptl* sole = bml_.sole_blocking_ptl();
-  sim::PollPlan* plan = sole == nullptr ? bml_.poll_plan() : nullptr;
-  if (plan != nullptr) {
-    // The same round as data, so an idle stretch can park on the rails'
-    // queues and events, the request and the abort epoch.
-    assert((!abort_epoch || abort_signal != nullptr) &&
-           "abort_epoch needs an abort_signal");
-    auto done = [&req] { return req.complete(); };
-    auto abort = [this, &req] { return epoch_aborted(req); };
-    ctx_.wait_until(sim::Cadence::kPoll,
-                    sim::watched(&req.done_flag().signal(), done), plan,
-                    sim::watched(abort_signal, abort));
-    return;
-  }
-  auto sweep = [this, sole] {
-    if (sole == nullptr) return progress();
-    if (sole->progress() > 0) return 1;
-    if (sole->active()) return 0;  // protocol in flight: keep polling
-    sole->progress_blocking();
-    return 1;
-  };
-  ctx_.wait_until(sim::Cadence::kPoll, [&req] { return req.complete(); },
-                  sweep, [this, &req] { return epoch_aborted(req); });
+  // multi-step protocol costs one interrupt, not one per step. A dead peer
+  // raises no interrupt, but the World's failure subscriber calls
+  // wake_waits() after every declaration/revoke, so the block returns and
+  // the checks run. Otherwise the round polls every rail, and the PTLs
+  // charge its cost. Either way an idle stretch parks on the rails' queues
+  // and events, the request and the abort epoch.
+  assert((!abort_epoch || abort_signal != nullptr) &&
+         "abort_epoch needs an abort_signal");
+  std::optional<BlockingRound> blocking;
+  if (Ptl* sole = bml_.sole_blocking_ptl(); sole != nullptr)
+    blocking.emplace(*sole);
+  auto done = [&req] { return req.complete(); };
+  auto abort = [this, &req] { return epoch_aborted(req); };
+  ctx_.wait_until(sim::Cadence::kPoll,
+                  sim::watched(&req.done_flag().signal(), done),
+                  blocking ? static_cast<sim::PollPlan*>(&*blocking) : &bml_,
+                  sim::watched(abort_signal, abort));
 }
 
 Pml::SequenceState Pml::export_sequences() const {

@@ -51,6 +51,14 @@ class Pml {
   // Inspect the unexpected queue for a matching envelope without consuming
   // it (MPI_Iprobe). Returns true and fills *out on a hit.
   bool iprobe(int ctx_id, int src_rank, int tag, MatchHeader* out);
+  // The same match, uncharged: a pure probe a wait can park on.
+  bool find_unexpected(int ctx_id, int src_rank, int tag,
+                       MatchHeader* out) const;
+  // Notified when a fragment joins the unexpected queue, the one change
+  // that can make find_unexpected() hit.
+  sim::Signal& unexpected_grew() { return unexpected_grew_; }
+  // Notified whenever a request this PML posted completes.
+  sim::Signal& completions() { return completions_; }
   // One progress sweep over all PTLs; returns events handled.
   int progress();
   // Block until the request completes (poll- or thread-driven depending on
@@ -151,6 +159,8 @@ class Pml {
   // allocation on the critical path, O(1) unlink at match time.
   IntrusiveList<RecvRequest, RecvRequest> posted_;
   std::list<std::unique_ptr<FirstFrag>> unexpected_;
+  sim::Signal unexpected_grew_;
+  sim::Signal completions_;
   bool finalized_ = false;
 };
 

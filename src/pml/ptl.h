@@ -60,7 +60,10 @@ class Ptl {
   virtual bool reaches(int gid) const = 0;
   // The per-peer endpoint for gid, or nullptr when the PTL does not expose
   // its connection state (or has no such peer).
-  virtual Endpoint* endpoint(int gid) { return nullptr; }
+  virtual Endpoint* endpoint(int gid) {
+    (void)gid;
+    return nullptr;
+  }
   // First-fragment wire latency estimate (ns) for the BML's eager rail
   // selection; 0 = unknown (ties broken by bandwidth_weight).
   virtual double latency_ns() const { return 0; }
@@ -173,10 +176,9 @@ class Ptl {
   // Poll the network once; deliver arrivals into the PML. Returns the
   // number of events handled. Used by the PML's non-blocking progress mode.
   virtual int progress() = 0;
-  // progress() as data, if this module can describe its idle round as poll
-  // points (sim::PollPlan) so a blocked wait may park on them; nullptr if
-  // its sweep is opaque.
-  virtual sim::PollPlan* poll_plan() { return nullptr; }
+  // progress() as data: its round of poll points (sim::PollPlan), so a
+  // blocked wait parks on what they probe. Its sweep(0, false) is progress().
+  virtual sim::PollPlan& poll_plan() = 0;
 
   // Interrupt-driven progress: block inside the PTL until at least one
   // event is handled. The paper notes this is "not really workable" with
@@ -190,6 +192,9 @@ class Ptl {
   // active and only blocks when genuinely idle, so a multi-step protocol
   // costs one interrupt, not one per step.
   virtual bool active() const { return false; }
+  // Notified at every change to what active() reads, and to what the
+  // module's own waits read (a peer's send window, its liveness).
+  sim::Signal& changed() { return changed_; }
 
   // Quiesce: complete pending traffic, stop progress threads, release
   // network resources (paper §4.1: finalize only after pending messages
@@ -199,6 +204,9 @@ class Ptl {
   // True when this module runs its own progress thread(s); the PML then
   // blocks on request flags instead of spin-polling.
   virtual bool threaded() const { return false; }
+
+ protected:
+  sim::Signal changed_;
 };
 
 }  // namespace oqs::pml

@@ -50,6 +50,7 @@ class Request {
     // When a progress thread completes the request, the waiting application
     // thread only runs after the condvar handoff (Table 1's threading cost).
     done_.set(wake_delay_);
+    if (completions != nullptr) completions->notify();
   }
   void fail(Status st) { finish(st); }
   void set_wake_delay(sim::Time ns) { wake_delay_ = ns; }
@@ -62,6 +63,9 @@ class Request {
   // which can no longer be satisfied deterministically).
   std::uint64_t epoch_stamp = 0;
   std::uint64_t revoke_stamp = 0;
+  // Also notified on completion (the posting PML's, for waits on any of
+  // several requests).
+  sim::Signal* completions = nullptr;
 
  private:
   Kind kind_;

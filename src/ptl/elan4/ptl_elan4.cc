@@ -100,10 +100,14 @@ Status PtlElan4::add_peer(int gid, const pml::ContactInfo& info) {
   p.vpid = rte::get_pod<Vpid>(blob, off);
   p.recv_queue = rte::get_pod<std::int32_t>(blob, off);
   p.stream = opts_.reliability ? make_stream(gid) : nullptr;
+  changed_.notify();
   return Status::kOk;
 }
 
-void PtlElan4::remove_peer(int gid) { peers_.erase(gid); }
+void PtlElan4::remove_peer(int gid) {
+  peers_.erase(gid);
+  changed_.notify();
+}
 
 bool PtlElan4::reaches(int gid) const {
   auto it = peers_.find(gid);
@@ -148,6 +152,7 @@ std::unique_ptr<ptl::ReliableStream> PtlElan4::make_stream(int gid) {
   hooks.peer_suspect = [this, gid] {
     if (on_peer_suspect_) on_peer_suspect_(gid);
   };
+  hooks.window = &changed_;
   hooks.node = node_;
   hooks.name = name_;
   return std::make_unique<ptl::ReliableStream>(rtuning_, counters_,
@@ -291,7 +296,8 @@ Elan4Endpoint* PtlElan4::wait_for_window(int gid) {
     return ep == nullptr || !opts_.reliability ||
            ep->window_in_use() < opts_.send_window;
   };
-  pml_.ctx().wait_until(wait_cadence(), room, [this] { return progress(); });
+  pml_.ctx().wait_until(wait_cadence(), sim::watched(&changed_, room),
+                        wait_plan());
   return ep;
 }
 
@@ -363,6 +369,7 @@ void PtlElan4::send_first(pml::SendRequest& req) {
         op.rest = total;
         op.awaiting = 1;
         sends_.emplace(id, std::move(op));
+        changed_.notify();
         arm_completion(ev, id);
       } else {
         arm_completion(ev, kRecycleCookie);
@@ -420,6 +427,7 @@ void PtlElan4::send_first(pml::SendRequest& req) {
   }
 
   sends_.emplace(id, std::move(op));
+  changed_.notify();
   OQS_METRIC_INC("ptl.rdv.started");
   OQS_TRACE_INSTANT(node_, "ptl", "rdv.first_frag", "cookie", id, "rest",
                     total - inline_len);
@@ -498,6 +506,7 @@ void PtlElan4::complete_send(std::uint64_t id, PendingSend& op) {
   OQS_METRIC_INC("ptl.rdv.send_done");
   OQS_TRACE_INSTANT(node_, "ptl", "rdv.send_done", "cookie", id, "rest", rest);
   sends_.erase(id);
+  changed_.notify();
   pml_.send_progress(*req, rest);
 }
 
@@ -513,6 +522,7 @@ void PtlElan4::handle_fin_ack(const MatchHeader& hdr) {
     if (op.src_addr != elan4::kNullE4Addr) device_->unmap(op.src_addr);
     pml::SendRequest* req = op.req;
     sends_.erase(it);
+    changed_.notify();
     req->fail(static_cast<Status>(hdr.status));
     return;
   }
@@ -591,6 +601,7 @@ void PtlElan4::matched(pml::RecvRequest& req, std::unique_ptr<pml::FirstFrag> fr
     op.dst_addr = device_->map(op.dst_ptr, op.rest);
     auto [it, inserted] = recvs_.emplace(id, std::move(op));
     assert(inserted);
+    changed_.notify();
     issue_read(id, it->second);
     return;
   }
@@ -609,6 +620,7 @@ void PtlElan4::matched(pml::RecvRequest& req, std::unique_ptr<pml::FirstFrag> fr
   body.recv_cookie = id;
   body.dst_addr = op.dst_addr;
   recvs_.emplace(id, std::move(op));
+  changed_.notify();
   post_frame(peer, ack, &body, sizeof(body), nullptr, 0);
 }
 
@@ -655,6 +667,7 @@ void PtlElan4::complete_recv(std::uint64_t id, PendingRecv& op) {
   OQS_METRIC_INC("ptl.rdv.recv_done");
   OQS_TRACE_INSTANT(node_, "ptl", "rdv.recv_done", "cookie", id, "rest", rest);
   recvs_.erase(id);
+  changed_.notify();
   if (!ok(final_st))
     req->fail(final_st);
   else
@@ -672,6 +685,7 @@ void PtlElan4::handle_fin(const MatchHeader& hdr) {
     // raced the handshake). No data arrived; fail the matched recv.
     PendingRecv op = std::move(it->second);
     recvs_.erase(it);
+    changed_.notify();
     if (op.dst_addr != elan4::kNullE4Addr) device_->unmap(op.dst_addr);
     OQS_METRIC_INC("ptl.failure.recvs_purged");
     op.req->fail(static_cast<Status>(hdr.status));
@@ -706,6 +720,7 @@ std::uint64_t PtlElan4::stripe_pull(int gid, std::uint64_t region,
   sp.event = ev;
   const E4Addr dst_addr = sp.dst_addr;
   pulls_.emplace(id, std::move(sp));
+  changed_.notify();
   arm_completion(ev, id);
   tx_bytes_ += len;
   device_->rdma_read(it->second.vpid, static_cast<E4Addr>(region) + offset,
@@ -718,6 +733,7 @@ void PtlElan4::stripe_cancel(std::uint64_t pull_id) {
   if (it == pulls_.end()) return;
   device_->unmap(it->second.dst_addr);
   pulls_.erase(it);
+  changed_.notify();
   // Drop the poll-list registration too (the event may never fire).
   unpoll(pull_id);
 }
@@ -747,6 +763,7 @@ void PtlElan4::handle_local_complete(std::uint64_t id) {
   if (auto it = pulls_.find(id); it != pulls_.end()) {
     StripePull sp = std::move(it->second);
     pulls_.erase(it);
+    changed_.notify();
     device_->unmap(sp.dst_addr);
     if (sp.done) sp.done(Status::kOk);
     return;
@@ -854,6 +871,7 @@ void PtlElan4::handle_frame(elan4::QdmaQueue::Slot&& slot) {
       if (hdr.src_gid != pml_.ctx().gid) {
         auto it = peers_.find(hdr.src_gid);
         if (it != peers_.end()) it->second.alive = false;
+        changed_.notify();
       }
       // A self-goodbye just wakes a blocked thread during shutdown.
       break;
@@ -979,7 +997,7 @@ void PtlElan4::start_threads() {
         while (device_->queue_poll(q, &slot)) handle_frame(std::move(slot));
       }
     }
-    --live_threads_;
+    live_threads_ = live_threads_ - 1;
   };
   engine.spawn("elan4-progress", [loop, this] { loop(recv_q_, true); });
   // The dedicated completion-queue thread blocks per event: every local
@@ -1004,12 +1022,13 @@ void PtlElan4::finalize() {
   if (finalized_) return;
   finalized_ = true;
   const sim::ProcessCtx& host = pml_.ctx();
-  auto sweep = [this] { return progress(); };
 
   // Quiesce: pending messages must complete before teardown (§4.1), so no
   // leftover DMA descriptor can regenerate traffic. Stripe pulls count: the
   // BML cancels the doomed ones before it lets the rails finalize.
-  host.wait_until(wait_cadence(), [this] { return !active(); }, sweep);
+  host.wait_until(wait_cadence(),
+                  sim::watched(&changed_, [this] { return !active(); }),
+                  wait_plan());
 
   if (opts_.reliability) {
     // Acknowledge everything received so peers can prune and leave too,
@@ -1022,7 +1041,8 @@ void PtlElan4::finalize() {
         if (peer.alive && peer.window_in_use() > 0) return false;
       return sends_.empty() && recvs_.empty();
     };
-    host.wait_until(wait_cadence(), settled, sweep);
+    host.wait_until(wait_cadence(), sim::watched(&changed_, settled),
+                    wait_plan());
   }
 
   // Tell peers we are leaving so they stop addressing our context.
@@ -1040,7 +1060,8 @@ void PtlElan4::finalize() {
     stopping_ = true;
     send_self(FragKind::kGoodbye);
     host.wait_until(sim::Cadence::kThreadExit,
-                    [this] { return live_threads_ == 0; });
+                    sim::watched(&live_threads_.signal(),
+                                 [this] { return live_threads_ == 0; }));
   }
 
   // Let in-flight goodbyes drain before the contexts disappear.
@@ -1061,6 +1082,7 @@ void PtlElan4::peer_failed(int gid) {
     // timer stops re-arming against the corpse (nothing else would ever
     // stop it — the engine could not drain) and its backlog is released.
     pit->second.stream.reset();
+    changed_.notify();
   }
   auto purge_poll = [this](std::uint64_t id) { unpoll(id); };
   // Fail in-flight rendezvous ops addressed at the dead peer: the FIN /
@@ -1073,6 +1095,7 @@ void PtlElan4::peer_failed(int gid) {
     if (it == sends_.end()) continue;
     PendingSend op = std::move(it->second);
     sends_.erase(it);
+    changed_.notify();
     purge_poll(id);
     OQS_METRIC_INC("ptl.failure.sends_purged");
     if (op.src_addr != elan4::kNullE4Addr) device_->unmap(op.src_addr);
@@ -1086,6 +1109,7 @@ void PtlElan4::peer_failed(int gid) {
     if (it == recvs_.end()) continue;
     PendingRecv op = std::move(it->second);
     recvs_.erase(it);
+    changed_.notify();
     purge_poll(id);
     OQS_METRIC_INC("ptl.failure.recvs_purged");
     if (op.dst_addr != elan4::kNullE4Addr) device_->unmap(op.dst_addr);
@@ -1099,6 +1123,7 @@ void PtlElan4::peer_failed(int gid) {
     if (it == pulls_.end()) continue;
     StripePull sp = std::move(it->second);
     pulls_.erase(it);
+    changed_.notify();
     purge_poll(id);
     device_->unmap(sp.dst_addr);
     if (sp.done) sp.done(Status::kErrProcFailed);
@@ -1123,6 +1148,7 @@ bool PtlElan4::abort_send(pml::SendRequest* req) {
     if (op.src_addr != elan4::kNullE4Addr) device_->unmap(op.src_addr);
     unpoll(it->first);
     sends_.erase(it);
+    changed_.notify();
     OQS_METRIC_INC("ptl.failure.sends_aborted");
     return true;
   }
@@ -1145,16 +1171,20 @@ void PtlElan4::halt() {
     if (op.req != nullptr) op.req->fail(Status::kErrProcFailed);
   }
   sends_.clear();
+  changed_.notify();
   for (auto& [id, op] : recvs_) {
     if (op.dst_addr != elan4::kNullE4Addr) device_->unmap(op.dst_addr);
     if (op.req != nullptr) op.req->fail(Status::kErrProcFailed);
   }
   recvs_.clear();
+  changed_.notify();
   for (auto& [id, sp] : pulls_) device_->unmap(sp.dst_addr);
   pulls_.clear();
+  changed_.notify();
   poll_list_.clear();
   poll_list_changed_.notify();
   peers_.clear();
+  changed_.notify();
 }
 
 }  // namespace oqs::ptl_elan4

@@ -89,10 +89,10 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   void send_first(pml::SendRequest& req) override;
   void matched(pml::RecvRequest& req, std::unique_ptr<pml::FirstFrag> frag) override;
   int progress() override;
-  // In polling mode the idle round is data: poll points are the receive
-  // queue, the completion queue (Two-Queue variant) and each direct-poll
-  // event, each one charge_poll() then a probe.
-  sim::PollPlan* poll_plan() override { return threaded() ? nullptr : this; }
+  // The idle round as data: poll points are the receive queue, the
+  // completion queue (Two-Queue variant) and each direct-poll event, each
+  // one charge_poll() then a probe.
+  sim::PollPlan& poll_plan() override { return *this; }
   int sweep(std::size_t from, bool paid) override;
   int watch(sim::IdleWait& w) override;
   bool quiet() const override;
@@ -222,6 +222,7 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   sim::Cadence wait_cadence() const {
     return threaded() ? sim::Cadence::kThreaded : sim::Cadence::kPoll;
   }
+  sim::PollPlan* wait_plan() { return threaded() ? nullptr : this; }
   // Issue (or re-issue) the RDMA read for a pending receive.
   void issue_read(std::uint64_t id, PendingRecv& op);
   void handle_frame(elan4::QdmaQueue::Slot&& slot);
@@ -273,7 +274,7 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   bool stopping_ = false;
   bool finalized_ = false;
   bool halted_ = false;  // crashed in place: inbound frames go unread
-  int live_threads_ = 0;
+  sim::Word<int> live_threads_;
   // Timer state: one scan timer each for retransmission and delayed acks.
   // Callbacks capture alive_ and no-op once it is cleared (finalize), so a
   // timer can never touch a dead module.

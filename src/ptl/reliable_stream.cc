@@ -36,10 +36,12 @@ void ReliableStream::submit(std::vector<std::uint8_t>&& frame, void* recycle) {
     // It is posted in order by drain_backlog when acks open the window —
     // history is never dropped.
     tx_backlog_.push_back(QueuedFrame{std::move(frame), recycle});
+    if (hooks_.window != nullptr) hooks_.window->notify();
     OQS_METRIC_INC("ptl.reliability.backlogged");
     return;
   }
   sent_log_.push_back(frame);
+  if (hooks_.window != nullptr) hooks_.window->notify();
   if (sent_log_.size() == 1) {
     rtx_deadline_ = deadline_after(hooks_.now(), tuning_.retransmit_timeout_ns);
     hooks_.arm_rtx(rtx_deadline_);
@@ -60,6 +62,7 @@ void ReliableStream::harvest_ack(std::uint16_t ack_seq) {
     progressed = true;
   }
   if (!progressed) return;
+  if (hooks_.window != nullptr) hooks_.window->notify();
   OQS_METRIC_INC("ptl.reliability.acks_received");
   rtx_backoff_ = 0;
   note_peer_alive();

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "pml/header.h"
+#include "sim/idle.h"
 #include "sim/time.h"
 
 namespace oqs::ptl {
@@ -81,6 +82,8 @@ class ReliableStream {
     // detector. Fired once per silence episode (latched until the peer
     // shows life again via an ack or NACK). Optional.
     std::function<void()> peer_suspect;
+    // Notified whenever window_in_use() changes, at the change. Optional.
+    sim::Signal* window = nullptr;
     int node = 0;       // trace attribution
     std::string name;   // log attribution (owning PTL's name)
   };

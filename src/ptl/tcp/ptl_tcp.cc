@@ -37,6 +37,7 @@ Status PtlTcp::add_peer(int gid, const pml::ContactInfo& info) {
   p.alive = true;
   p.addr = rte::get_pod<std::int32_t>(it->second, off);
   p.stream = reliability_ ? make_stream(gid) : nullptr;
+  changed_.notify();
   return Status::kOk;
 }
 
@@ -65,6 +66,7 @@ std::unique_ptr<ptl::ReliableStream> PtlTcp::make_stream(int gid) {
   hooks.arm_ack = [this] { arm_ack_timer(); };
   hooks.send_nack = [] {};  // gaps cannot occur on an ordered lossless wire
   hooks.send_ack = [this, gid] { send_frame_ack(gid); };
+  hooks.window = &changed_;
   hooks.node = node_;
   hooks.name = name_;
   return std::make_unique<ptl::ReliableStream>(rtuning_, counters_,
@@ -189,6 +191,7 @@ void PtlTcp::bml_post(int gid, const MatchHeader& hdr, const void* body,
 
 void PtlTcp::eth_deliver(int, std::vector<std::uint8_t> frame) {
   inbox_.push_back(std::move(frame));
+  changed_.notify();
 }
 
 void PtlTcp::handle_frame(std::vector<std::uint8_t>&& frame) {
@@ -282,6 +285,7 @@ void PtlTcp::handle_frame(std::vector<std::uint8_t>&& frame) {
       // socket. A later send re-resolves fresh contact info lazily.
       auto pit = peers_.find(hdr.src_gid);
       if (pit != peers_.end()) pit->second.alive = false;
+      changed_.notify();
       break;
     }
     default:
@@ -291,9 +295,12 @@ void PtlTcp::handle_frame(std::vector<std::uint8_t>&& frame) {
   }
 }
 
-int PtlTcp::progress() {
+int PtlTcp::progress() { return sweep(0, false); }
+
+int PtlTcp::sweep(std::size_t from, bool paid) {
+  (void)from;  // one point
   // One poll() syscall over the socket set.
-  net_.node(node_).cpu().compute(net_.params().host_poll_ns);
+  if (!paid) net_.node(node_).cpu().compute(net_.params().host_poll_ns);
   int n = 0;
   while (!inbox_.empty()) {
     std::vector<std::uint8_t> f = std::move(inbox_.front());
@@ -308,7 +315,6 @@ void PtlTcp::finalize() {
   if (finalized_) return;
   finalized_ = true;
   const sim::ProcessCtx& host = pml_.ctx();
-  auto sweep = [this] { return progress(); };
   if (reliability_) {
     // Flush cumulative acks so peers can prune, then wait for our own
     // frames to be acknowledged before the endpoint detaches.
@@ -321,7 +327,10 @@ void PtlTcp::finalize() {
         if (peer.window_in_use() > 0) return false;
       return true;
     };
-    host.wait_until(sim::Cadence::kSocketPoll, acked, sweep);
+    // Its 4x host_poll_ns idle step is not its point charge, so this wait
+    // spins (the one that does).
+    host.wait_until(sim::Cadence::kSocketPoll, sim::watched(&changed_, acked),
+                    this);
   }
   // Tell peers we are leaving so they stop addressing this socket (a send
   // to a detached address drops silently — a migrated peer would hang).
@@ -347,6 +356,7 @@ void PtlTcp::peer_failed(int gid) {
   if (pit != peers_.end()) {
     pit->second.alive = false;
     pit->second.stream.reset();  // window/backlog toward the corpse released
+    changed_.notify();
   }
   std::vector<std::uint64_t> doomed;
   for (auto& [id, sp] : stripe_pulls_)

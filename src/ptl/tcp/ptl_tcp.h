@@ -42,7 +42,9 @@ struct TcpEndpoint final : pml::Endpoint {
   }
 };
 
-class PtlTcp final : public pml::Ptl, private net::EthNet::Sink {
+class PtlTcp final : public pml::Ptl,
+                     private sim::PollPlan,
+                     private net::EthNet::Sink {
  public:
   PtlTcp(pml::Pml& pml, elan4::QsNet& net, int node, bool reliability = false);
   ~PtlTcp() override;
@@ -57,7 +59,10 @@ class PtlTcp final : public pml::Ptl, private net::EthNet::Sink {
   }
   std::vector<std::uint8_t> contact() const override;
   Status add_peer(int gid, const pml::ContactInfo& info) override;
-  void remove_peer(int gid) override { peers_.erase(gid); }
+  void remove_peer(int gid) override {
+    peers_.erase(gid);
+    changed_.notify();
+  }
   bool reaches(int gid) const override {
     auto it = peers_.find(gid);
     return it != peers_.end() && it->second.alive;
@@ -97,6 +102,9 @@ class PtlTcp final : public pml::Ptl, private net::EthNet::Sink {
   }
 
   int progress() override;
+  // One poll point: the poll() syscall's charge, then a probe of the
+  // kernel-side inbox (changed() is notified on every arrival).
+  sim::PollPlan& poll_plan() override { return *this; }
   void finalize() override;
   void peer_failed(int gid) override;
   void halt() override;
@@ -117,6 +125,14 @@ class PtlTcp final : public pml::Ptl, private net::EthNet::Sink {
     std::function<void(Status)> done;
     int gid = -1;  // peer being pulled from (dead-peer purge)
   };
+
+  // --- sim::PollPlan ---
+  int sweep(std::size_t from, bool paid) override;
+  int watch(sim::IdleWait& w) override {
+    return w.watch(&changed_) ? 1 : -1;
+  }
+  bool quiet() const override { return inbox_.empty(); }
+  sim::Time point_ns() const override { return net_.params().host_poll_ns; }
 
   // net::EthNet::Sink — frames land in the kernel-side inbox.
   void eth_deliver(int src_addr, std::vector<std::uint8_t> frame) override;

@@ -64,8 +64,9 @@ class Oob {
 template <typename T>
 void put_pod(std::vector<std::uint8_t>& buf, const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  buf.insert(buf.end(), p, p + sizeof(T));
+  const std::size_t at = buf.size();
+  buf.resize(at + sizeof(T));
+  std::memcpy(buf.data() + at, &v, sizeof(T));
 }
 
 template <typename T>

@@ -1,7 +1,9 @@
 // Exact idle-poll elision: a waiting fiber whose round found nothing parks
 // on the words that round reads, and a replay runs its steps without it.
+// Every wait (ProcessCtx::wait_until) names those words; one spins through
+// a round only when the runtime refuses to park it (IdleWait::park).
 //
-// A spinning wait (ProcessCtx::wait_until) runs steps: the idle step, then
+// The spinning twin of a wait runs steps: the idle step, then
 // one host_poll_ns charge per poll point, each ending in a probe, then the
 // idle step again. Each step ends in one dispatch of the waiting fiber,
 // which releases the core its charge held, probes, and starts the next
@@ -118,7 +120,8 @@ class PollPlan {
   // work found, as a sweep does.
   virtual int sweep(std::size_t from, bool paid) = 0;
   // Register with `w` every source the round probes and return the number
-  // of poll points; -1 if the round cannot be described as data now.
+  // of poll points; -1 if the round cannot be described as data now (the
+  // wait then spins through it).
   virtual int watch(IdleWait& w) = 0;
   // No probe of the round would find anything now. Probes are pure, so a
   // round that starts quiet stays fruitless until a watched source changes.
@@ -149,6 +152,7 @@ class IdleWait {
   // Register a source; false once the record is full (the wait then spins).
   bool watch(Signal* s);
   void set_points(std::size_t points) { points_ = points; }
+  Time step() const { return step_; }
   // Drop every registration: the round will not park.
   void clear();
 

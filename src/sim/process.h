@@ -1,9 +1,11 @@
 // One simulated process's handle on its host, and the one way a host fiber
 // waits for communication progress: every blocking wait in the stack goes
 // through ProcessCtx::wait_until, and a wait's idle periods live only here.
+// A wait names what it reads (Watched predicates, a PollPlan round; see
+// sim/idle.h), so one that cannot say does not compile.
 #pragma once
 
-#include <type_traits>
+#include <cassert>
 
 #include "base/params.h"
 #include "sim/cpu.h"
@@ -22,60 +24,11 @@ enum class Cadence {
   kShmFlag,     // yield shm_flag_ns; once done, charge the one flag read
 };
 
-inline constexpr auto kNoSweep = [] { return 0; };
-inline constexpr auto kNoAbort = [] { return false; };
-
-namespace detail {
-template <class P>
-struct is_watched : std::false_type {};
-template <class F>
-struct is_watched<Watched<F>> : std::true_type {};
-// Predicates a parked wait can register: Watched ones and the constant
-// kNoAbort. Sweeps: a PollPlan walked as data, or none.
-template <class P>
-constexpr bool watchable_v =
-    is_watched<P>::value ||
-    std::is_same_v<std::remove_cv_t<P>, std::remove_cv_t<decltype(kNoAbort)>>;
-template <class S>
-constexpr bool plannable_v =
-    std::is_same_v<S, PollPlan*> ||
-    std::is_same_v<std::remove_cv_t<S>, std::remove_cv_t<decltype(kNoSweep)>>;
-template <class P>
-bool watch_pred(const P& p, IdleWait& w) {
-  if constexpr (is_watched<P>::value) return p.on == nullptr || w.watch(p.on);
-  return true;
-}
-// A PollPlan sweep that would find nothing now; other sweeps cannot say.
-template <class S>
-bool quiet(const S& s) {
-  if constexpr (std::is_same_v<S, PollPlan*>)
-    return s->quiet();
-  else
-    return false;
-}
-template <class S>
-int run_sweep(S& s, std::size_t from, bool paid) {
-  if constexpr (std::is_same_v<S, PollPlan*>)
-    return s->sweep(from, paid);
-  else
-    return s();
-}
-// Register what one round reads, before it reads it; a round that cannot
-// be described registers nothing and will not park.
-template <class Done, class Sweep, class Abort>
-void begin_round(IdleWait& w, const Done& done, Sweep& sweep,
-                 const Abort& abort, Time period) {
-  if (!w.begin_round()) return;
-  int points = 0;
-  if constexpr (std::is_same_v<Sweep, PollPlan*>)
-    points = sweep->point_ns() == period ? sweep->watch(w) : -1;
-  if (points < 0 || !watch_pred(done, w) || !watch_pred(abort, w)) {
-    w.clear();
-    return;
-  }
-  w.set_points(static_cast<std::size_t>(points));
-}
-}  // namespace detail
+// The abort predicate of a wait that cannot abort.
+struct Never {
+  bool operator()() const { return false; }
+};
+inline constexpr Watched<Never> kNoAbort{nullptr, {}};
 
 // Everything a layer needs to charge host work for one process.
 struct ProcessCtx {
@@ -87,28 +40,27 @@ struct ProcessCtx {
   void compute(Time ns) const { cpu->compute(ns); }
 
   // Block until done() holds, or return false once abort() does. Each round
-  // checks done(), then abort(), then sweeps if the cadence does; a nonzero
-  // sweep rechecks at once, anything else idles one period. An uncharged
-  // wait from t0 resumes at exactly t0 + k*period after k idle steps, which
-  // any elision of those steps must keep. A spinning wait allocates nothing.
+  // checks done(), then abort(), then, under kPoll and kSocketPoll, sweeps
+  // `plan` (none: no sweep); a nonzero sweep rechecks at once, anything
+  // else idles one period. An uncharged wait from t0 resumes at exactly
+  // t0 + k*period after k idle steps, which any elision of those steps
+  // must keep. Another cadence walks no poll points: its plan, if any, may
+  // only decline (PollPlan::watch returns -1).
   //
-  // When done() and abort() are Watched (or kNoAbort) and the sweep is a
-  // PollPlan (or none), a kPoll, kEventWord or kShmFlag wait whose round
-  // found nothing, or would find nothing (PollPlan::quiet), parks on what
-  // the round reads instead of dispatching its steps, and resumes on the
-  // same grid with the same charges and tie order (sim/idle.h). Any other
-  // wait spins.
-  template <class Done, class Sweep = decltype(kNoSweep),
-            class Abort = decltype(kNoAbort)>
-  bool wait_until(Cadence c, Done done, Sweep sweep = {},
-                  Abort abort = {}) const {
+  // A round registers what it reads at its top. If it found nothing, or
+  // would find nothing (PollPlan::quiet), the wait parks on those sources
+  // instead of dispatching its steps, and resumes on the same grid with the
+  // same charges and tie order (sim/idle.h). It spins through the round
+  // only when the runtime refuses: the plan declines, its point charge is
+  // not the period (kSocketPoll), the round saw a change, the watch record
+  // is full, the engine runs nested, or the Cpu has no core for it.
+  template <class Done, class Abort = Never>
+  bool wait_until(Cadence c, Watched<Done> done, PollPlan* plan = nullptr,
+                  Watched<Abort> abort = kNoAbort) const {
     const bool sweeps = c == Cadence::kPoll || c == Cadence::kSocketPoll;
     const bool charged = c == Cadence::kPoll || c == Cadence::kEventWord;
     const Time period = poll_period(c);
-    constexpr bool elidable = detail::watchable_v<Done> &&
-                              detail::watchable_v<Abort> &&
-                              detail::plannable_v<Sweep>;
-    const bool parks = elidable && (charged || c == Cadence::kShmFlag);
+    PollPlan* sweep = sweeps ? plan : nullptr;
     IdleWait idle(*engine, charged ? cpu : nullptr, period,
                   c == Cadence::kEventWord);
     // Where the round goes on: at its top, or after poll point `from`'s
@@ -116,20 +68,21 @@ struct ProcessCtx {
     std::size_t from = 0;
     bool paid = false;
     const auto park = [&](bool at_top) {
-      if (!parks || !idle.park(at_top)) return false;
+      if (!idle.park(at_top)) return false;
       from = idle.resumed_step() == 0 ? 0 : idle.resumed_step() - 1;
       paid = idle.resumed_step() != 0;
       return true;
     };
     for (;;) {
       if (!paid) {
-        if (parks) detail::begin_round(idle, done, sweep, abort, period);
+        begin_round(idle, plan, sweeps, done.on, abort.on);
         if (done()) break;
         if (abort()) return false;
         // A round that starts quiet parks before its first charge.
-        if (parks && detail::quiet(sweep) && park(/*at_top=*/true)) continue;
+        if (sweep != nullptr && sweep->quiet() && park(/*at_top=*/true))
+          continue;
       }
-      if (sweeps && detail::run_sweep(sweep, from, paid) != 0) {
+      if (sweep != nullptr && sweep->sweep(from, paid) != 0) {
         from = 0;
         paid = false;
         continue;
@@ -154,6 +107,25 @@ struct ProcessCtx {
       case Cadence::kShmFlag: return params->shm_flag_ns;
       default: return params->host_poll_ns;
     }
+  }
+
+ private:
+  // Register what one round reads, before it reads it; a round that cannot
+  // be described registers nothing and will not park.
+  static void begin_round(IdleWait& w, PollPlan* plan,
+                          [[maybe_unused]] bool sweeps, Signal* done,
+                          Signal* abort) {
+    if (!w.begin_round()) return;
+    const int points = plan == nullptr                 ? 0
+                       : plan->point_ns() != w.step() ? -1
+                                                       : plan->watch(w);
+    assert((sweeps || points <= 0) && "only a sweep walks poll points");
+    if (points < 0 || (done != nullptr && !w.watch(done)) ||
+        (abort != nullptr && !w.watch(abort))) {
+      w.clear();
+      return;
+    }
+    w.set_points(static_cast<std::size_t>(points));
   }
 };
 

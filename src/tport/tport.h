@@ -47,7 +47,7 @@ class Tport {
  public:
   // Host-visible completion state of a transmit.
   struct TxReq {
-    bool done = false;
+    sim::Word<bool> done;
     // Set with done when the send could not be delivered (dead or
     // unregistered destination) — callers can distinguish failure from
     // success instead of both looking like completion.
@@ -58,7 +58,7 @@ class Tport {
   };
   // Host-visible completion state of a posted receive.
   struct RxReq {
-    bool done = false;
+    sim::Word<bool> done;
     // Set with done when the receive became unsatisfiable: its named
     // source vpid was declared failed while the receive was pending (or
     // mid-stream). len/src/tag are not meaningful.
@@ -89,11 +89,14 @@ class Tport {
   RxReq* recv(elan4::Vpid src, std::uint64_t tag, std::uint64_t tag_mask, void* buf,
               std::size_t capacity);
 
-  // Poll-wait on completion flags (MPICH-QsNetII's progress discipline).
+  // Poll-wait on completion flags (MPICH-QsNetII's progress discipline):
+  // one charged read per poll, parked while the flag is unwritten.
   template <class Req>
   void wait(Req* r) {
     reap(r);
-    device_->host().wait_until(sim::Cadence::kEventWord, [r] { return r->done; });
+    device_->host().wait_until(
+        sim::Cadence::kEventWord,
+        sim::watched(&r->done.signal(), [r] { return bool(r->done); }));
     r->harvested = true;
   }
 

@@ -185,8 +185,9 @@ TEST_P(CollInPlace, ReduceAndAllreduceAlias) {
           for (std::size_t i = 0; i < buf.size(); ++i)
             buf[i] = static_cast<double>(c.rank() + 1);
           c.reduce_sum(buf.data(), buf.data(), buf.size(), root);
-          if (c.rank() == root)
+          if (c.rank() == root) {
             for (double v : buf) ASSERT_DOUBLE_EQ(v, ranksum);
+          }
         }
         std::vector<double> buf(11);
         for (std::size_t i = 0; i < buf.size(); ++i)
@@ -366,8 +367,9 @@ TEST(CollSoak, MixedCollectivesManyRounds) {
               const int root = iter % np;
               std::vector<double> r(7, static_cast<double>(c.rank()));
               c.reduce_sum(r.data(), r.data(), r.size(), root);
-              if (c.rank() == root)
+              if (c.rank() == root) {
                 for (double v : r) ASSERT_DOUBLE_EQ(v, ranksum - np);
+              }
             }
             if (iter % 50 == 10) {
               mpi::Communicator sub = c.split(c.rank() % 2, c.rank());

@@ -128,6 +128,32 @@ TEST(MultiNet, BestWeightPrefersElan4) {
   }, opts);
 }
 
+TEST(MultiNet, BlockedReceiveParksBesideTcp) {
+  // With Elan4 and TCP both wired the wait's round is both rails' poll
+  // points, the TCP one a probe of its socket inbox: an idle stretch parks,
+  // and the receive completes at the instant the spinning rounds gave.
+  mpi::Options opts;
+  opts.use_tcp = true;
+  TestBed bed;
+  bed.pin_transport = true;
+  std::size_t parked = 0;
+  sim::Time received = 0;
+  bed.run_mpi(2, [&](mpi::World& w) {
+    auto& c = w.comm();
+    std::uint32_t v = 7;
+    if (c.rank() == 0) {
+      w.net().engine().sleep(100 * sim::kUs);
+      parked = w.net().engine().parked_waits();
+      c.send(&v, 4, dtype::byte_type(), 1, 0);
+    } else {
+      c.recv(&v, 4, dtype::byte_type(), 0, 0);
+      received = w.net().engine().now();
+    }
+  }, opts);
+  EXPECT_EQ(parked, 1u);
+  EXPECT_EQ(received, 544101u);
+}
+
 TEST(MultiNet, MultirailStripesLargeMessages) {
   mpi::Options opts;
   opts.elan4.rails = 2;

@@ -2,6 +2,8 @@
 // the completion-queue variants (paper §4.3, §6.2, §6.4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "testbed.h"
 
 namespace oqs {
@@ -71,6 +73,39 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(ptl_elan4::Scheme::kPipelined,
                           ptl_elan4::Scheme::kRdmaRead,
                           ptl_elan4::Scheme::kRdmaWrite)));
+
+TEST(Progress, InterruptModeReceiveParksWhileItsRendezvousIsInFlight) {
+  // On the sole interrupt-mode rail a round that finds nothing blocks in
+  // the rail while it is idle, and idles only while a protocol exchange is
+  // in flight; those idle stretches park, and the receive completes at the
+  // instant the spinning rounds gave.
+  mpi::Options opts;
+  opts.elan4.progress = ptl_elan4::Progress::kInterrupt;
+  TestBed bed;
+  bed.pin_transport = true;
+  std::size_t parked = 0;
+  sim::Time received = 0;
+  bed.engine.spawn("sampler", [&] {
+    while (received == 0) {
+      parked = std::max(parked, bed.engine.parked_waits());
+      bed.engine.sleep(sim::kUs);
+    }
+  });
+  bed.run_mpi(2, [&](mpi::World& w) {
+    auto& c = w.comm();
+    std::vector<std::uint8_t> buf(1 << 20, 7);
+    if (c.rank() == 0) {
+      c.send(buf.data(), buf.size(), dtype::byte_type(), 1, 0);
+    } else {
+      c.recv(buf.data(), buf.size(), dtype::byte_type(), 0, 0);
+      received = w.net().engine().now();
+    }
+  }, opts);
+  EXPECT_GT(parked, 0u);
+  // The fluid bulk path lands this transfer later (OQS_TEST_FLUID); both
+  // instants are the spinning rounds'.
+  EXPECT_EQ(received, test::env_fluid() ? 1812058u : 1720138u);
+}
 
 TEST(Progress, LatencyOrderingAcrossModes) {
   // Table 1's qualitative ordering must emerge from the model:

@@ -11,9 +11,17 @@
 namespace oqs::pml {
 namespace {
 
+// A poll round with no points: the test drives delivery by hand.
+class NoPoints : public sim::PollPlan {
+ public:
+  int watch(sim::IdleWait&) override { return 0; }
+  bool quiet() const override { return true; }
+  sim::Time point_ns() const override { return ModelParams{}.host_poll_ns; }
+};
+
 // A PTL that packs everything inline and parks frames in a queue the test
 // pumps by hand — including out of order, as if they raced over two rails.
-class MockPtl final : public Ptl {
+class MockPtl final : public Ptl, public NoPoints {
  public:
   MockPtl(std::string name, double weight) : name_(std::move(name)), weight_(weight) {}
 
@@ -45,6 +53,8 @@ class MockPtl final : public Ptl {
     FAIL() << "mock is eager-only";
   }
   int progress() override { return 0; }
+  sim::PollPlan& poll_plan() override { return *this; }
+  int sweep(std::size_t, bool) override { return progress(); }
   void finalize() override {}
 
   // Deliver the i-th pending frame into the receiving PML.
@@ -260,7 +270,7 @@ TEST_F(PmlFixture, ProbesObserveTraffic) {
 
 // A blocking-capable rail whose completions only ever surface from
 // progress_blocking() — polling it yields nothing.
-class BlockingMockPtl final : public Ptl {
+class BlockingMockPtl final : public Ptl, public NoPoints {
  public:
   explicit BlockingMockPtl(std::string name) : name_(std::move(name)) {}
 
@@ -283,6 +293,8 @@ class BlockingMockPtl final : public Ptl {
     ++progress_calls;
     return 0;
   }
+  sim::PollPlan& poll_plan() override { return *this; }
+  int sweep(std::size_t, bool) override { return progress(); }
   int progress_blocking() override {
     ++blocking_calls;
     if (target != nullptr && !target->complete()) target->finish(Status::kOk);

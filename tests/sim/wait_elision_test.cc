@@ -1,8 +1,8 @@
-// Exact idle-poll elision: the same wait run two ways, once with watched
-// sources (it parks on its polling grid) and once with opaque predicates
-// over the same state (it spins, step by step). Everything observable must
-// match: when the wait returns, the Cpu's busy time and switches, and the
-// dispatch order of tagged events around the resume.
+// Exact idle-poll elision: the same wait run two ways, once describing its
+// round (it parks on its polling grid) and once with a round that declines
+// to (it spins, step by step). Everything observable must match: when the
+// wait returns, the Cpu's busy time and switches, and the dispatch order of
+// tagged events around the resume.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -127,6 +127,23 @@ class TwoRails final : public PollPlan {
   std::size_t shape_[2] = {0, 0};
 };
 
+// The spinning twin's round: the same sweep (none: no poll points), but
+// watch() declines, as it does for a dirty round, so every step of the
+// wait is dispatched.
+class Declining final : public PollPlan {
+ public:
+  explicit Declining(PollPlan* plan) : plan_(plan) {}
+  int sweep(std::size_t from, bool paid) override {
+    return plan_ == nullptr ? 0 : plan_->sweep(from, paid);
+  }
+  int watch(IdleWait&) override { return -1; }
+  bool quiet() const override { return false; }
+  Time point_ns() const override { return 0; }
+
+ private:
+  PollPlan* plan_;
+};
+
 struct Outcome {
   Time returned = 0;
   Time busy = 0;
@@ -196,26 +213,19 @@ Outcome run(const Scenario& s, bool watched_sources) {
     const int want = s.want;
     Rail& a = bed.a;
     TwoRails both(bed.a, bed.b);
-    PollPlan* plan = s.two_rails ? static_cast<PollPlan*>(&both) : &a;
-    auto done_poll = [&] { return a.hits() + bed.b.hits() >= want; };
-    auto done_flag = [&] { return bed.flag >= want; };
+    const bool poll = s.cadence == Cadence::kPoll;
+    PollPlan* plan = !poll         ? nullptr
+                     : s.two_rails ? static_cast<PollPlan*>(&both)
+                                   : &a;
+    Declining declining(plan);
+    auto done = [&] {
+      return poll ? a.hits() + bed.b.hits() >= want : bed.flag >= want;
+    };
     auto abort = [&] { return bed.epoch > 0; };
-    bool ok = false;
-    if (watched_sources) {
-      if (s.cadence == Cadence::kPoll)
-        ok = bed.ctx.wait_until(s.cadence, watched(nullptr, done_poll), plan,
-                                watched(&bed.epoch.signal(), abort));
-      else
-        ok = bed.ctx.wait_until(s.cadence,
-                                watched(&bed.flag.signal(), done_flag),
-                                kNoSweep, watched(&bed.epoch.signal(), abort));
-    } else {
-      if (s.cadence == Cadence::kPoll)
-        ok = bed.ctx.wait_until(s.cadence, done_poll,
-                                [&] { return plan->sweep(0, false); }, abort);
-      else
-        ok = bed.ctx.wait_until(s.cadence, done_flag, kNoSweep, abort);
-    }
+    const bool ok = bed.ctx.wait_until(
+        s.cadence, watched(poll ? nullptr : &bed.flag.signal(), done),
+        watched_sources ? plan : &declining,
+        watched(&bed.epoch.signal(), abort));
     out.aborted = !ok;
     out.returned = bed.engine.now();
     bed.log.push_back(std::string(ok ? "returned@" : "aborted@") +
@@ -261,11 +271,12 @@ std::pair<Outcome, Outcome> expect_same(const Scenario& s,
 // The wait's grid step for a cadence.
 Time step_of(Cadence c) {
   const ModelParams p;
-  return c == Cadence::kShmFlag ? p.shm_flag_ns : p.host_poll_ns;
+  return ProcessCtx{nullptr, nullptr, &p, 0}.poll_period(c);
 }
 
 constexpr Cadence kElidable[] = {Cadence::kPoll, Cadence::kEventWord,
-                                 Cadence::kShmFlag};
+                                 Cadence::kShmFlag, Cadence::kThreaded,
+                                 Cadence::kThreadExit};
 
 // Tagged events at every instant of [from, to], one pushed at time 0 and
 // one pushed by an event at the same instant: they sort around the resumed
@@ -465,11 +476,10 @@ Outcome run_pair(Cadence c, Time kick, int rounds, bool watched_sources) {
       engine.sleep(1000);
       ctx.compute(params.host_poll_ns);
       for (int i = 1; i <= rounds; ++i) {
+        Declining declining(nullptr);
         auto done = [&, i] { return src[me] >= i; };
-        if (watched_sources)
-          ctx.wait_until(c, watched(&src[me].signal(), done));
-        else
-          ctx.wait_until(c, done);
+        ctx.wait_until(c, watched(&src[me].signal(), done),
+                       watched_sources ? nullptr : &declining);
         log.push_back(std::to_string(me) + " got " + std::to_string(i) + "@" +
                       std::to_string(engine.now()));
         ctx.compute(params.host_poll_ns);
@@ -544,7 +554,7 @@ TEST(WaitElision, DrainWithOnlyParkedWaitsIsAnError) {
 // Each poller waits `rounds` times for one deposit into its own rail
 // (kPoll) or event word (kEventWord), computing `work` ns after each. The
 // same run twice, with watched sources (the waits park together and the
-// Cpu replays their charges) and with opaque predicates (they spin), must
+// Cpu replays their charges) and with declining rounds (they spin), must
 // agree on every resume instant, the Cpus' busy time, switches and last
 // core owners, and the dispatch order of tagged events.
 struct Poller {
@@ -646,19 +656,16 @@ JointOutcome run_joint(const Joint& j, bool watched_sources) {
       Word<int>& flag = *bed.flags[i];
       bed.engine.sleep(p.start);
       if (p.warmup) ctx.compute(bed.params.host_poll_ns);
-      PollPlan* plan = &rail;
+      const bool poll = p.cadence == Cadence::kPoll;
+      PollPlan* plan = poll ? &rail : nullptr;
+      Declining declining(plan);
       for (int r = 1; r <= p.rounds; ++r) {
-        auto polled = [&rail, r] { return rail.hits() >= r; };
-        auto flagged = [&flag, r] { return flag >= r; };
-        if (p.cadence == Cadence::kPoll && watched_sources)
-          ctx.wait_until(p.cadence, watched(nullptr, polled), plan);
-        else if (p.cadence == Cadence::kPoll)
-          ctx.wait_until(p.cadence, polled,
-                         [plan] { return plan->sweep(0, false); });
-        else if (watched_sources)
-          ctx.wait_until(p.cadence, watched(&flag.signal(), flagged));
-        else
-          ctx.wait_until(p.cadence, flagged);
+        ctx.wait_until(p.cadence,
+                       watched(poll ? nullptr : &flag.signal(),
+                               [&, r] {
+                                 return poll ? rail.hits() >= r : flag >= r;
+                               }),
+                       watched_sources ? plan : &declining);
         if (p.cadence != Cadence::kPoll) --*bed.unconsumed[i];
         out.returned[i].push_back(bed.engine.now());
         bed.log.push_back(std::to_string(i) + " returned@" +

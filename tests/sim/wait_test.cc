@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace oqs::sim {
 namespace {
 
@@ -32,12 +34,38 @@ struct Host {
 
 constexpr int kSteps = 7;
 
+// A sweep in a round that declines to describe itself (watch() returns -1,
+// as a dirty round does), so the wait dispatches every step: these tests
+// pin the steps themselves.
+template <class Sweep>
+class Opaque final : public PollPlan {
+ public:
+  explicit Opaque(Sweep sweep) : sweep_(std::move(sweep)) {}
+  int sweep(std::size_t, bool) override { return sweep_(); }
+  int watch(IdleWait&) override { return -1; }
+  bool quiet() const override { return false; }
+  Time point_ns() const override { return 0; }
+
+ private:
+  Sweep sweep_;
+};
+
+int no_sweep() { return 0; }
+
+template <class Done, class Sweep = int (*)(), class Abort = Never>
+bool spin(const ProcessCtx& ctx, Cadence c, Done done, Sweep sweep = no_sweep,
+          Abort abort = {}) {
+  Opaque<Sweep> plan(std::move(sweep));
+  return ctx.wait_until(c, watched(nullptr, std::move(done)), &plan,
+                        watched(nullptr, std::move(abort)));
+}
+
 TEST(Wait, EmptySweepsYieldOnePollPeriodEach) {
   Host h;
   int sweeps = 0;
   const auto [elapsed, events] = h.run([&] {
-    EXPECT_TRUE(h.ctx.wait_until(
-        Cadence::kPoll, [&] { return sweeps == kSteps; },
+    EXPECT_TRUE(spin(
+        h.ctx, Cadence::kPoll, [&] { return sweeps == kSteps; },
         [&] { return ++sweeps, 0; }));
   });
   EXPECT_EQ(sweeps, kSteps);
@@ -50,7 +78,7 @@ TEST(Wait, ProductiveSweepRechecksWithoutIdling) {
   Host h;
   int sweeps = 0;
   const auto [elapsed, events] = h.run([&] {
-    h.ctx.wait_until(Cadence::kPoll, [&] { return sweeps == kSteps; },
+    spin(h.ctx, Cadence::kPoll, [&] { return sweeps == kSteps; },
                      [&] { return ++sweeps <= 3 ? 1 : 0; });
   });
   EXPECT_EQ(elapsed, (kSteps - 3) * h.params.host_poll_ns);
@@ -62,10 +90,10 @@ TEST(Wait, SocketAndThreadedCadencesScaleThePollPeriod) {
   int sweeps = 0;
   int checks = 0;
   const auto [elapsed, events] = h.run([&] {
-    h.ctx.wait_until(Cadence::kSocketPoll, [&] { return sweeps == kSteps; },
+    spin(h.ctx, Cadence::kSocketPoll, [&] { return sweeps == kSteps; },
                      [&] { return ++sweeps, 0; });
     // Progress threads own the queues: the caller's sweep never runs.
-    h.ctx.wait_until(Cadence::kThreaded, [&] { return ++checks > kSteps; },
+    spin(h.ctx, Cadence::kThreaded, [&] { return ++checks > kSteps; },
                      [&] { return ++sweeps, 1; });
   });
   EXPECT_EQ(sweeps, kSteps);
@@ -77,7 +105,7 @@ TEST(Wait, ThreadExitYieldsOneMicrosecond) {
   Host h;
   int checks = 0;
   const auto [elapsed, events] = h.run([&] {
-    h.ctx.wait_until(Cadence::kThreadExit, [&] { return ++checks > kSteps; });
+    spin(h.ctx, Cadence::kThreadExit, [&] { return ++checks > kSteps; });
   });
   EXPECT_EQ(elapsed, kSteps * kUs);
   EXPECT_EQ(events, static_cast<std::uint64_t>(kSteps));
@@ -87,7 +115,7 @@ TEST(Wait, EventWordSpinChargesEveryRead) {
   Host h;
   int checks = 0;
   const auto [elapsed, events] = h.run([&] {
-    h.ctx.wait_until(Cadence::kEventWord, [&] { return ++checks > kSteps; });
+    spin(h.ctx, Cadence::kEventWord, [&] { return ++checks > kSteps; });
   });
   EXPECT_EQ(h.cpu.busy_ns(), kSteps * h.params.host_poll_ns);
   EXPECT_EQ(elapsed, kSteps * h.params.host_poll_ns);
@@ -98,7 +126,7 @@ TEST(Wait, ShmFlagChargesOneReadAfterItsYields) {
   Host h;
   int checks = 0;
   const auto [elapsed, events] = h.run([&] {
-    h.ctx.wait_until(Cadence::kShmFlag, [&] { return ++checks > kSteps; });
+    spin(h.ctx, Cadence::kShmFlag, [&] { return ++checks > kSteps; });
   });
   EXPECT_EQ(h.cpu.busy_ns(), h.params.shm_flag_ns);
   EXPECT_EQ(elapsed, (kSteps + 1) * h.params.shm_flag_ns);
@@ -113,9 +141,8 @@ TEST(Wait, AbortReturnsWithoutAnotherIdleStep) {
     int checks = 0;
     int sweeps = 0;
     const auto [elapsed, events] = h.run([&] {
-      EXPECT_FALSE(h.ctx.wait_until(
-          c, [&] { return ++checks, false; }, [&] { return ++sweeps, 0; },
-          [] { return true; }));
+      EXPECT_FALSE(spin(h.ctx, c, [&] { return ++checks, false; },
+                        [&] { return ++sweeps, 0; }, [] { return true; }));
     });
     EXPECT_EQ(checks, 1);
     EXPECT_EQ(sweeps, 0);
@@ -128,8 +155,8 @@ TEST(Wait, AbortReturnsWithoutAnotherIdleStep) {
 TEST(Wait, DoneWinsOverAbort) {
   Host h;
   const auto [elapsed, events] = h.run([&] {
-    EXPECT_TRUE(h.ctx.wait_until(Cadence::kPoll, [] { return true; },
-                                 kNoSweep, [] { return true; }));
+    EXPECT_TRUE(spin(h.ctx, Cadence::kPoll, [] { return true; },
+                                 no_sweep, [] { return true; }));
   });
   EXPECT_EQ(elapsed, 0u);
   EXPECT_EQ(events, 0u);

@@ -45,6 +45,29 @@ TEST_F(TportFixture, TaggedSendRecvRoundtrip) {
   engine.run();
 }
 
+TEST_F(TportFixture, BlockedWaitParksOnItsFlag) {
+  // A receive posted long before its message: the wait's charged flag reads
+  // park until the flag is written, and it returns when they would have.
+  Tport a(*domain, 0);
+  Tport b(*domain, 1);
+  std::vector<std::uint8_t> payload(64, 1);
+  std::size_t parked = 0;
+  sim::Time received = 0;
+  engine.spawn("b", [&] {
+    std::vector<std::uint8_t> buf(64, 0);
+    b.wait(b.recv(a.vpid(), 3, ~0ull, buf.data(), buf.size()));
+    received = engine.now();
+  });
+  engine.spawn("a", [&] {
+    engine.sleep(200 * sim::kUs);
+    parked = engine.parked_waits();
+    a.wait(a.send(b.vpid(), 3, payload.data(), payload.size()));
+  });
+  engine.run();
+  EXPECT_EQ(parked, 1u);
+  EXPECT_EQ(received, 202700u);
+}
+
 TEST_F(TportFixture, UnexpectedMessageBuffersOnNic) {
   Tport a(*domain, 0);
   Tport b(*domain, 1);
