@@ -170,15 +170,16 @@ int main(int argc, char** argv) {
     json += row;
   }
   std::printf(
-      "\nExpected: events per run grow 2.5-3.3x per doubling of ranks. "
+      "\nExpected: events per run grow 2.3-2.8x per doubling of ranks. "
       "Parked idle waits replay their poll steps without dispatching them, "
       "both ranks of a node included, so the events left are protocol "
-      "work, resumed waits and wire-up, which adds every peer on every "
-      "rank (n^2 add_peer calls); the collective-state allgathers take "
-      "ceil(log2 n) steps. setup_events and setup_wall_s cover the run "
-      "until every rank has left its first barrier; teardown_events and "
-      "teardown_wall_s cover it from the first rank entering finalize "
-      "(goodbyes to every peer). events/s counts "
+      "work, resumed waits and the init modex, one registry round trip per "
+      "peer on every rank (n^2 in all); a peer is wired only on first "
+      "contact, and the collective-state allgathers take ceil(log2 n) "
+      "steps. setup_events and setup_wall_s cover the run until every rank "
+      "has left its first barrier; teardown_events and teardown_wall_s "
+      "cover it from the first rank entering finalize (goodbyes to the "
+      "O(log n) peers each rank contacted). events/s counts "
       "dispatched events only; replaying parked steps takes wall time too, "
       "but no events. "
       "--no-fluid lands at the same sim_ms (the fluid path is "

@@ -205,8 +205,8 @@ class Elan4Nic {
   int next_queue_id_ = 1;
   std::uint64_t commands_ = 0;
   std::uint64_t rx_drops_ = 0;
-  // QDMA drops are routine at teardown (goodbyes to departed peers), so
-  // each NIC logs only its first; the metrics count every one.
+  // A fault-free run drops no QDMA; a crashed peer or an injected delay can
+  // drop many, so each NIC logs only its first; the metrics count every one.
   bool drop_logged_ = false;
   std::uint64_t translation_faults_ = 0;
 };

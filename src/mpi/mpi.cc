@@ -436,12 +436,10 @@ World::World(rte::Env& env, elan4::QsNet& net, Options opts)
   known_procs_ = env_.world_size;
   open_stack();
   watch_failures();
-  rte::Registry& reg = env_.rte->registry();
-  reg.barrier(env_.job + "/init", env_.world_size);
-  // Self included: MPI allows self-sends, which ride the NIC loopback.
-  for (int g = 0; g < env_.world_size; ++g) add_peer_from_registry(g);
+  env_.rte->registry().barrier(env_.job + "/init", env_.world_size);
   std::vector<int> gids(static_cast<std::size_t>(env_.world_size));
   for (int i = 0; i < env_.world_size; ++i) gids[static_cast<std::size_t>(i)] = i;
+  modex(gids);
   comm_.reset(new Communicator(this, /*ctx=*/0, gid_, std::move(gids)));
 }
 
@@ -452,13 +450,11 @@ World::World(rte::Env& env, elan4::QsNet& net, Options opts, const SpawnedTag& t
   known_procs_ = gid_base + tag.nchildren;
   open_stack();
   watch_failures();
-  // Wire up with parents and sibling children (and self, for self-sends).
-  for (int g : tag.parent_gids) add_peer_from_registry(g);
-  for (int j = 0; j < tag.nchildren; ++j) add_peer_from_registry(gid_base + j);
-  env_.rte->registry().barrier(tag.key + "/b", tag.nparents + tag.nchildren);
   // The child's world is the merged communicator: parents first, then kids.
   std::vector<int> gids = tag.parent_gids;
   for (int j = 0; j < tag.nchildren; ++j) gids.push_back(gid_base + j);
+  modex(gids);
+  env_.rte->registry().barrier(tag.key + "/b", tag.nparents + tag.nchildren);
   comm_.reset(new Communicator(this, tag.ctx, tag.nparents + tag.child_index,
                                std::move(gids)));
 }
@@ -504,10 +500,18 @@ void World::open_stack() {
   }
   assert(pml_->num_ptls() > 0 && "at least one PTL must be enabled");
   env_.rte->registry().put(proc_key(gid_), serialize_contacts(info));
-  // Lazy reconnection: a send to a departed/migrated peer re-fetches its
-  // freshest contact info from the registry.
+  // The one wire-up path: the PML resolves a peer on first contact (a send
+  // to it, a frame from it) and again after it departed. A peer this
+  // process's modex fetched, and that has not republished since, is read
+  // from that fetch; any other (a migrant, a gid outside the modex) costs a
+  // registry lookup.
   pml_->peer_resolver = [this](int gid) {
-    return deserialize_contacts(env_.rte->registry().get(proc_key(gid)));
+    rte::Registry& reg = env_.rte->registry();
+    const std::string key = proc_key(gid);
+    for (const Fetched& f : fetched_)
+      if (gid >= f.lo && gid < f.hi && !reg.republished_after(key, f.at))
+        return deserialize_contacts(reg.peek(key));
+    return deserialize_contacts(reg.get(key));
   };
   // Fault plumbing. The PML gates sends on the published dead-set, stamps
   // requests with the abort epoch, and breaks blocked waits when it moves;
@@ -559,17 +563,31 @@ void World::migrate(int new_node) {
   pml_->finalize();  // quiesce + goodbyes + release the old context
   pml_.reset();
   env_.node = new_node;
+  // The rebuilt stack starts unwired, its modex results gone with the old
+  // one: every peer it contacts from here costs a registry lookup.
+  fetched_.clear();
   open_stack();  // fresh context on the new node; contact republished
   pml_->import_sequences(seqs);
 }
 
-void World::add_peer_from_registry(int gid) {
-  const auto blob = env_.rte->registry().get(proc_key(gid));
-  const pml::ContactInfo info = deserialize_contacts(blob);
-  bool reachable = false;
-  for (std::size_t i = 0; i < pml_->num_ptls(); ++i)
-    reachable |= ok(pml_->ptl(i).add_peer(gid, info));
-  assert(reachable && "peer published no usable contact info");
+void World::modex(const std::vector<int>& gids) {
+  rte::Registry& reg = env_.rte->registry();
+  for (int g : gids) reg.get(proc_key(g));
+  const sim::Time at = net_.engine().now();
+  bool self = false;
+  for (int g : gids) {
+    self |= g == gid_;
+    if (!fetched_.empty() && fetched_.back().at == at && fetched_.back().hi == g)
+      ++fetched_.back().hi;
+    else
+      fetched_.push_back({g, g + 1, at});
+  }
+  // Self is wired now: MPI allows self-sends, which ride the NIC loopback,
+  // and a wired rail is what lets a sole interrupt-mode rail block.
+  if (self) {
+    [[maybe_unused]] const bool wired = pml_->resolve_peer(gid_);
+    assert(wired && "this process published no usable contact info");
+  }
 }
 
 Communicator World::spawn_merge(int n, std::function<void(World&)> child_main,
@@ -604,12 +622,14 @@ Communicator World::spawn_merge(int n, std::function<void(World&)> child_main,
     }
   }
 
-  for (int j = 0; j < n; ++j) add_peer_from_registry(base + j);
+  std::vector<int> children(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) children[static_cast<std::size_t>(j)] = base + j;
+  modex(children);
   env_.rte->registry().barrier(key + "/b", nparents + n);
   known_procs_ = base + n;
 
   std::vector<int> gids = comm_->gids_;
-  for (int j = 0; j < n; ++j) gids.push_back(base + j);
+  gids.insert(gids.end(), children.begin(), children.end());
   return Communicator(this, ctx, comm_->rank(), std::move(gids));
 }
 

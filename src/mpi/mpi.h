@@ -253,7 +253,11 @@ class World {
 
   void open_stack();  // pml + ptls + contact publication
   void watch_failures();  // register with + subscribe to the detector
-  void add_peer_from_registry(int gid);
+  // The wire-up exchange (Open MPI's modex): one registry round trip per
+  // gid, in order. Only self is wired from it; its other results are read
+  // again on first contact (peer_resolver), so what this process keeps is
+  // when it fetched which gids.
+  void modex(const std::vector<int>& gids);
   std::string proc_key(int gid) const;
 
   rte::Env env_;
@@ -266,6 +270,13 @@ class World {
   int next_ctx_ = 1;
   int spawn_seq_ = 0;
   int known_procs_ = 0;  // total gids allocated in this job (spawn base)
+  // The modex fetches: gids [lo, hi) were fetched at `at`.
+  struct Fetched {
+    int lo;
+    int hi;
+    sim::Time at;
+  };
+  std::vector<Fetched> fetched_;
   bool finalized_ = false;
   bool crashed_ = false;
   int failure_sub_ = 0;  // FailureService subscription id (0 = none)

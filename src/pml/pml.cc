@@ -75,11 +75,13 @@ void Pml::post_recv(RecvRequest& req) {
 }
 
 bool Pml::resolve_peer(int gid) {
-  if (!peer_resolver) return false;
+  if (!peer_resolver || (peer_dead && peer_dead(gid))) return false;
   const ContactInfo info = peer_resolver(gid);
   bool reachable = false;
-  for (std::size_t i = 0; i < bml_.num_ptls(); ++i)
-    reachable |= ok(bml_.ptl(i).add_peer(gid, info));
+  for (std::size_t i = 0; i < bml_.num_ptls(); ++i) {
+    Ptl& ptl = bml_.ptl(i);
+    reachable |= ptl.reaches(gid) || ok(ptl.add_peer(gid, info));
+  }
   return reachable;
 }
 

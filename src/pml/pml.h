@@ -85,11 +85,14 @@ class Pml {
   SequenceState export_sequences() const;
   void import_sequences(const SequenceState& s);
 
-  // Re-resolve a peer whose connection went away (it migrated or rejoined):
-  // fetch fresh contact info through `peer_resolver` and re-add it to every
-  // PTL. Returns true if any PTL now reaches the peer.
+  // Wire a peer on first contact, or again after its connection went away
+  // (it migrated or rejoined): fetch its contact info through
+  // `peer_resolver` and add it to every PTL that has no live endpoint for
+  // it. A live endpoint keeps its state (its reliability stream above all);
+  // a peer in the dead-set is never wired. Returns true if any PTL now
+  // reaches the peer.
   bool resolve_peer(int gid);
-  // Installed by the runtime layer; typically a registry lookup.
+  // Installed by the runtime layer: a registry read.
   std::function<ContactInfo(int gid)> peer_resolver;
 
   // --- failure propagation (installed by the world/runtime layer) ---

@@ -53,10 +53,12 @@ class Ptl {
 
   // This module's contact blob, stored in the registry.
   virtual std::vector<std::uint8_t> contact() const = 0;
-  // Learn a peer's contact blob. Returns kUnreachable if the peer did not
-  // publish a section for this PTL component.
+  // Learn a peer's contact blob and open a fresh endpoint for it (the PML
+  // calls it on first contact, or after the old endpoint died). Returns
+  // kUnreachable if the peer did not publish a section for this PTL
+  // component. Endpoints are never removed: a departed peer's is marked
+  // dead, so the endpoint map is the set of peers ever contacted.
   virtual Status add_peer(int gid, const ContactInfo& info) = 0;
-  virtual void remove_peer(int gid) = 0;
   virtual bool reaches(int gid) const = 0;
   // The per-peer endpoint for gid, or nullptr when the PTL does not expose
   // its connection state (or has no such peer).

@@ -91,9 +91,10 @@ Status PtlElan4::add_peer(int gid, const pml::ContactInfo& info) {
   if (it == info.end()) return Status::kUnreachable;
   std::size_t off = 0;
   const auto& blob = it->second;
-  // Re-adding a peer (migration/rejoin) resets its connection — including
-  // the reliability stream, whose sequence spaces restart at seq_start
-  // (0 in production; tests place it near 65535 to exercise wraparound).
+  // A new or re-added (migrated, rejoined) peer starts a fresh connection,
+  // reliability stream included: its sequence spaces start at seq_start (0
+  // in production; tests place it near 65535 to exercise wraparound).
+  // Pml::resolve_peer never re-adds a live peer.
   Elan4Endpoint& p = peers_[gid];
   p.gid = gid;
   p.alive = true;
@@ -102,11 +103,6 @@ Status PtlElan4::add_peer(int gid, const pml::ContactInfo& info) {
   p.stream = opts_.reliability ? make_stream(gid) : nullptr;
   changed_.notify();
   return Status::kOk;
-}
-
-void PtlElan4::remove_peer(int gid) {
-  peers_.erase(gid);
-  changed_.notify();
 }
 
 bool PtlElan4::reaches(int gid) const {
@@ -788,6 +784,20 @@ void PtlElan4::handle_frame(elan4::QdmaQueue::Slot&& slot) {
                  static_cast<std::uint64_t>(hdr.kind));
   OQS_METRIC_INC("ptl.frames.handled");
 
+  // First contact: a frame from a peer this rail has no endpoint for wires
+  // it (on every rail), and a first fragment from a peer we thought was gone
+  // means it migrated or rejoined, so its fresh contact is fetched. Both
+  // happen before the reliability gate, so the frame is admitted on the new
+  // stream. A goodbye only ever retires a peer.
+  if (hdr.src_gid != pml_.ctx().gid && hdr.kind != FragKind::kGoodbye) {
+    auto pit = peers_.find(hdr.src_gid);
+    const bool first = hdr.kind == FragKind::kEager ||
+                       hdr.kind == FragKind::kRendezvous ||
+                       hdr.kind == FragKind::kRendezvousStriped;
+    if (pit == peers_.end() || (first && !pit->second.alive))
+      pml_.resolve_peer(hdr.src_gid);
+  }
+
   // Reliability gate. Self-addressed control frames (chained completions)
   // never take this path. For peer frames: first harvest the piggybacked
   // cumulative ack — valid even on duplicates and out-of-order frames
@@ -799,7 +809,7 @@ void PtlElan4::handle_frame(elan4::QdmaQueue::Slot&& slot) {
     if (pit != peers_.end() && pit->second.alive)
       pit->second.stream->harvest_ack(hdr.ack_seq);
     if ((hdr.flags & pml::kFlagControl) == 0) {
-      if (pit == peers_.end()) return;
+      if (pit == peers_.end() || pit->second.stream == nullptr) return;
       if (!pit->second.stream->admit(hdr, slot.data)) return;
       // Strip the CRC trailer before normal parsing.
       slot.data.resize(slot.data.size() - 4);
@@ -810,12 +820,6 @@ void PtlElan4::handle_frame(elan4::QdmaQueue::Slot&& slot) {
     case FragKind::kEager:
     case FragKind::kRendezvous:
     case FragKind::kRendezvousStriped: {
-      // Traffic from a peer we thought was gone means it migrated or
-      // rejoined: re-resolve its (new) contact so replies can flow.
-      auto pit = peers_.find(hdr.src_gid);
-      if ((pit == peers_.end() || !pit->second.alive) &&
-          hdr.src_gid != pml_.ctx().gid)
-        pml_.resolve_peer(hdr.src_gid);
       auto frag = std::make_unique<ElanFirstFrag>();
       frag->hdr = hdr;
       frag->ptl = this;
@@ -1045,8 +1049,13 @@ void PtlElan4::finalize() {
                     wait_plan());
   }
 
-  // Tell peers we are leaving so they stop addressing our context.
+  // Tell the peers we talked to that we are leaving, so they stop
+  // addressing our context. Before each goodbye, read what already arrived:
+  // a peer whose own goodbye is waiting there may have closed its context
+  // since, and a goodbye to it would be dropped. (Progress threads read the
+  // queue themselves.)
   for (auto& [gid, peer] : peers_) {
+    if (peer.alive && !threaded()) drain(recv_q_, /*paid=*/false);
     if (!peer.alive) continue;
     MatchHeader bye;
     bye.kind = FragKind::kGoodbye;
@@ -1183,7 +1192,9 @@ void PtlElan4::halt() {
   changed_.notify();
   poll_list_.clear();
   poll_list_changed_.notify();
-  peers_.clear();
+  // Endpoints are retired, never erased: a timer walk suspended mid-map
+  // (it charges while posting) must find its iterator still valid.
+  for (auto& [gid, peer] : peers_) peer.alive = false;
   changed_.notify();
 }
 

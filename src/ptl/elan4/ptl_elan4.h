@@ -22,8 +22,10 @@
 // to QDMA and runs the shared scan timers.
 //
 // Dynamic joins: each module claims an Elan context at construction and
-// releases it at finalize; peers come and go via add_peer/remove_peer with
-// contact info from the RTE registry.
+// releases it at finalize. Peers are wired on first contact (add_peer, with
+// contact info from the RTE registry), so the endpoint map holds exactly the
+// peers this process exchanged frames with, and finalize says goodbye to
+// those alone.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +81,6 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   double latency_ns() const override;
   std::vector<std::uint8_t> contact() const override;
   Status add_peer(int gid, const pml::ContactInfo& info) override;
-  void remove_peer(int gid) override;
   bool reaches(int gid) const override;
   pml::Endpoint* endpoint(int gid) override;
   bool wired() const override;

@@ -208,6 +208,13 @@ void PtlTcp::handle_frame(std::vector<std::uint8_t>&& frame) {
                  static_cast<std::uint64_t>(hdr.kind));
   OQS_METRIC_INC("ptl.frames.handled");
 
+  // First contact: a frame from a peer with no endpoint wires it, before
+  // the reliability gate, so the frame is admitted on the new stream. A
+  // goodbye only ever retires a peer.
+  if (hdr.src_gid != pml_.ctx().gid && hdr.kind != FragKind::kGoodbye &&
+      peers_.find(hdr.src_gid) == peers_.end())
+    pml_.resolve_peer(hdr.src_gid);
+
   if (reliability_ && hdr.src_gid != pml_.ctx().gid) {
     auto pit = peers_.find(hdr.src_gid);
     if (pit != peers_.end() && pit->second.stream != nullptr)
@@ -377,7 +384,9 @@ void PtlTcp::halt() {
   *alive_ = false;
   stripe_pulls_.clear();
   stripe_regions_.clear();
-  peers_.clear();
+  // Endpoints are retired, never erased (an ack walk may be suspended
+  // mid-map).
+  for (auto& [gid, peer] : peers_) peer.alive = false;
   inbox_.clear();
   // No goodbye traffic: the socket just vanishes. Peers' later frames to
   // the detached address drop silently, exactly like a dead host's port.

@@ -59,10 +59,6 @@ class PtlTcp final : public pml::Ptl,
   }
   std::vector<std::uint8_t> contact() const override;
   Status add_peer(int gid, const pml::ContactInfo& info) override;
-  void remove_peer(int gid) override {
-    peers_.erase(gid);
-    changed_.notify();
-  }
   bool reaches(int gid) const override {
     auto it = peers_.find(gid);
     return it != peers_.end() && it->second.alive;

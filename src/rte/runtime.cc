@@ -9,7 +9,7 @@ namespace oqs::rte {
 
 void Registry::put(const std::string& key, std::vector<std::uint8_t> value) {
   engine_.sleep(rtt());
-  kv_[key] = std::move(value);
+  kv_[key] = {std::move(value), engine_.now()};
   changed_.notify_all();
 }
 
@@ -17,7 +17,7 @@ std::vector<std::uint8_t> Registry::get(const std::string& key) {
   engine_.sleep(rtt());
   while (true) {
     auto it = kv_.find(key);
-    if (it != kv_.end()) return it->second;
+    if (it != kv_.end()) return it->second.value;
     changed_.wait();
     engine_.sleep(rtt());  // re-fetch after the change notification
   }

@@ -38,11 +38,24 @@ class Registry {
   Registry(sim::Engine& engine, const ModelParams& params)
       : engine_(engine), params_(params), changed_(engine) {}
 
-  // Publish key -> value. One management-net round trip.
+  // Publish key -> value. One management-net round trip; the value is
+  // stamped with the instant it lands.
   void put(const std::string& key, std::vector<std::uint8_t> value);
   // Block until the key exists, then return its value. Each probe of a
   // missing key costs a registry round trip (subscription model).
   std::vector<std::uint8_t> get(const std::string& key);
+  // A key's value without a round trip. It stands for the copy a caller
+  // kept from an earlier get(), so call it only when republished_after()
+  // says that copy is still current.
+  const std::vector<std::uint8_t>& peek(const std::string& key) const {
+    return kv_.at(key).value;
+  }
+  // The key was (re)published after instant `t`, or does not exist: a
+  // value fetched at or before `t` may be stale.
+  bool republished_after(const std::string& key, sim::Time t) const {
+    auto it = kv_.find(key);
+    return it == kv_.end() || it->second.put_at > t;
+  }
   bool contains(const std::string& key) const { return kv_.count(key) > 0; }
   void erase(const std::string& key) { kv_.erase(key); }
 
@@ -54,7 +67,11 @@ class Registry {
 
   sim::Engine& engine_;
   const ModelParams& params_;
-  std::map<std::string, std::vector<std::uint8_t>> kv_;
+  struct Entry {
+    std::vector<std::uint8_t> value;
+    sim::Time put_at = 0;
+  };
+  std::map<std::string, Entry> kv_;
   std::map<std::string, int> barrier_counts_;
   sim::Notifier changed_;
 };

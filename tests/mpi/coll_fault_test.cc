@@ -73,6 +73,7 @@ TEST_P(CollFault, RankKilledMidAllreduceSurvivorsShrinkAndMatchOracle) {
   // real shm level (and lose an on-node peer when the victim dies).
   TestBed bed(4);
   bed.pin_transport = false;  // rails may vary; the coll mode is pinned below
+  bed.allow_drops = true;     // frames to the victim are dropped at its NIC
   mpi::Options opts;
   opts.coll = mode_opts(mode);
 

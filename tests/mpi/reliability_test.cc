@@ -196,6 +196,7 @@ sim::Time first_suspect_after_crash(int suspect_timeouts) {
   p.suspect_timeouts = suspect_timeouts;
   TestBed bed(8, 1, p);
   bed.pin_transport = true;
+  bed.allow_drops = true;  // frames to the corpse are dropped at its NIC
   const obs::Counter& suspects = obs::metrics().counter("rte.failure.suspects");
   const std::uint64_t base = suspects.value();
   sim::Time crashed_at = 0;

@@ -35,7 +35,6 @@ class MockPtl final : public Ptl, public NoPoints {
     peers_.insert(gid);
     return Status::kOk;
   }
-  void remove_peer(int gid) override { peers_.erase(gid); }
   bool reaches(int gid) const override { return peers_.count(gid) > 0; }
 
   void send_first(SendRequest& req) override {
@@ -284,7 +283,6 @@ class BlockingMockPtl final : public Ptl, public NoPoints {
   double bandwidth_weight() const override { return 1.0; }
   std::vector<std::uint8_t> contact() const override { return {}; }
   Status add_peer(int, const ContactInfo&) override { return Status::kOk; }
-  void remove_peer(int) override {}
   bool reaches(int) const override { return true; }
   bool wired() const override { return wired_v; }
   bool blocking_capable() const override { return true; }

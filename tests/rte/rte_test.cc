@@ -76,6 +76,28 @@ TEST_F(RteFixture, RegistryGetBlocksUntilPut) {
   EXPECT_EQ(got, (std::vector<std::uint8_t>{9, 8, 7}));
 }
 
+TEST_F(RteFixture, RegistryStampsEachPut) {
+  // A value fetched at some instant is stale once its key is put again:
+  // the resolver that skips a second round trip relies on this.
+  Registry& reg = rt->registry();
+  sim::Time fetched = 0;
+  bool stale_before = true;
+  bool stale_after = false;
+  engine.spawn("p", [&] {
+    reg.put("k", {1});
+    reg.get("k");
+    fetched = engine.now();
+    stale_before = reg.republished_after("k", fetched);
+    reg.put("k", {2});
+    stale_after = reg.republished_after("k", fetched);
+  });
+  engine.run();
+  EXPECT_FALSE(stale_before);
+  EXPECT_TRUE(stale_after);
+  EXPECT_TRUE(reg.republished_after("never-put", fetched));
+  EXPECT_EQ(reg.peek("k"), (std::vector<std::uint8_t>{2}));
+}
+
 TEST_F(RteFixture, RegistryBarrierHoldsUntilAllArrive) {
   Registry& reg = rt->registry();
   int through = 0;

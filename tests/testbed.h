@@ -126,15 +126,28 @@ struct TestBed {
   // protocol bug, so the bed fails any test during which one arrived.
   // Tests that inject malformed frames on purpose set this to opt out.
   bool allow_bad_frames = false;
+  // A fault-free run drops no QDMA: a process says goodbye only to the
+  // peers it talked to whose own goodbye has not arrived. The bed fails any
+  // test during which a NIC dropped one. Tests that crash a process or
+  // inject faults set this to opt out.
+  bool allow_drops = false;
 
   // Runts and unknown-kind frames seen so far, over every PTL.
   static std::uint64_t bad_frames() {
     return obs::metrics().counter("ptl.frames.unknown_kind").value() +
            obs::metrics().counter("ptl.frames.runt_dropped").value();
   }
+  // QDMAs dropped so far by every NIC: for a closed or unknown queue, or
+  // addressed to a dead context.
+  static std::uint64_t qdma_drops() {
+    return obs::metrics().counter("elan4.nic.rx_drops").value() +
+           obs::metrics().counter("elan4.nic.dead_vpid_drops").value();
+  }
 
   explicit TestBed(int nodes = 8, int rails = 1, ModelParams p = {})
-      : params(p), bad_frames_at_start_(bad_frames()) {
+      : params(p),
+        bad_frames_at_start_(bad_frames()),
+        qdma_drops_at_start_(qdma_drops()) {
     if (rails < env_rails()) rails = env_rails();
     // A model knob, not a transport option: it must be set before the QsNet
     // exists, so pin_transport (read at run_mpi time) cannot gate it.
@@ -179,10 +192,16 @@ struct TestBed {
           << "malformed frames arrived (ptl.frames.unknown_kind / "
              "ptl.frames.runt_dropped)";
     }
+    if (!allow_drops) {
+      EXPECT_EQ(qdma_drops(), qdma_drops_at_start_)
+          << "a NIC dropped QDMAs (elan4.nic.rx_drops / "
+             "elan4.nic.dead_vpid_drops)";
+    }
   }
 
  private:
   std::uint64_t bad_frames_at_start_;
+  std::uint64_t qdma_drops_at_start_;
 };
 
 }  // namespace oqs::test

@@ -55,6 +55,7 @@ struct ChaosResult {
 ChaosResult run_chaos(const Trace& trace, const Trace& rerun_trace,
                       int victim, std::size_t at_op, std::uint64_t seed) {
   TestBed bed;
+  bed.allow_drops = true;  // frames to the victim are dropped at its NIC
   ChaosResult res;
   const int np = trace.nranks();
   ReplayOptions opt;
@@ -189,6 +190,7 @@ TEST(Chaos, ReplayJobsTranslatesWorldKillsAndQuiescesSurvivors) {
   // quiesce the survivors over the registry instead of an MPI barrier the
   // corpse would wedge. The assertion is liveness + exactly one kill.
   TestBed bed;
+  bed.allow_drops = true;  // frames to the victim are dropped at its NIC
   StencilConfig scfg;
   scfg.px = 2;
   scfg.py = 2;
