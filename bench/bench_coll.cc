@@ -112,13 +112,11 @@ double coll_us(Op op, const std::string& mode, int np) {
 
 int main(int argc, char** argv) {
   oqs::bench::TraceSession trace_session(argc, argv);
-  std::string json_path;
+  oqs::bench::JsonRows rows(argc, argv);
   int max_ranks = 512;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0)
-      json_path = arg.substr(sizeof("--json=") - 1);
-    else if (arg.rfind("--max-ranks=", 0) == 0)
+    if (arg.rfind("--max-ranks=", 0) == 0)
       max_ranks = std::atoi(arg.c_str() + sizeof("--max-ranks=") - 1);
   }
 
@@ -129,7 +127,6 @@ int main(int argc, char** argv) {
   const std::vector<Op> ops = {Op::kBarrier, Op::kAllreduce8, Op::kAllreduce1K,
                                Op::kBcast1K};
 
-  std::string json = "[\n";
   for (Op op : ops) {
     std::printf("\n%s, 2 ranks/node (us per op)\n", op_name(op));
     std::printf("%-8s", "ranks");
@@ -141,12 +138,9 @@ int main(int argc, char** argv) {
         const double us = coll_us(op, m, np);
         std::printf(" %12.2f", us);
         std::fflush(stdout);
-        char row[160];
-        std::snprintf(row, sizeof(row),
-                      "  {\"op\": \"%s\", \"mode\": \"%s\", \"ranks\": %d, "
-                      "\"us\": %.3f},\n",
-                      op_name(op), m.c_str(), np, us);
-        json += row;
+        rows.add("{\"op\": \"%s\", \"mode\": \"%s\", \"ranks\": %d, "
+                 "\"us\": %.3f}",
+                 op_name(op), m.c_str(), np, us);
       }
       std::printf("\n");
     }
@@ -158,17 +152,5 @@ int main(int argc, char** argv) {
       "modes halve the wire fan-in by folding each node's second rank over "
       "shared memory first. Crossovers land by 64 ranks.\n");
 
-  if (!json_path.empty()) {
-    if (json.size() > 2) json.erase(json.size() - 2, 1);  // trailing comma
-    json += "]\n";
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("# json: %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return rows.write() ? 0 : 1;
 }

@@ -84,14 +84,7 @@ double parse_flag(int argc, char** argv, const char* name, double fallback) {
 
 int main(int argc, char** argv) {
   oqs::bench::TraceSession trace_session(argc, argv);
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0)
-      json_path = arg.substr(sizeof("--json=") - 1);
-  }
-  std::string json = "[\n";
-  char jrow[256];
+  oqs::bench::JsonRows rows(argc, argv);
 
   std::printf("Reliability overhead on a clean wire (one-way latency, us)\n");
   std::printf("%-10s %12s %12s\n", "size", "off", "on");
@@ -102,11 +95,9 @@ int main(int argc, char** argv) {
     const double off_us = ompi_pingpong_us(s, off, {}, 150);
     const double on_us = ompi_pingpong_us(s, on, {}, 150);
     std::printf("%-10zu %12.2f %12.2f\n", s, off_us, on_us);
-    std::snprintf(jrow, sizeof(jrow),
-                  "  {\"table\": \"overhead\", \"size\": %zu, "
-                  "\"off_us\": %.3f, \"on_us\": %.3f},\n",
-                  s, off_us, on_us);
-    json += jrow;
+    rows.add("{\"table\": \"overhead\", \"size\": %zu, "
+             "\"off_us\": %.3f, \"on_us\": %.3f}",
+             s, off_us, on_us);
   }
 
   std::printf("\nGoodput under wire corruption (16KB messages, MB/s)\n");
@@ -116,14 +107,12 @@ int main(int argc, char** argv) {
     prof.corrupt = p;
     const LossResult r = goodput_under_faults(prof, 99, 16384, 48);
     std::printf("%-14.3f %12.2f\n", p, r.mbps);
-    std::snprintf(jrow, sizeof(jrow),
-                  "  {\"table\": \"corrupt\", \"rate\": %.3f, "
-                  "\"goodput_mbps\": %.3f, \"retransmissions\": %llu, "
-                  "\"rtx_timeouts\": %llu, \"drops\": %llu},\n",
-                  p, r.mbps, static_cast<unsigned long long>(r.retransmissions),
-                  static_cast<unsigned long long>(r.rtx_timeouts),
-                  static_cast<unsigned long long>(r.drops));
-    json += jrow;
+    rows.add("{\"table\": \"corrupt\", \"rate\": %.3f, "
+             "\"goodput_mbps\": %.3f, \"retransmissions\": %llu, "
+             "\"rtx_timeouts\": %llu, \"drops\": %llu}",
+             p, r.mbps, static_cast<unsigned long long>(r.retransmissions),
+             static_cast<unsigned long long>(r.rtx_timeouts),
+             static_cast<unsigned long long>(r.drops));
   }
 
   std::printf(
@@ -138,14 +127,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.retransmissions),
                 static_cast<unsigned long long>(r.rtx_timeouts),
                 static_cast<unsigned long long>(r.drops));
-    std::snprintf(jrow, sizeof(jrow),
-                  "  {\"table\": \"drop\", \"rate\": %.3f, "
-                  "\"goodput_mbps\": %.3f, \"retransmissions\": %llu, "
-                  "\"rtx_timeouts\": %llu, \"drops\": %llu},\n",
-                  p, r.mbps, static_cast<unsigned long long>(r.retransmissions),
-                  static_cast<unsigned long long>(r.rtx_timeouts),
-                  static_cast<unsigned long long>(r.drops));
-    json += jrow;
+    rows.add("{\"table\": \"drop\", \"rate\": %.3f, "
+             "\"goodput_mbps\": %.3f, \"retransmissions\": %llu, "
+             "\"rtx_timeouts\": %llu, \"drops\": %llu}",
+             p, r.mbps, static_cast<unsigned long long>(r.retransmissions),
+             static_cast<unsigned long long>(r.rtx_timeouts),
+             static_cast<unsigned long long>(r.drops));
   }
 
   // Custom fault mix from the command line (defaults add nothing).
@@ -175,17 +162,5 @@ int main(int argc, char** argv) {
       "integrity) — the retransmission columns show what the recovery "
       "cost.\n");
 
-  if (!json_path.empty()) {
-    if (json.size() > 2) json.erase(json.size() - 2, 1);  // trailing comma
-    json += "]\n";
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("# json: %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return rows.write() ? 0 : 1;
 }

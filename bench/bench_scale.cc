@@ -119,14 +119,12 @@ Row measure(int np, bool fluid) {
 
 int main(int argc, char** argv) {
   oqs::bench::TraceSession trace_session(argc, argv);
-  std::string json_path;
+  oqs::bench::JsonRows rows(argc, argv);
   int max_ranks = 1024;
   bool fluid = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0)
-      json_path = arg.substr(sizeof("--json=") - 1);
-    else if (arg.rfind("--max-ranks=", 0) == 0)
+    if (arg.rfind("--max-ranks=", 0) == 0)
       max_ranks = std::atoi(arg.c_str() + sizeof("--max-ranks=") - 1);
     else if (arg == "--no-fluid")
       fluid = false;
@@ -143,7 +141,6 @@ int main(int argc, char** argv) {
               "setup_events", "setup_wall_s", "teardown_events",
               "teardown_wall_s");
 
-  std::string json = "[\n";
   for (int np : nps) {
     const Row r = measure(np, fluid);
     std::printf(
@@ -153,21 +150,17 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.setup_events), r.setup_wall_s,
         static_cast<unsigned long long>(r.teardown_events), r.teardown_wall_s);
     std::fflush(stdout);
-    char row[400];
-    std::snprintf(row, sizeof(row),
-                  "  {\"ranks\": %d, \"nodes\": %d, \"fluid\": %s, "
-                  "\"events\": %llu, \"wall_s\": %.4f, "
-                  "\"events_per_sec\": %.0f, \"sim_ms\": %.3f, "
-                  "\"setup_events\": %llu, \"setup_wall_s\": %.4f, "
-                  "\"teardown_events\": %llu, \"teardown_wall_s\": %.4f},\n",
-                  r.ranks, np / 2, fluid ? "true" : "false",
-                  static_cast<unsigned long long>(r.events), r.wall_s,
-                  r.events_per_s, r.sim_ms,
-                  static_cast<unsigned long long>(r.setup_events),
-                  r.setup_wall_s,
-                  static_cast<unsigned long long>(r.teardown_events),
-                  r.teardown_wall_s);
-    json += row;
+    rows.add("{\"ranks\": %d, \"nodes\": %d, \"fluid\": %s, "
+             "\"events\": %llu, \"wall_s\": %.4f, "
+             "\"events_per_sec\": %.0f, \"sim_ms\": %.3f, "
+             "\"setup_events\": %llu, \"setup_wall_s\": %.4f, "
+             "\"teardown_events\": %llu, \"teardown_wall_s\": %.4f}",
+             r.ranks, np / 2, fluid ? "true" : "false",
+             static_cast<unsigned long long>(r.events), r.wall_s,
+             r.events_per_s, r.sim_ms,
+             static_cast<unsigned long long>(r.setup_events), r.setup_wall_s,
+             static_cast<unsigned long long>(r.teardown_events),
+             r.teardown_wall_s);
   }
   std::printf(
       "\nExpected: events per run grow 2.3-2.8x per doubling of ranks. "
@@ -188,17 +181,5 @@ int main(int argc, char** argv) {
       "phase and can swamp the ~3-events-per-fragment the fluid path folds "
       "away at device level (tests/elan4/fluid_test asserts that saving).\n");
 
-  if (!json_path.empty()) {
-    if (json.size() > 2) json.erase(json.size() - 2, 1);  // trailing comma
-    json += "]\n";
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("# json: %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return rows.write() ? 0 : 1;
 }

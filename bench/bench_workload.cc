@@ -160,7 +160,7 @@ Row measure(const std::string& skel, int np, int rails, double loss) {
 
 int main(int argc, char** argv) {
   oqs::bench::TraceSession trace_session(argc, argv);
-  std::string json_path;
+  oqs::bench::JsonRows rows(argc, argv);
   std::string skeleton = "all";
   int ranks = 64;
   std::vector<int> rails = {1, 2};
@@ -178,9 +178,7 @@ int main(int argc, char** argv) {
       }
       return out;
     };
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(sizeof("--json=") - 1);
-    } else if (arg.rfind("--skeleton=", 0) == 0) {
+    if (arg.rfind("--skeleton=", 0) == 0) {
       skeleton = arg.substr(sizeof("--skeleton=") - 1);
     } else if (arg.rfind("--ranks=", 0) == 0) {
       ranks = std::atoi(arg.c_str() + sizeof("--ranks=") - 1);
@@ -205,7 +203,6 @@ int main(int argc, char** argv) {
   std::printf("%-10s %-6s %-6s %14s %10s %10s %10s %10s %8s\n", "skeleton",
               "rails", "loss", "goodput_MB/s", "p50_us", "p95_us", "p99_us",
               "sim_ms", "verify");
-  std::string json = "[\n";
   bool failed = false;
   for (const std::string& s : skels) {
     for (int r : rails) {
@@ -218,19 +215,16 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(row.verify_failures));
         std::fflush(stdout);
         failed |= row.verify_failures != 0;
-        char buf[320];
-        std::snprintf(
-            buf, sizeof(buf),
-            "  {\"skeleton\": \"%s\", \"ranks\": %d, \"rails\": %d, "
+        rows.add(
+            "{\"skeleton\": \"%s\", \"ranks\": %d, \"rails\": %d, "
             "\"loss\": %.3f, \"goodput_mbps\": %.2f, \"p50_us\": %.2f, "
             "\"p95_us\": %.2f, \"p99_us\": %.2f, \"sim_ms\": %.3f, "
-            "\"bytes\": %llu, \"ops\": %llu, \"verify_failures\": %llu},\n",
+            "\"bytes\": %llu, \"ops\": %llu, \"verify_failures\": %llu}",
             row.skeleton.c_str(), row.ranks, row.rails, row.loss,
             row.goodput_mbps, row.p50_us, row.p95_us, row.p99_us, row.sim_ms,
             static_cast<unsigned long long>(row.bytes),
             static_cast<unsigned long long>(row.ops),
             static_cast<unsigned long long>(row.verify_failures));
-        json += buf;
       }
     }
   }
@@ -245,17 +239,6 @@ int main(int argc, char** argv) {
       "lone stencil's, while p95/p99 stretch several-fold — the shuffle's "
       "all-to-all congests the fat-tree links the halos cross.\n");
 
-  if (!json_path.empty()) {
-    if (json.size() > 2) json.erase(json.size() - 2, 1);  // trailing comma
-    json += "]\n";
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("# json: %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  if (!rows.write()) return 1;
   return failed ? 1 : 0;
 }

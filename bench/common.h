@@ -5,6 +5,7 @@
 // time. Results are deterministic: the same build prints the same numbers.
 #pragma once
 
+#include <cstdarg>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -59,6 +60,55 @@ class TraceSession {
   obs::Tracer tracer_;
   std::string path_;
   bool metrics_ = false;
+};
+
+// Machine-readable rows, driven by the bench command line:
+//   bench_coll --json=coll.json   also write every row to coll.json as one
+//                                 JSON array of objects
+// Construct one at the top of main(), add() each row's object as a
+// printf-style format, and call write() last. Without --json the rows are
+// dropped.
+class JsonRows {
+ public:
+  JsonRows(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--json=", 0) == 0) path_ = arg.substr(sizeof("--json=") - 1);
+    }
+  }
+
+  // Appends one row: `fmt` formats the object, braces included.
+  [[gnu::format(printf, 2, 3)]] void add(const char* fmt, ...) {
+    va_list args;
+    va_start(args, fmt);
+    char row[512];
+    std::vsnprintf(row, sizeof(row), fmt, args);
+    va_end(args);
+    json_ += "  ";
+    json_ += row;
+    json_ += ",\n";
+  }
+
+  // Writes the array to the --json path, if one was given, and names it
+  // on stdout. False when the file cannot be written.
+  bool write() {
+    if (path_.empty()) return true;
+    if (json_.size() > 2) json_.erase(json_.size() - 2, 1);  // trailing comma
+    json_ += "]\n";
+    std::FILE* f = std::fopen(path_.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", path_.c_str());
+      return false;
+    }
+    std::fwrite(json_.data(), 1, json_.size(), f);
+    std::fclose(f);
+    std::printf("# json: %s\n", path_.c_str());
+    return true;
+  }
+
+ private:
+  std::string path_;
+  std::string json_ = "[\n";
 };
 
 // Paper methodology: "the first 100 iterations are used to warm up".

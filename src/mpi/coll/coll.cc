@@ -144,8 +144,22 @@ Status Colls::bcast(Communicator& c, void* buf, std::size_t count,
     OQS_METRIC_INC("coll.bcast.hier");
     return hier_bcast(c, tag, st, buf, count, type, root);
   }
-  OQS_METRIC_INC("coll.bcast.binomial");
   const Group flat{nullptr, c.size(), c.rank()};
+  if (alg == BcastAlg::kNic) {
+    // The switch moves raw bytes out of one slot, so only contiguous
+    // layouts qualify. A payload longer than the slots rebuilds the ring.
+    HwBcastState& hb = st.hw_bcast;
+    const std::size_t bytes = count * type->size();
+    if (contig && (!hb.built || bytes > hb.slot_bytes))
+      build_hw_bcast(c, hb, bytes);
+    if (contig && hb.usable) {
+      OQS_METRIC_INC("coll.bcast.nic");
+      return hw_bcast(c, hb, buf, bytes, root);
+    }
+    OQS_METRIC_INC("coll.bcast.nic_fallback");
+    return ref_bcast(c, tag, flat, root, buf, count, type);
+  }
+  OQS_METRIC_INC("coll.bcast.binomial");
   return ref_bcast(c, tag, flat, root, buf, count, type);
 }
 
@@ -251,6 +265,7 @@ void Colls::reset() {
         if (!ns->res[s].empty()) ns->dev->unmap(ns->res_addr[s]);
       }
     }
+    release_hw_bcast(st->hw_bcast);
     if (st->hier.seg != nullptr)
       world_.net().node(world_.env().node).shm_unlink(st->hier.shm_key);
   }

@@ -10,17 +10,23 @@
 //    programmed into the Elan4 NICs with chained QDMA descriptors and
 //    countdown events, so the critical path between a rank's arrival and
 //    the completion broadcast involves no host except at the root's own
-//    arrival (see the protocol walkthrough in nic.cc and DESIGN.md).
+//    arrival (see the protocol walkthrough in nic.cc and DESIGN.md). The
+//    NIC bcast is the hardware broadcast (paper §4.1): the root's NIC
+//    pushes one staged payload through the Elite switches' replication to
+//    every member. It needs the global virtual address space, so it runs
+//    only when forced (BcastAlg::kNic) and only where the build finds
+//    that space intact.
 //  - Hierarchical composition: collectives split into an intra-node
 //    shared-memory phase (leader election over the ranks sharing a node)
 //    and an inter-node phase over the leaders.
 //
-// Per-communicator state (placement map, shared segment, NIC tree) is
-// built lazily and collectively on the first routed collective, keyed by
-// context id, and is placement-bound: migration or any other membership
-// change invalidates it, which is why World::migrate() resets the local
-// cache and why the kAuto rules only build state for communicators whose
-// shape can benefit (see ensure_hier/ensure_nic call sites in coll.cc).
+// Per-communicator state (placement map, shared segment, NIC tree,
+// hardware-broadcast ring) is built lazily and collectively on the first
+// routed collective, keyed by context id, and is placement-bound:
+// migration or any other membership change invalidates it, which is why
+// World::migrate() resets the local cache and why the kAuto rules only
+// build state for communicators whose shape can benefit (see
+// ensure_hier/ensure_nic call sites in coll.cc).
 #pragma once
 
 #include <cstdint>
@@ -76,6 +82,7 @@ class Colls {
 
  private:
   static constexpr int kNicSlots = 2;
+  static constexpr int kBcastSlots = 4;
 
   // A subgroup of a communicator taking part in one phase: position i
   // holds the communicator rank of the i-th member. Flat collectives use
@@ -125,7 +132,8 @@ class Colls {
   // result slots live and which event-table indices to fire. Unlike the
   // hardware broadcast, nothing here must be symmetric across contexts —
   // but the events ARE allocated uniformly on every rank (members or not)
-  // so the symmetric-index invariant hwcoll relies on stays intact.
+  // so the event-table indices the hardware broadcast matches stay
+  // aligned across the job.
   struct NicPeerInfo {
     elan4::Vpid vpid;
     elan4::E4Addr acc[kNicSlots];
@@ -152,10 +160,32 @@ class Colls {
     std::uint64_t seq = 0;
   };
 
+  // Hardware broadcast: the switch lands the root's slot at the SAME E4
+  // address in every member's context and fires the SAME event-table index
+  // there. That holds only inside the global virtual address space — every
+  // member mapped the ring at one address and allocated its arrival events
+  // at the same indices — so the build allgathers both and resolves one
+  // verdict. A ring of kBcastSlots slots pipelines successive rounds; a
+  // barrier every kBcastSlots rounds bounds the skew.
+  struct HwBcastState {
+    bool built = false;
+    bool usable = false;  // global virtual address space intact
+    elan4::Elan4Device* dev = nullptr;
+    std::size_t slot_bytes = 0;
+    std::vector<std::uint8_t> ring;  // kBcastSlots slots of slot_bytes
+    elan4::E4Addr ring_addr = elan4::kNullE4Addr;
+    elan4::E4Event* arrive[kBcastSlots] = {};
+    std::int32_t arrive_index[kBcastSlots] = {};
+    elan4::E4Event* injected = nullptr;
+    std::vector<elan4::Vpid> vpids;  // by comm rank
+    std::uint64_t round = 0;
+  };
+
   struct CommState {
     HierState hier;
     NicState nic_flat;     // tree over all comm ranks
     NicState nic_leaders;  // tree over the node leaders
+    HwBcastState hw_bcast;
   };
 
   CommState& state(const Communicator& c);
@@ -187,6 +217,15 @@ class Colls {
   // kErrProcFailed when the abort epoch moves while polling the tree — a
   // dead member means the countdown never completes.
   Status nic_round(NicState& st, double* buf, std::size_t count);
+
+  // --- hardware broadcast (nic.cc) ---
+  // Collective (re)build for payloads up to `bytes`; every rank passes the
+  // same count, so every rank rebuilds together.
+  void build_hw_bcast(Communicator& c, HwBcastState& hb, std::size_t bytes);
+  // Frees the ring mapping and events; the verdict stays.
+  void release_hw_bcast(HwBcastState& hb);
+  Status hw_bcast(Communicator& c, HwBcastState& hb, void* buf,
+                  std::size_t bytes, int root);
 
   // --- hierarchical composition (hier.cc) ---
   void ensure_hier(Communicator& c, CommState& st);

@@ -34,6 +34,7 @@
 // Collective frames ride the guaranteed delivery class (they are NOT
 // sequenced by the PTL's go-back-N, so nothing could retransmit them); see
 // rx_coll_qdma in elan4/nic.cc.
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -53,8 +54,8 @@ using elan4::QdmaCmd;
 // (the kAuto gates and forced modes branch uniformly), and every rank with
 // a device allocates the same six events and four mappings whether or not
 // it is a tree member — keeping allocation histories symmetric across the
-// job, which the hardware-broadcast path's event-table invariant relies
-// on. A rank without an Elan4 context reports capable = 0, and the group
+// job, so a later hardware-broadcast build still finds its arrival events
+// at the same indices everywhere. A rank without an Elan4 context reports capable = 0, and the group
 // uniformly resolves usable = false (host fallback) from the exchange.
 void Colls::ensure_nic(Communicator& c, NicState& st, std::vector<int> group) {
   if (st.built) return;
@@ -204,6 +205,108 @@ Status Colls::nic_round(NicState& st, double* buf, std::size_t count) {
     dev.charge_copy(st.acc[s].size() * sizeof(double));
   }
   prep_nic_slot(st, s);
+  return Status::kOk;
+}
+
+// ---------------------------------------------------- hardware bcast ----
+
+// Collective: maps a fresh ring and allocates its events on every rank
+// with a device, then allgathers where they landed. The hardware path is
+// usable only if every rank has a device, the ring sits at one E4 address
+// everywhere and every arrival event has one table index everywhere — the
+// global virtual address space, which processes with diverged allocation
+// histories (e.g. rendezvous traffic mapped on one side only, or a
+// dynamically joined process) have lost. Otherwise the build frees what it
+// allocated and the group falls back to the binomial tree.
+void Colls::build_hw_bcast(Communicator& c, HwBcastState& hb,
+                           std::size_t bytes) {
+  release_hw_bcast(hb);
+  hb = HwBcastState{};
+  hb.built = true;
+  hb.slot_bytes = bytes;
+  struct Info {
+    elan4::Vpid vpid;
+    std::int32_t capable;
+    elan4::E4Addr addr;
+    std::int32_t arrive[kBcastSlots];
+  };
+  Info mine{elan4::kInvalidVpid, 0, elan4::kNullE4Addr, {}};
+  if (ptl_elan4::PtlElan4* ptl = world_.elan4_ptl(); ptl != nullptr) {
+    hb.dev = &ptl->device();
+    hb.ring.resize(bytes * kBcastSlots);
+    hb.ring_addr = hb.dev->map(hb.ring.data(), hb.ring.size());
+    for (int s = 0; s < kBcastSlots; ++s) {
+      hb.arrive[s] = hb.dev->alloc_event("hwb-arrive" + std::to_string(s));
+      hb.arrive_index[s] = hb.dev->last_event_index();
+      hb.arrive[s]->init(1);
+      mine.arrive[s] = hb.arrive_index[s];
+    }
+    hb.injected = hb.dev->alloc_event("hwb-inject");
+    mine.vpid = hb.dev->vpid();
+    mine.capable = 1;
+    mine.addr = hb.ring_addr;
+  }
+  std::vector<Info> all(static_cast<std::size_t>(c.size()));
+  c.allgather(&mine, sizeof(Info), all.data());
+  hb.usable = true;
+  for (const Info& i : all) {
+    hb.usable &= i.capable == 1 && i.addr == all[0].addr &&
+                 std::equal(i.arrive, i.arrive + kBcastSlots, all[0].arrive);
+    hb.vpids.push_back(i.vpid);
+  }
+  // Every rank armed its arrival events before contributing to the
+  // allgather, so no root can fire one before it is armed.
+  if (!hb.usable) release_hw_bcast(hb);
+}
+
+void Colls::release_hw_bcast(HwBcastState& hb) {
+  if (hb.dev == nullptr || hb.dev->closed()) return;
+  for (E4Event*& ev : hb.arrive) {
+    if (ev != nullptr) hb.dev->free_event(ev);
+    ev = nullptr;
+  }
+  if (hb.injected != nullptr) hb.dev->free_event(hb.injected);
+  hb.injected = nullptr;
+  if (hb.ring_addr != elan4::kNullE4Addr) hb.dev->unmap(hb.ring_addr);
+  hb.ring_addr = elan4::kNullE4Addr;
+  hb.ring = {};
+}
+
+// One round: the root stages its payload into the round's slot and issues
+// one switch-replicated transfer; every other member waits for the slot's
+// arrival event, copies the slot out and re-arms the event for the slot's
+// next lap. The barrier every kBcastSlots rounds keeps a root from
+// restaging a slot some member has not copied out yet.
+Status Colls::hw_bcast(Communicator& c, HwBcastState& hb, void* buf,
+                       std::size_t bytes, int root) {
+  Elan4Device& dev = *hb.dev;
+  const int slot = static_cast<int>(hb.round % kBcastSlots);
+  const std::size_t off = static_cast<std::size_t>(slot) * hb.slot_bytes;
+  // A dead root never fires the arrival events; the abort epoch moving is
+  // the members' only exit.
+  const auto& epoch = world_.pml().abort_epoch;
+  const std::uint64_t stamp = epoch ? epoch() : 0;
+  const auto root_lost = sim::watched(
+      world_.pml().abort_signal, [&] { return epoch && epoch() > stamp; });
+  if (c.rank() == root) {
+    dev.charge_copy(bytes);
+    std::memcpy(hb.ring.data() + off, buf, bytes);
+    std::vector<elan4::Vpid> group;
+    for (int r = 0; r < c.size(); ++r)
+      if (r != root) group.push_back(hb.vpids[static_cast<std::size_t>(r)]);
+    hb.injected->init(1);
+    dev.hw_broadcast(group, hb.ring_addr + off,
+                     static_cast<std::uint32_t>(bytes), hb.arrive_index[slot],
+                     hb.injected);
+    dev.wait_event(hb.injected);
+  } else {
+    if (!dev.wait_event(hb.arrive[slot], root_lost))
+      return Status::kErrProcFailed;
+    dev.charge_copy(bytes);
+    std::memcpy(buf, hb.ring.data() + off, bytes);
+    hb.arrive[slot]->init(1);
+  }
+  if (++hb.round % kBcastSlots == 0) return barrier(c);
   return Status::kOk;
 }
 

@@ -20,7 +20,6 @@
 #include "dtype/datatype.h"
 #include "elan4/device.h"
 #include "elan4/qsnet.h"
-#include "mpi/hwcoll.h"
 #include "mpi/mpi.h"
 #include "mpi/window.h"
 #include "mpich/mpich.h"

@@ -1,14 +1,13 @@
 // Collectives framework: every selectable algorithm against a serial
 // oracle (deliberately on non-power-of-two communicators), in-place
 // aliasing conformance, determinism under same-seed replay, behaviour
-// under fault injection with two rails, and the hwcoll event-table leak
-// regression.
+// under fault injection with two rails, and the hardware-broadcast
+// event-table leak regression.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
 
-#include "mpi/hwcoll.h"
 #include "obs/metrics.h"
 #include "testbed.h"
 
@@ -39,6 +38,7 @@ mpi::Options coll_opts(const std::string& mode) {
     o.coll.nic = false;
   } else if (mode == "nic") {
     o.coll.barrier = BarrierAlg::kNic;
+    o.coll.bcast = BcastAlg::kNic;
     o.coll.allreduce = AllreduceAlg::kNic;
     o.coll.hier = false;
   } else if (mode == "hier") {
@@ -74,6 +74,7 @@ void run_conformance(const std::string& mode, int np, ModelParams params = {},
   // it frames ride the guaranteed class (wire faults never apply) and a
   // corrupted payload would land undetected.
   opts.elan4.reliability = reliability;
+  const std::uint64_t hw0 = obs::metrics().counter("coll.bcast.nic").value();
   bed.run_mpi(
       np,
       [&](mpi::World& w) {
@@ -124,6 +125,11 @@ void run_conformance(const std::string& mode, int np, ModelParams params = {},
         }
       },
       opts);
+  // A symmetric job keeps its global virtual address space: every forced
+  // hardware bcast ran on the switches, none fell back.
+  const bool forced = opts.coll.bcast == mpi::coll::BcastAlg::kNic;
+  EXPECT_EQ(obs::metrics().counter("coll.bcast.nic").value() - hw0,
+            forced ? static_cast<std::uint64_t>(3 * np * np) : 0u);
 }
 
 class CollModeNp
@@ -294,36 +300,43 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, CollDeterminism,
                          ::testing::Values("p2p", "rsag", "nic", "hier",
                                            "hiernic"));
 
-// Regression for the hwcoll event-table leak: try_hw_bcast allocated two
-// device events per call and freed them on no path (including the !agree
-// early return), so 10k broadcasts grew the per-context event table by
-// ~20k entries. With free_event() on every path the table stays bounded.
-TEST(HwcollLeak, EventTableBoundedOver10kBcasts) {
+// The hardware broadcast must not grow the per-context event table with
+// the number of calls: its events belong to the communicator's ring, built
+// once and freed by Colls::reset(), and a failed build frees them at once.
+TEST(HwBcastLeak, EventTableBoundedOver10kBcasts) {
   TestBed bed;
+  const std::uint64_t hw0 = obs::metrics().counter("coll.bcast.nic").value();
+  mpi::Options opts;
+  opts.coll.bcast = mpi::coll::BcastAlg::kNic;
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();
     std::uint64_t payload = 0;
     for (int i = 0; i < 10000; ++i) {
       payload = static_cast<std::uint64_t>(i);
-      ASSERT_TRUE(mpi::bcast_auto(c, w, &payload, sizeof(payload), 0));
+      c.bcast(&payload, sizeof(payload), dtype::byte_type(), 0);
       ASSERT_EQ(payload, static_cast<std::uint64_t>(i));
     }
     auto* ptl = w.elan4_ptl();
     ASSERT_NE(ptl, nullptr);
     elan4::Elan4Device& dev = ptl->device();
-    // The PTL itself owns a handful of events; the per-call pair must not
+    // The PTL itself owns a handful of events; the ring's five must not
     // accumulate. Generous bounds: anything even loosely proportional to
     // the 10k calls is a leak.
     EXPECT_LE(dev.nic().event_table_live(dev.context()), 32u);
     EXPECT_LE(dev.nic().event_table_size(dev.context()), 64u);
     c.barrier();
-  });
+  }, opts);
+  EXPECT_EQ(obs::metrics().counter("coll.bcast.nic").value() - hw0, 20000u);
 }
 
-// Same bound for the !agree early-return path: rank 1 disturbs its event
-// allocation history first, so every try_hw_bcast disagrees and falls back.
-TEST(HwcollLeak, DisagreePathAlsoBounded) {
+// Same bound on the disagree path: rank 1 disturbs its event allocation
+// history first, so the build disagrees and every bcast falls back.
+TEST(HwBcastLeak, DisagreePathAlsoBounded) {
   TestBed bed;
+  const std::uint64_t fb0 =
+      obs::metrics().counter("coll.bcast.nic_fallback").value();
+  mpi::Options opts;
+  opts.coll.bcast = mpi::coll::BcastAlg::kNic;
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();
     if (c.rank() == 1) {
@@ -334,14 +347,16 @@ TEST(HwcollLeak, DisagreePathAlsoBounded) {
     }
     std::uint32_t v = 7;
     for (int i = 0; i < 2000; ++i)
-      EXPECT_FALSE(mpi::bcast_auto(c, w, &v, sizeof(v), 0));
+      c.bcast(&v, sizeof(v), dtype::byte_type(), 0);
     EXPECT_EQ(v, 7u);
     auto* ptl = w.elan4_ptl();
     elan4::Elan4Device& dev = ptl->device();
     EXPECT_LE(dev.nic().event_table_live(dev.context()), 32u);
     EXPECT_LE(dev.nic().event_table_size(dev.context()), 64u);
     c.barrier();
-  });
+  }, opts);
+  EXPECT_EQ(obs::metrics().counter("coll.bcast.nic_fallback").value() - fb0,
+            4000u);
 }
 
 // Slow soak (own ctest entry, labelled slow): long mixed-collective runs

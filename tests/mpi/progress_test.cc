@@ -216,5 +216,45 @@ TEST(Progress, ThreadedModeHandlesConcurrentTraffic) {
   }, opts);
 }
 
+// A blocking probe parks between rounds. With a progress thread, the
+// thread may consume the arriving frame and still be charging its match
+// when the probe's round runs: the probe finds neither a queued fragment
+// nor a frame to poll, and parks. Only the unexpected queue's growth
+// signal wakes it then, since no further frame arrives until the probe
+// returns. The probe's start sweeps across the message's arrival in steps
+// shorter than the match charge, so one round lands in that window.
+TEST(Progress, ProbeWakesWhenAProgressThreadQueuesTheMessage) {
+  mpi::Options opts;
+  opts.elan4.progress = ptl_elan4::Progress::kOneThread;
+  TestBed bed;
+  constexpr int kSteps = 500;
+  const sim::Time step = bed.params.pml_match_ns / 4;
+  int probed = 0;
+  bed.run_mpi(2, [&](mpi::World& w) {
+    auto& c = w.comm();
+    std::vector<std::uint8_t> msg(64, 0x3C);
+    std::uint8_t ack = 0;
+    for (int i = 0; i < kSteps; ++i) {
+      c.barrier();
+      if (c.rank() == 0) {
+        c.send(msg.data(), msg.size(), dtype::byte_type(), 1, 5);
+        c.recv(&ack, 1, dtype::byte_type(), 1, 6);
+        continue;
+      }
+      bed.engine.sleep(static_cast<sim::Time>(i) * step);
+      mpi::RecvStatus st;
+      c.probe(0, 5, &st);
+      ++probed;
+      ASSERT_EQ(st.bytes, msg.size());
+      std::vector<std::uint8_t> got(st.bytes);
+      c.recv(got.data(), got.size(), dtype::byte_type(), 0, 5);
+      ASSERT_EQ(got, msg);
+      c.send(&ack, 1, dtype::byte_type(), 0, 6);
+    }
+  }, opts);
+  EXPECT_EQ(probed, kSteps);
+  EXPECT_EQ(bed.engine.parked_waits(), 0u);
+}
+
 }  // namespace
 }  // namespace oqs

@@ -29,10 +29,10 @@ namespace oqs::test {
 //                     dispatch-order digest need to opt out.
 //   OQS_TEST_COLL=M   force a collectives mode for every routed collective:
 //                     p2p (reference algorithms only), nic (NIC combining
-//                     tree for barrier/allreduce), hier (hierarchical, p2p
-//                     inter phase), hiernic (hierarchical with NIC inter
-//                     phase). Applied only when the test left every coll
-//                     knob at kAuto.
+//                     tree for barrier/allreduce, hardware broadcast for
+//                     bcast), hier (hierarchical, p2p inter phase),
+//                     hiernic (hierarchical with NIC inter phase). Applied
+//                     only when the test left every coll knob at kAuto.
 inline int env_rails() {
   const char* v = std::getenv("OQS_TEST_RAILS");
   const int n = v != nullptr ? std::atoi(v) : 1;
@@ -76,6 +76,7 @@ inline void env_coll(mpi::coll::CollOptions* coll) {
     coll->nic = false;
   } else if (mode == "nic") {
     coll->barrier = BarrierAlg::kNic;
+    coll->bcast = BcastAlg::kNic;
     coll->allreduce = AllreduceAlg::kNic;
     coll->hier = false;
   } else if (mode == "hier") {
