@@ -493,8 +493,7 @@ void World::open_stack() {
     }
   }
   if (opts_.use_tcp) {
-    auto ptl = std::make_unique<ptl_tcp::PtlTcp>(*pml_, net_, env_.node,
-                                                 opts_.tcp_reliability);
+    auto ptl = std::make_unique<ptl_tcp::PtlTcp>(*pml_, net_, env_.node);
     info.emplace(ptl->name(), ptl->contact());
     pml_->add_ptl(std::move(ptl));
   }

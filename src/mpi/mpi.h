@@ -46,10 +46,6 @@ inline constexpr int kAnyTag = pml::kAnyTag;
 struct Options {
   bool use_elan4 = true;
   bool use_tcp = false;
-  // Run the shared go-back-N framing over the TCP PTL too (it is lossless
-  // in the model, so this only adds the framing/ack cost — the opt-in
-  // exists to exercise the reliability component off the Elan4 path).
-  bool tcp_reliability = false;
   // Elan4 PTL configuration. Its `scheme` is the one rendezvous selector:
   // the BML's fragment schedule (default, tuned by ModelParams::pipeline_*)
   // or the paper's monolithic RDMA-read/write.

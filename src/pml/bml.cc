@@ -100,7 +100,7 @@ Ptl* Bml::choose(int dst_gid, std::size_t total) {
 std::vector<Ptl*> Bml::stripe_rails(int gid) const {
   std::vector<Ptl*> rails;
   for (const auto& p : ptls_)
-    if (p->stripe_capable() && p->reaches(gid)) rails.push_back(p.get());
+    if (p->reaches(gid)) rails.push_back(p.get());
   return rails;
 }
 
@@ -152,10 +152,10 @@ void Bml::send_fragmented(SendRequest& req, Ptl* primary) {
   const std::size_t total = req.total_bytes();
   // The chosen (best-score) rail leads: it carries the RTS, the inline
   // prefix and the pushed fragments, and its region is first in the table
-  // so FINs prefer it. Every real PTL is stripe-capable, so it is in the set.
+  // so FINs prefer it. It reaches the peer, so it is in the set.
   std::vector<Ptl*> rails = stripe_rails(req.dst_gid);
   const auto lead = std::find(rails.begin(), rails.end(), primary);
-  assert(lead != rails.end() && "rendezvous over a rail that cannot stripe");
+  assert(lead != rails.end() && "rendezvous over a rail that misses the peer");
   std::rotate(rails.begin(), lead, lead + 1);
 
   // End-to-end fragment checksums when the rails verify payloads (the
@@ -338,7 +338,7 @@ void Bml::matched_striped(RecvRequest& req, std::unique_ptr<FirstFrag> frag) {
     rs.name = std::move(name);
     rs.region = region;
     Ptl* p = find_rail(rs.name);
-    rs.ptl = p != nullptr && p->stripe_capable() ? p : nullptr;
+    rs.ptl = p;
     op.rails.push_back(std::move(rs));
   }
   op.checksummed = rte::get_pod<std::uint8_t>(blob, off) != 0;

@@ -165,8 +165,8 @@ class Bml final : public sim::PollPlan {
   Ptl* choose(int dst_gid, std::size_t total);
   // Completion-time estimate for routing: wire latency + serialization.
   double score(const Ptl& p, std::size_t total) const;
-  // Stripe-capable rails reaching gid (used for both the striping decision
-  // and the region exposure).
+  // Rails reaching gid (used for both the striping decision and the region
+  // exposure).
   std::vector<Ptl*> stripe_rails(int gid) const;
   // Plan and launch a pipelined rendezvous led by the chosen (primary) rail.
   void send_fragmented(SendRequest& req, Ptl* primary);

@@ -3,12 +3,10 @@
 // Each PTL keeps one Endpoint per peer process it can reach. The common
 // base exposes what the layers above the PTL (the BML rail scheduler, the
 // PML wait gate, tests) need to see without knowing the transport:
-// liveness, identity, and reliability-window occupancy. PTLs subclass it
-// with their transport-specific connection state (Elan4: vpid + receive
-// queue + ReliableStream; TCP: Ethernet address).
+// liveness and identity. PTLs subclass it with their transport-specific
+// connection state (Elan4: vpid + receive queue + ReliableStream; TCP:
+// Ethernet address).
 #pragma once
-
-#include <cstddef>
 
 namespace oqs::pml {
 
@@ -17,10 +15,6 @@ struct Endpoint {
 
   int gid = -1;       // peer's global process id
   bool alive = true;  // cleared by the peer's goodbye (or a failure)
-
-  // Unacked + backlogged sequenced frames toward this peer (0 when the
-  // transport runs without a reliability window).
-  virtual std::size_t window_in_use() const { return 0; }
 };
 
 }  // namespace oqs::pml

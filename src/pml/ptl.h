@@ -93,12 +93,11 @@ class Ptl {
     req.fail(Status::kError);
   }
 
-  // --- BML multi-rail striping hooks (optional; default: not capable) ---
-  // A stripe-capable rail can expose a local memory region for remote pull
-  // and pull stripes of a peer's exposed region. Regions are rail-local
-  // (each NIC has its own MMU): a region handle from rail r is only
-  // meaningful to the peer's rail-r module.
-  virtual bool stripe_capable() const { return false; }
+  // --- BML multi-rail striping hooks ---
+  // A rail exposes a local memory region for remote pull and pulls stripes
+  // of a peer's exposed region. Regions are rail-local (each NIC has its
+  // own MMU): a region handle from rail r is only meaningful to the peer's
+  // rail-r module.
   // Rendezvous payloads are protected by a per-stripe checksum on this rail
   // (the BML then verifies and re-pulls on mismatch).
   virtual bool stripe_checksummed() const { return false; }

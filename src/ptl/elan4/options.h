@@ -57,30 +57,17 @@ struct Options {
   bool reliability = false;
   // Rendezvous payload re-read attempts before the transfer fails.
   int max_data_retries = 3;
-  // --- Reliability protocol tuning (active only with reliability on) ---
+  // --- Reliability protocol tuning (active only with reliability on; the
+  // ack and retransmission timing is fixed in ptl/reliable_stream.h) ---
   // Max unacknowledged sequenced frames per peer. Frames beyond the window
   // queue in a per-peer backlog; application sends block (backpressure)
   // instead of history ever being dropped.
   std::uint32_t send_window = 256;
-  // Explicit-ack cadence: a cumulative ack goes out after this many admitted
-  // frames if no outgoing frame has piggybacked one sooner...
-  int ack_every = 8;
-  // ...or after this long, whichever comes first (delayed-ack timer).
-  std::uint64_t ack_delay_ns = 40000;
-  // Sender retransmission timeout: with no ack progress for this long the
-  // window front is retransmitted (backstop for lost NACKs and lost tails).
-  std::uint64_t retransmit_timeout_ns = 150000;
-  // Timeout doubles on consecutive expiries up to this many times.
-  int max_retransmit_backoff = 4;
-  // Minimum gap between identical NACKs / duplicate re-acks, so a burst of
-  // out-of-order frames triggers one retransmission round, not a storm.
-  std::uint64_t nack_holdoff_ns = 30000;
   // Initial frame_seq value (both sides of a pairing must agree). Test hook
   // for exercising uint16 wraparound without sending 65,000 warmup frames.
   std::uint16_t seq_start = 0;
-  // Host receive-queue slots (QSLOTS) and preallocated 2KB send buffers.
+  // Host receive-queue slots (QSLOTS).
   std::uint32_t qslots = 2048;
-  std::uint32_t send_bufs = 64;
   // Rails for the multirail extension. Consumed by the MPI bring-up, which
   // instantiates one PtlElan4 module per rail ("elan4", "elan4.1", ...);
   // the BML stripes long rendezvous payloads across them and keeps control

@@ -43,11 +43,6 @@ PtlElan4::PtlElan4(pml::Pml& pml, elan4::QsNet& net, int node, Options opts,
     opts_.chained_fin = false;
   }
   rtuning_.send_window = opts_.send_window;
-  rtuning_.ack_every = opts_.ack_every;
-  rtuning_.ack_delay_ns = opts_.ack_delay_ns;
-  rtuning_.retransmit_timeout_ns = opts_.retransmit_timeout_ns;
-  rtuning_.max_retransmit_backoff = opts_.max_retransmit_backoff;
-  rtuning_.nack_holdoff_ns = opts_.nack_holdoff_ns;
   rtuning_.suspect_timeouts = net_.params().suspect_timeouts;
   rtuning_.seq_start = opts_.seq_start;
 
@@ -264,7 +259,7 @@ void PtlElan4::rtx_fire() {
 void PtlElan4::arm_ack_timer() {
   if (ack_timer_armed_) return;
   ack_timer_armed_ = true;
-  net_.engine().schedule(opts_.ack_delay_ns, [this, token = alive_] {
+  net_.engine().schedule(ptl::kAckDelayNs, [this, token = alive_] {
     if (!*token) return;
     net_.engine().spawn("elan4-ack", [this, token] {
       if (!*token) return;

@@ -60,7 +60,9 @@ struct Elan4Endpoint final : pml::Endpoint {
   int recv_queue = -1;
   std::unique_ptr<ptl::ReliableStream> stream;
 
-  std::size_t window_in_use() const override {
+  // Unacked + backlogged sequenced frames toward this peer (0 without
+  // reliability).
+  std::size_t window_in_use() const {
     return stream != nullptr ? stream->window_in_use() : 0;
   }
 };
@@ -119,7 +121,6 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   bool abort_send(pml::SendRequest* req) override;
 
   // --- BML striping hooks ---
-  bool stripe_capable() const override { return true; }
   bool stripe_checksummed() const override { return opts_.reliability; }
   std::uint64_t stripe_expose(const void* base, std::size_t len) override;
   void stripe_unexpose(std::uint64_t region) override;

@@ -143,7 +143,7 @@ bool ReliableStream::admit(const pml::MatchHeader& hdr,
   ++counters_.dup_frames;
   OQS_METRIC_INC("ptl.reliability.dup_frames");
   const sim::Time now = hooks_.now();
-  if (now - last_reack_time_ >= tuning_.nack_holdoff_ns) {
+  if (now - last_reack_time_ >= kNackHoldoffNs) {
     last_reack_time_ = now;
     hooks_.send_ack();
   }
@@ -156,7 +156,7 @@ void ReliableStream::maybe_nack() {
   // One NACK per loss event: a burst of out-of-order frames behind one hole
   // would otherwise trigger a quadratic retransmission storm.
   if (last_nack_seq_ == expected &&
-      now - last_nack_time_ < tuning_.nack_holdoff_ns)
+      now - last_nack_time_ < kNackHoldoffNs)
     return;
   last_nack_seq_ = expected;
   last_nack_time_ = now;
@@ -164,7 +164,7 @@ void ReliableStream::maybe_nack() {
 }
 
 void ReliableStream::note_admitted() {
-  if (++unacked_rx_ >= tuning_.ack_every)
+  if (++unacked_rx_ >= kAckEvery)
     hooks_.send_ack();  // cadence ack now
   else
     hooks_.arm_ack();  // trailing frames get acked by the delay timer

@@ -1,7 +1,8 @@
-// Reusable framing/reliability component (ack-clocked go-back-N).
+// Framing/reliability component of the Elan4 PTL (ack-clocked go-back-N).
 //
-// Carved out of the Elan4 PTL so the NIC-specific code shrinks to RDMA/QDMA
-// logic and other PTLs (TCP) can opt into the same window/ack machinery.
+// Kept apart from the PTL so the NIC-specific code shrinks to RDMA/QDMA
+// logic, and so its hooks let a unit test drive the algorithm with fakes.
+// The TCP PTL has no reliable framing: the Ethernet model is lossless.
 // One ReliableStream instance guards the sequenced frame stream to ONE peer
 // endpoint: it assigns frame sequences, appends/verifies the CRC32C
 // trailer, keeps the sent-frame log for retransmission, enforces in-order
@@ -27,21 +28,25 @@
 
 namespace oqs::ptl {
 
-// Protocol tuning, mirrored from the owner's option block.
+// Explicit-ack cadence: a cumulative ack goes out after this many admitted
+// frames if no outgoing frame has piggybacked one sooner...
+inline constexpr int kAckEvery = 8;
+// ...or this long after the first unacked one (the owner's delayed-ack
+// timer), whichever comes first.
+inline constexpr sim::Time kAckDelayNs = 40000;
+// Minimum gap between identical NACKs / duplicate re-acks, so a burst of
+// out-of-order frames triggers one retransmission round, not a storm.
+inline constexpr sim::Time kNackHoldoffNs = 30000;
+
+// Protocol tuning, set by the owning PTL.
 struct ReliableTuning {
   // Max unacknowledged sequenced frames per peer; excess frames queue in a
   // per-peer backlog (history is never dropped).
   std::uint32_t send_window = 256;
-  // Explicit-ack cadence: ack after this many admitted frames...
-  int ack_every = 8;
-  // ...or after this long, whichever comes first (delayed-ack timer).
-  std::uint64_t ack_delay_ns = 40000;
   // Retransmit the window front after this long without ack progress.
   std::uint64_t retransmit_timeout_ns = 150000;
   // Timeout doubles on consecutive expiries up to this many times.
   int max_retransmit_backoff = 4;
-  // Minimum gap between identical NACKs / duplicate re-acks.
-  std::uint64_t nack_holdoff_ns = 30000;
   // Consecutive unproductive retransmission timeouts before the stream
   // reports its peer suspect to the failure detector (0 = never).
   int suspect_timeouts = 6;

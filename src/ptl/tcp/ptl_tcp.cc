@@ -13,8 +13,8 @@ namespace oqs::ptl_tcp {
 using pml::FragKind;
 using pml::MatchHeader;
 
-PtlTcp::PtlTcp(pml::Pml& pml, elan4::QsNet& net, int node, bool reliability)
-    : pml_(pml), net_(net), node_(node), reliability_(reliability) {
+PtlTcp::PtlTcp(pml::Pml& pml, elan4::QsNet& net, int node)
+    : pml_(pml), net_(net), node_(node) {
   addr_ = net_.eth().attach(this);
 }
 
@@ -36,7 +36,6 @@ Status PtlTcp::add_peer(int gid, const pml::ContactInfo& info) {
   p.gid = gid;
   p.alive = true;
   p.addr = rte::get_pod<std::int32_t>(it->second, off);
-  p.stream = reliability_ ? make_stream(gid) : nullptr;
   changed_.notify();
   return Status::kOk;
 }
@@ -47,84 +46,12 @@ void PtlTcp::charge_io(std::size_t bytes) {
                                  ModelParams::xfer_ns(bytes, p.tcp_copy_mbps));
 }
 
-std::unique_ptr<ptl::ReliableStream> PtlTcp::make_stream(int gid) {
-  ptl::ReliableStream::Hooks hooks;
-  hooks.wire = [this, gid](const std::vector<std::uint8_t>& frame, void*) {
-    TcpEndpoint& peer = peers_.at(gid);
-    charge_io(frame.size());
-    tx_bytes_ += frame.size();
-    net_.eth().send(addr_, peer.addr, frame);
-  };
-  hooks.charge_crc = [this](std::size_t bytes) {
-    net_.node(node_).cpu().compute(
-        ModelParams::xfer_ns(bytes, net_.params().crc_mbps) + 40);
-  };
-  hooks.now = [this] { return net_.engine().now(); };
-  // The Ethernet model never drops a frame, so nothing ever needs the
-  // retransmission backstop — leave the timer unarmed.
-  hooks.arm_rtx = [](sim::Time) {};
-  hooks.arm_ack = [this] { arm_ack_timer(); };
-  hooks.send_nack = [] {};  // gaps cannot occur on an ordered lossless wire
-  hooks.send_ack = [this, gid] { send_frame_ack(gid); };
-  hooks.window = &changed_;
-  hooks.node = node_;
-  hooks.name = name_;
-  return std::make_unique<ptl::ReliableStream>(rtuning_, counters_,
-                                               std::move(hooks));
-}
-
-void PtlTcp::send_frame_ack(int gid) {
-  auto it = peers_.find(gid);
-  if (it == peers_.end()) return;
-  MatchHeader ack;
-  ack.kind = FragKind::kFrameAck;
-  ack.flags = pml::kFlagControl;
-  ack.src_gid = pml_.ctx().gid;
-  ack.dst_gid = gid;
-  ++counters_.acks_sent;
-  OQS_METRIC_INC("ptl.reliability.acks_sent");
-  post_frame(it->second, ack, nullptr, 0);
-}
-
-void PtlTcp::arm_ack_timer() {
-  if (ack_timer_armed_) return;
-  ack_timer_armed_ = true;
-  net_.engine().schedule(rtuning_.ack_delay_ns, [this, token = alive_] {
-    if (!*token) return;
-    net_.engine().spawn("tcp-ack", [this, token] {
-      if (!*token) return;
-      ack_fire();
-    });
-  });
-}
-
-void PtlTcp::ack_fire() {
-  ack_timer_armed_ = false;
-  for (auto& [gid, peer] : peers_) {
-    if (peer.stream == nullptr) continue;
-    if (peer.stream->unacked_rx() > 0) send_frame_ack(gid);
-  }
-}
-
 void PtlTcp::post_frame(TcpEndpoint& peer, const MatchHeader& hdr,
                         const void* payload, std::size_t payload_len) {
-  const bool sequenced =
-      reliability_ && (hdr.flags & pml::kFlagControl) == 0;
-  const std::size_t trailer = sequenced ? 4 : 0;
-  std::vector<std::uint8_t> frame(sizeof(MatchHeader) + payload_len + trailer);
-  MatchHeader h = hdr;
-  if (reliability_) peer.stream->stamp_ack(h);
-  if (sequenced) {
-    h.flags |= pml::kFlagChecksummed;
-    h.frame_seq = peer.stream->assign_seq();
-  }
-  std::memcpy(frame.data(), &h, sizeof(MatchHeader));
+  std::vector<std::uint8_t> frame(sizeof(MatchHeader) + payload_len);
+  std::memcpy(frame.data(), &hdr, sizeof(MatchHeader));
   if (payload_len > 0)
     std::memcpy(frame.data() + sizeof(MatchHeader), payload, payload_len);
-  if (sequenced) {
-    peer.stream->submit(std::move(frame), nullptr);
-    return;
-  }
   charge_io(frame.size());
   tx_bytes_ += frame.size();
   net_.eth().send(addr_, peer.addr, std::move(frame));
@@ -208,23 +135,11 @@ void PtlTcp::handle_frame(std::vector<std::uint8_t>&& frame) {
                  static_cast<std::uint64_t>(hdr.kind));
   OQS_METRIC_INC("ptl.frames.handled");
 
-  // First contact: a frame from a peer with no endpoint wires it, before
-  // the reliability gate, so the frame is admitted on the new stream. A
+  // First contact: a frame from a peer with no endpoint wires it. A
   // goodbye only ever retires a peer.
   if (hdr.src_gid != pml_.ctx().gid && hdr.kind != FragKind::kGoodbye &&
       peers_.find(hdr.src_gid) == peers_.end())
     pml_.resolve_peer(hdr.src_gid);
-
-  if (reliability_ && hdr.src_gid != pml_.ctx().gid) {
-    auto pit = peers_.find(hdr.src_gid);
-    if (pit != peers_.end() && pit->second.stream != nullptr)
-      pit->second.stream->harvest_ack(hdr.ack_seq);
-    if ((hdr.flags & pml::kFlagControl) == 0) {
-      if (pit == peers_.end() || pit->second.stream == nullptr) return;
-      if (!pit->second.stream->admit(hdr, frame)) return;
-      frame.resize(frame.size() - 4);  // strip the CRC trailer
-    }
-  }
 
   switch (hdr.kind) {
     case FragKind::kEager:
@@ -285,8 +200,6 @@ void PtlTcp::handle_frame(std::vector<std::uint8_t>&& frame) {
       if (op.done) op.done(Status::kOk);
       break;
     }
-    case FragKind::kFrameAck:
-      break;  // pure ack carrier: consumed by the gate above
     case FragKind::kGoodbye: {
       // The peer tore down (finalize or migration): stop addressing its
       // socket. A later send re-resolves fresh contact info lazily.
@@ -321,38 +234,18 @@ int PtlTcp::sweep(std::size_t from, bool paid) {
 void PtlTcp::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  const sim::ProcessCtx& host = pml_.ctx();
-  if (reliability_) {
-    // Flush cumulative acks so peers can prune, then wait for our own
-    // frames to be acknowledged before the endpoint detaches.
-    for (auto& [gid, peer] : peers_) {
-      if (peer.stream != nullptr && peer.stream->unacked_rx() > 0)
-        send_frame_ack(gid);
-    }
-    auto acked = [this] {
-      for (auto& [gid, peer] : peers_)
-        if (peer.window_in_use() > 0) return false;
-      return true;
-    };
-    // Its 4x host_poll_ns idle step is not its point charge, so this wait
-    // spins (the one that does).
-    host.wait_until(sim::Cadence::kSocketPoll, sim::watched(&changed_, acked),
-                    this);
-  }
   // Tell peers we are leaving so they stop addressing this socket (a send
   // to a detached address drops silently — a migrated peer would hang).
   for (auto& [gid, peer] : peers_) {
     if (!peer.alive) continue;
     MatchHeader bye;
     bye.kind = FragKind::kGoodbye;
-    bye.flags = pml::kFlagControl;
     bye.src_gid = pml_.ctx().gid;
     bye.dst_gid = gid;
     post_frame(peer, bye, nullptr, 0);
   }
   // Let the in-flight goodbyes land before the endpoint detaches.
   net_.engine().sleep(net_.params().eth_latency_ns * 2);
-  *alive_ = false;
   net_.eth().detach(addr_);
 }
 
@@ -362,7 +255,6 @@ void PtlTcp::peer_failed(int gid) {
   auto pit = peers_.find(gid);
   if (pit != peers_.end()) {
     pit->second.alive = false;
-    pit->second.stream.reset();  // window/backlog toward the corpse released
     changed_.notify();
   }
   std::vector<std::uint64_t> doomed;
@@ -381,11 +273,10 @@ void PtlTcp::halt() {
   if (finalized_) return;
   finalized_ = true;
   halted_ = true;
-  *alive_ = false;
   stripe_pulls_.clear();
   stripe_regions_.clear();
-  // Endpoints are retired, never erased (an ack walk may be suspended
-  // mid-map).
+  // Endpoints are retired, never erased (the goodbye walk in finalize()
+  // may be suspended mid-map).
   for (auto& [gid, peer] : peers_) peer.alive = false;
   inbox_.clear();
   // No goodbye traffic: the socket just vanishes. Peers' later frames to

@@ -9,17 +9,15 @@
 // OS overhead — and (b) to exercise concurrent multi-network scheduling in
 // the PML.
 //
-// The shared go-back-N framing (ptl::ReliableStream) can be layered on per
-// construction flag. The Ethernet model is lossless, so this never
-// retransmits; it exercises the framing component — sequencing, CRC
-// trailers, cumulative acks opening the send window — on a second
-// transport.
+// No reliable framing: the Ethernet model never drops or corrupts a frame,
+// and the BML's per-fragment checksum already covers pulls over this rail
+// when the primary rail verifies payloads. Go-back-N framing
+// (ptl::ReliableStream) belongs to the Elan4 PTL.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "elan4/qsnet.h"
@@ -27,26 +25,19 @@
 #include "pml/endpoint.h"
 #include "pml/pml.h"
 #include "pml/ptl.h"
-#include "ptl/reliable_stream.h"
 
 namespace oqs::ptl_tcp {
 
-// Per-peer connection state: Ethernet address plus (with reliability on)
-// the framing stream.
+// Per-peer connection state: the peer's Ethernet address.
 struct TcpEndpoint final : pml::Endpoint {
   int addr = -1;
-  std::unique_ptr<ptl::ReliableStream> stream;
-
-  std::size_t window_in_use() const override {
-    return stream != nullptr ? stream->window_in_use() : 0;
-  }
 };
 
 class PtlTcp final : public pml::Ptl,
                      private sim::PollPlan,
                      private net::EthNet::Sink {
  public:
-  PtlTcp(pml::Pml& pml, elan4::QsNet& net, int node, bool reliability = false);
+  PtlTcp(pml::Pml& pml, elan4::QsNet& net, int node);
   ~PtlTcp() override;
 
   const std::string& name() const override { return name_; }
@@ -77,8 +68,6 @@ class PtlTcp final : public pml::Ptl,
   // BML striping hooks: no RDMA engine here, so a "pull" is a request/
   // response pair over the socket (kPullReq / kPullResp). The TCP rail
   // thereby joins the same fragment schedule as the Elan4 rails.
-  bool stripe_capable() const override { return true; }
-  bool stripe_checksummed() const override { return reliability_; }
   std::uint64_t stripe_expose(const void* base, std::size_t len) override;
   void stripe_unexpose(std::uint64_t region) override {
     stripe_regions_.erase(region);
@@ -105,9 +94,6 @@ class PtlTcp final : public pml::Ptl,
   void peer_failed(int gid) override;
   void halt() override;
 
-  bool reliability() const { return reliability_; }
-  std::uint64_t acks_sent() const { return counters_.acks_sent; }
-  std::uint64_t frames_dropped() const { return counters_.frames_dropped; }
   std::uint64_t tx_bytes() const { return tx_bytes_; }
 
  private:
@@ -133,10 +119,6 @@ class PtlTcp final : public pml::Ptl,
   // net::EthNet::Sink — frames land in the kernel-side inbox.
   void eth_deliver(int src_addr, std::vector<std::uint8_t> frame) override;
 
-  std::unique_ptr<ptl::ReliableStream> make_stream(int gid);
-  void send_frame_ack(int gid);
-  void arm_ack_timer();
-  void ack_fire();
   void post_frame(TcpEndpoint& peer, const pml::MatchHeader& hdr,
                   const void* payload, std::size_t payload_len);
   void handle_frame(std::vector<std::uint8_t>&& frame);
@@ -145,19 +127,14 @@ class PtlTcp final : public pml::Ptl,
   pml::Pml& pml_;
   elan4::QsNet& net_;
   int node_;
-  bool reliability_;
   std::string name_ = "tcp";
   int addr_ = -1;
-  ptl::ReliableTuning rtuning_;
-  ptl::ReliableCounters counters_;
   std::map<int, TcpEndpoint> peers_;
   std::map<std::uint64_t, StripeRegion> stripe_regions_;
   std::map<std::uint64_t, StripePull> stripe_pulls_;
   std::deque<std::vector<std::uint8_t>> inbox_;
   std::uint64_t next_id_ = 1;
   std::uint64_t tx_bytes_ = 0;
-  bool ack_timer_armed_ = false;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   bool finalized_ = false;
   bool halted_ = false;  // crashed in place: inbound frames go unread
 };

@@ -17,7 +17,6 @@ namespace oqs::sim {
 // How a waiting fiber idles between checks of what it waits for.
 enum class Cadence {
   kPoll,        // sweep; if it found nothing, yield host_poll_ns uncharged
-  kSocketPoll,  // sweep (one poll() syscall); if nothing, yield 4x host_poll_ns
   kThreaded,    // progress threads own the queues: yield 10x host_poll_ns
   kThreadExit,  // yield 1 us
   kEventWord,   // charge host_poll_ns per read of a host event word
@@ -40,11 +39,10 @@ struct ProcessCtx {
   void compute(Time ns) const { cpu->compute(ns); }
 
   // Block until done() holds, or return false once abort() does. Each round
-  // checks done(), then abort(), then, under kPoll and kSocketPoll, sweeps
-  // `plan` (none: no sweep); a nonzero sweep rechecks at once, anything
-  // else idles one period. An uncharged wait from t0 resumes at exactly
-  // t0 + k*period after k idle steps, which any elision of those steps
-  // must keep. Another cadence walks no poll points: its plan, if any, may
+  // checks done(), then abort(), then, under kPoll, sweeps `plan` (none:
+  // no sweep); a nonzero sweep rechecks at once, anything else idles one
+  // period. An uncharged wait from t0 resumes at exactly t0 + k*period
+  // after k idle steps, which any elision of those steps must keep. Another cadence walks no poll points: its plan, if any, may
   // only decline (PollPlan::watch returns -1).
   //
   // A round registers what it reads at its top. If it found nothing, or
@@ -52,12 +50,12 @@ struct ProcessCtx {
   // instead of dispatching its steps, and resumes on the same grid with the
   // same charges and tie order (sim/idle.h). It spins through the round
   // only when the runtime refuses: the plan declines, its point charge is
-  // not the period (kSocketPoll), the round saw a change, the watch record
-  // is full, the engine runs nested, or the Cpu has no core for it.
+  // not the period, the round saw a change, the watch record is full, the
+  // engine runs nested, or the Cpu has no core for it.
   template <class Done, class Abort = Never>
   bool wait_until(Cadence c, Watched<Done> done, PollPlan* plan = nullptr,
                   Watched<Abort> abort = kNoAbort) const {
-    const bool sweeps = c == Cadence::kPoll || c == Cadence::kSocketPoll;
+    const bool sweeps = c == Cadence::kPoll;
     const bool charged = c == Cadence::kPoll || c == Cadence::kEventWord;
     const Time period = poll_period(c);
     PollPlan* sweep = sweeps ? plan : nullptr;
@@ -101,7 +99,6 @@ struct ProcessCtx {
 
   Time poll_period(Cadence c) const {
     switch (c) {
-      case Cadence::kSocketPoll: return 4 * params->host_poll_ns;
       case Cadence::kThreaded: return 10 * params->host_poll_ns;
       case Cadence::kThreadExit: return kUs;
       case Cadence::kShmFlag: return params->shm_flag_ns;

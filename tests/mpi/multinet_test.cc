@@ -66,42 +66,52 @@ TEST(MultiNet, TcpIsMuchSlowerThanElan4) {
 TEST(MultiNet, LongMessagesStripeAcrossBothNetworks) {
   // One job drives both networks: eager traffic takes the best rail (Elan4),
   // while each long message's pull fragments fan out over Elan4 AND TCP.
-  // All 10 must arrive intact and in send order.
-  mpi::Options opts;
-  opts.use_elan4 = true;
-  opts.use_tcp = true;
-  TestBed bed;
-  bed.run_mpi(2, [&](mpi::World& w) {
-    auto& c = w.comm();
-    // Large enough that TCP's bandwidth-weighted share of the pull
-    // fragments is nonzero even beside two Elan4 rails.
-    constexpr std::size_t kBytes = 1 << 20;
-    if (c.rank() == 0) {
-      for (int i = 0; i < 10; ++i) {
-        std::vector<std::uint8_t> buf(kBytes, static_cast<std::uint8_t>(i));
-        c.send(buf.data(), buf.size(), dtype::byte_type(), 1, 4);
-      }
-    } else {
-      for (int i = 0; i < 10; ++i) {
-        std::vector<std::uint8_t> buf(kBytes, 0);
-        c.recv(buf.data(), buf.size(), dtype::byte_type(), 0, 4);
-        EXPECT_EQ(buf, std::vector<std::uint8_t>(kBytes, static_cast<std::uint8_t>(i)))
-            << "message " << i;
-      }
-    }
-    c.barrier();
-    // Eager traffic never picks TCP, so any bytes the sender put on its
-    // socket answered pulls of payload fragments.
-    if (c.rank() == 0) {
-      for (std::size_t i = 0; i < w.pml().num_ptls(); ++i) {
-        const pml::Ptl& p = w.pml().ptl(i);
-        if (p.name() == "tcp") {
-          EXPECT_GT(static_cast<const ptl_tcp::PtlTcp&>(p).tx_bytes(), 0u);
+  // All 10 must arrive intact and in send order. With Elan4 reliability on,
+  // the BML's per-fragment checksums cover the pulls over TCP too, and the
+  // lossless socket path never needs a re-pull.
+  for (const bool reliability : {false, true}) {
+    SCOPED_TRACE(reliability ? "elan4 reliability on" : "elan4 reliability off");
+    mpi::Options opts;
+    opts.use_elan4 = true;
+    opts.use_tcp = true;
+    opts.elan4.reliability = reliability;
+    const std::uint64_t crc_retries_before =
+        obs::metrics().counter("bml.stripe.crc_retries").value();
+    TestBed bed;
+    bed.run_mpi(2, [&](mpi::World& w) {
+      auto& c = w.comm();
+      // Large enough that TCP's bandwidth-weighted share of the pull
+      // fragments is nonzero even beside two Elan4 rails.
+      constexpr std::size_t kBytes = 1 << 20;
+      if (c.rank() == 0) {
+        for (int i = 0; i < 10; ++i) {
+          std::vector<std::uint8_t> buf(kBytes, static_cast<std::uint8_t>(i));
+          c.send(buf.data(), buf.size(), dtype::byte_type(), 1, 4);
+        }
+      } else {
+        for (int i = 0; i < 10; ++i) {
+          std::vector<std::uint8_t> buf(kBytes, 0);
+          c.recv(buf.data(), buf.size(), dtype::byte_type(), 0, 4);
+          EXPECT_EQ(buf, std::vector<std::uint8_t>(kBytes, static_cast<std::uint8_t>(i)))
+              << "message " << i;
         }
       }
-    }
-    c.barrier();
-  }, opts);
+      c.barrier();
+      // Eager traffic never picks TCP, so any bytes the sender put on its
+      // socket answered pulls of payload fragments.
+      if (c.rank() == 0) {
+        for (std::size_t i = 0; i < w.pml().num_ptls(); ++i) {
+          const pml::Ptl& p = w.pml().ptl(i);
+          if (p.name() == "tcp") {
+            EXPECT_GT(static_cast<const ptl_tcp::PtlTcp&>(p).tx_bytes(), 0u);
+          }
+        }
+      }
+      c.barrier();
+    }, opts);
+    EXPECT_EQ(obs::metrics().counter("bml.stripe.crc_retries").value(),
+              crc_retries_before);
+  }
 }
 
 TEST(MultiNet, BestWeightPrefersElan4) {

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "net/ethernet.h"
-#include "ptl/tcp/ptl_tcp.h"
 #include "testbed.h"
 
 namespace oqs {
@@ -106,41 +105,6 @@ TEST(PtlTcp, ManyMessagesKeepOrder) {
         ASSERT_EQ(buf[0], static_cast<std::uint8_t>(i));
         ASSERT_EQ(buf.back(), static_cast<std::uint8_t>(i));
       }
-    }
-    c.barrier();
-  }, opts);
-}
-
-TEST(PtlTcp, ReliableFramingCarriesTrafficIntact) {
-  // The shared go-back-N component layered over TCP: sequencing, CRC
-  // trailers, and cumulative acks must be transparent to the protocol.
-  mpi::Options opts;
-  opts.use_elan4 = false;
-  opts.use_tcp = true;
-  opts.tcp_reliability = true;
-  test::TestBed bed;
-  bed.run_mpi(2, [&](mpi::World& w) {
-    auto& c = w.comm();
-    if (c.rank() == 0) {
-      for (std::uint32_t i = 0; i < 20; ++i) {
-        std::vector<std::uint8_t> buf(i % 3 ? 200u : 90000u,
-                                      static_cast<std::uint8_t>(i * 3));
-        c.send(buf.data(), buf.size(), dtype::byte_type(), 1, 0);
-      }
-    } else {
-      for (std::uint32_t i = 0; i < 20; ++i) {
-        std::vector<std::uint8_t> buf(i % 3 ? 200u : 90000u, 0xFF);
-        c.recv(buf.data(), buf.size(), dtype::byte_type(), 0, 0);
-        ASSERT_EQ(buf[0], static_cast<std::uint8_t>(i * 3));
-        ASSERT_EQ(buf.back(), static_cast<std::uint8_t>(i * 3));
-      }
-      // 20 sequenced frames admitted: the ack cadence (every 8) must have
-      // produced explicit acks, and the lossless wire must drop nothing.
-      auto* tcp = static_cast<ptl_tcp::PtlTcp*>(&w.pml().ptl(0));
-      ASSERT_EQ(tcp->name(), "tcp");
-      EXPECT_TRUE(tcp->reliability());
-      EXPECT_GT(tcp->acks_sent(), 0u);
-      EXPECT_EQ(tcp->frames_dropped(), 0u);
     }
     c.barrier();
   }, opts);

@@ -85,20 +85,18 @@ TEST(Wait, ProductiveSweepRechecksWithoutIdling) {
   EXPECT_EQ(events, static_cast<std::uint64_t>(kSteps - 3));
 }
 
-TEST(Wait, SocketAndThreadedCadencesScaleThePollPeriod) {
+TEST(Wait, ThreadedCadenceScalesThePollPeriod) {
   Host h;
   int sweeps = 0;
   int checks = 0;
   const auto [elapsed, events] = h.run([&] {
-    spin(h.ctx, Cadence::kSocketPoll, [&] { return sweeps == kSteps; },
-                     [&] { return ++sweeps, 0; });
     // Progress threads own the queues: the caller's sweep never runs.
     spin(h.ctx, Cadence::kThreaded, [&] { return ++checks > kSteps; },
                      [&] { return ++sweeps, 1; });
   });
-  EXPECT_EQ(sweeps, kSteps);
-  EXPECT_EQ(elapsed, kSteps * 14 * h.params.host_poll_ns);
-  EXPECT_EQ(events, static_cast<std::uint64_t>(2 * kSteps));
+  EXPECT_EQ(sweeps, 0);
+  EXPECT_EQ(elapsed, kSteps * 10 * h.params.host_poll_ns);
+  EXPECT_EQ(events, static_cast<std::uint64_t>(kSteps));
 }
 
 TEST(Wait, ThreadExitYieldsOneMicrosecond) {
@@ -134,9 +132,8 @@ TEST(Wait, ShmFlagChargesOneReadAfterItsYields) {
 }
 
 TEST(Wait, AbortReturnsWithoutAnotherIdleStep) {
-  for (Cadence c : {Cadence::kPoll, Cadence::kSocketPoll, Cadence::kThreaded,
-                    Cadence::kThreadExit, Cadence::kEventWord,
-                    Cadence::kShmFlag}) {
+  for (Cadence c : {Cadence::kPoll, Cadence::kThreaded, Cadence::kThreadExit,
+                    Cadence::kEventWord, Cadence::kShmFlag}) {
     Host h;
     int checks = 0;
     int sweeps = 0;
