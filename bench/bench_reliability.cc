@@ -39,7 +39,6 @@ LossResult goodput_under_faults(const net::FaultProfile& profile,
                                 int count) {
   mpi::Options opts;
   opts.elan4.reliability = true;
-  opts.elan4.max_data_retries = 50;
   Bed bed;
   if (profile.any()) bed.net->set_faults(profile, seed);
   LossResult res;

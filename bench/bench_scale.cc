@@ -2,7 +2,7 @@
 //
 // The paper's testbed is 8 nodes; the reason to rebuild the kernel (pooled
 // event nodes in a 4-ary heap, pooled fiber stacks, parked idle waits, lazy
-// link occupancy, fluid bulk transfers) is to ask the paper's protocol
+// link occupancy) is to ask the paper's protocol
 // questions at the rank counts the fat-tree generation actually shipped at.
 // This bench sweeps a fixed communication workload — a ring exchange of
 // rendezvous-sized messages plus an allreduce and a barrier per round, 2
@@ -17,11 +17,6 @@
 //   bench_scale --max-ranks=64             trim the sweep (CI smoke)
 //   bench_scale --max-ranks=2048           extend it (not in the default
 //                                          sweep: ~2.2 GB peak RSS)
-//   bench_scale --no-fluid                 per-fragment RDMA trains, the
-//                                          pre-fluid event load (the fluid
-//                                          path is on by default here; it is
-//                                          timing-conformant, so only the
-//                                          event count changes)
 #include "common.h"
 
 #include <chrono>
@@ -53,10 +48,8 @@ struct Row {
 // One complete simulation at `np` ranks (np/2 nodes): 4 rounds of a ring
 // exchange (64 KiB rendezvous messages), each round closed with an 8-byte
 // allreduce and a barrier.
-Row measure(int np, bool fluid) {
-  ModelParams p;
-  p.fluid_bulk = fluid;
-  Bed bed(np / 2, 1, p);
+Row measure(int np) {
+  Bed bed(np / 2, 1);
 
   constexpr std::size_t kMsgBytes = 64 * 1024;
   constexpr int kRounds = 4;
@@ -121,28 +114,24 @@ int main(int argc, char** argv) {
   oqs::bench::TraceSession trace_session(argc, argv);
   oqs::bench::JsonRows rows(argc, argv);
   int max_ranks = 1024;
-  bool fluid = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--max-ranks=", 0) == 0)
       max_ranks = std::atoi(arg.c_str() + sizeof("--max-ranks=") - 1);
-    else if (arg == "--no-fluid")
-      fluid = false;
   }
 
   std::vector<int> nps;
   for (int np : {64, 128, 256, 512, 1024, 2048})
     if (np <= max_ranks) nps.push_back(np);
 
-  std::printf("DES kernel scaling, 2 ranks/node, fluid_bulk=%s\n",
-              fluid ? "on" : "off");
+  std::printf("DES kernel scaling, 2 ranks/node\n");
   std::printf("%-8s %-8s %14s %10s %14s %10s %14s %12s %15s %15s\n",
               "ranks", "nodes", "events", "wall_s", "events/s", "sim_ms",
               "setup_events", "setup_wall_s", "teardown_events",
               "teardown_wall_s");
 
   for (int np : nps) {
-    const Row r = measure(np, fluid);
+    const Row r = measure(np);
     std::printf(
         "%-8d %-8d %14llu %10.3f %14.0f %10.2f %14llu %12.3f %15llu %15.3f\n",
         r.ranks, np / 2, static_cast<unsigned long long>(r.events), r.wall_s,
@@ -150,12 +139,12 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.setup_events), r.setup_wall_s,
         static_cast<unsigned long long>(r.teardown_events), r.teardown_wall_s);
     std::fflush(stdout);
-    rows.add("{\"ranks\": %d, \"nodes\": %d, \"fluid\": %s, "
+    rows.add("{\"ranks\": %d, \"nodes\": %d, "
              "\"events\": %llu, \"wall_s\": %.4f, "
              "\"events_per_sec\": %.0f, \"sim_ms\": %.3f, "
              "\"setup_events\": %llu, \"setup_wall_s\": %.4f, "
              "\"teardown_events\": %llu, \"teardown_wall_s\": %.4f}",
-             r.ranks, np / 2, fluid ? "true" : "false",
+             r.ranks, np / 2,
              static_cast<unsigned long long>(r.events), r.wall_s,
              r.events_per_s, r.sim_ms,
              static_cast<unsigned long long>(r.setup_events), r.setup_wall_s,
@@ -174,12 +163,7 @@ int main(int argc, char** argv) {
       "cover it from the first rank entering finalize (goodbyes to the "
       "O(log n) peers each rank contacted). events/s counts "
       "dispatched events only; replaying parked steps takes wall time too, "
-      "but no events. "
-      "--no-fluid lands at the same sim_ms (the fluid path is "
-      "timing-conformant) but a different event total: host-side poll loops "
-      "fill fixed wait windows, so their iteration count shifts with poll "
-      "phase and can swamp the ~3-events-per-fragment the fluid path folds "
-      "away at device level (tests/elan4/fluid_test asserts that saving).\n");
+      "but no events.\n");
 
   return rows.write() ? 0 : 1;
 }

@@ -112,7 +112,6 @@ Row measure(const std::string& skel, int np, int rails, double loss) {
   if (loss > 0) {
     // Wire loss is only survivable with the go-back-N stream armed.
     opts.elan4.reliability = true;
-    opts.elan4.max_data_retries = 50;
   }
 
   const std::vector<Trace> traces = build_jobs(skel, np);

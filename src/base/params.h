@@ -67,15 +67,6 @@ struct ModelParams {
   TimeNs tport_cmd_ns = 220;         // host cost to post one Tport command
   double pci_mbps = 920.0;           // PCI-X 64/133 effective DMA rate
   std::uint32_t mtu = 2048;          // max payload per wire packet
-  // Fluid bulk transfers: model an uncontended multi-fragment RDMA train as
-  // up-front occupancy arithmetic plus ONE completion event instead of ~3
-  // events per fragment. Timing is identical in the uncontended fault-free
-  // model (all reserve primitives are pure functions of their time
-  // arguments); when any fault injection is configured the NIC falls back
-  // to per-fragment simulation automatically. Under contention fluid mode
-  // arbitrates links at whole-train rather than per-fragment granularity,
-  // which is why it is an opt-in scaling knob, default off.
-  bool fluid_bulk = false;
 
   // ---- QsNetII fabric ----
   TimeNs hop_ns = 280;          // per Elite4 hop (cut-through)

@@ -233,6 +233,56 @@ void Elan4Nic::rx_coll_qdma(ContextId ctx, E4Addr dest_addr, bool combine,
   });
 }
 
+// ---------------------------------------------------------- RDMA train ----
+
+template <typename OnLastInject>
+void Elan4Nic::rdma_train(Elan4Nic* dst, ContextId dst_ctx, E4Addr dst_addr,
+                          const char* src_host, std::uint32_t len,
+                          sim::Time first_startup, E4Event* remote_event,
+                          E4Event* ack_event, OnLastInject on_last_inject) {
+  const ModelParams& p = params();
+  // Fragment to the MTU. Each fragment: PCI read of host memory by the tx
+  // engine, then wire injection. The payload is snapshotted at injection
+  // time, matching when real hardware reads the host buffer.
+  auto fault_seen = std::make_shared<bool>(false);
+  std::uint32_t remaining = len;
+  std::uint64_t offset = 0;
+  sim::Time startup = p.nic_frag_ns + first_startup;
+  sim::Time earliest = engine().now();
+  while (remaining > 0) {
+    const std::uint32_t frag = remaining < p.mtu ? remaining : p.mtu;
+    remaining -= frag;
+    const bool last = remaining == 0;
+    // Cut-through injection: the fragment header leaves after startup while
+    // the payload streams off the host over PCI-X behind it.
+    const sim::Time inject_at = tx_.reserve_cut_through(
+        earliest, startup + ModelParams::xfer_ns(frag, p.pci_mbps), startup);
+    earliest = inject_at;
+    startup = p.nic_frag_ns;
+
+    engine().schedule_at(inject_at, [this, dst, dst_addr, src_host, offset,
+                                     remote_event, ack_event, fault_seen,
+                                     dst_ctx, frag, last, on_last_inject]() {
+      // Read stream-backs cross the wire as RDMA payload too, so they enter
+      // the same tx/rx byte counters as writes (conservation holds across
+      // schemes).
+      OQS_METRIC_ADD("elan4.rdma.tx_bytes", frag);
+      if (last) on_last_inject();
+      std::vector<std::uint8_t> data(frag);
+      std::memcpy(data.data(), src_host + offset, frag);
+      net_.fabric().transmit(
+          node_, dst->node(), frag + kRdmaWireHeader,
+          [dst, dst_ctx, dst_addr, offset, last, remote_event, ack_node = node_,
+           fault_seen, ack_event, data = std::move(data)]() mutable {
+            dst->rx_rdma_payload(dst_ctx, dst_addr, offset, std::move(data), last,
+                                 remote_event, ack_node, fault_seen, ack_event);
+          },
+          rail_);
+    });
+    offset += frag;
+  }
+}
+
 // ---------------------------------------------------------- RDMA write ----
 
 void Elan4Nic::do_rdma_write(RdmaWriteCmd&& cmd) {
@@ -280,72 +330,15 @@ void Elan4Nic::do_rdma_write(RdmaWriteCmd&& cmd) {
     return;
   }
 
-  if (fluid_eligible(cmd.len)) {
-    // The destination window must translate in full for the fluid path: a
-    // faulting train takes the per-fragment path so partial landings and
-    // the fault status reach the events exactly as the slow path computes
-    // them.
-    Status dst_st = Status::kOk;
-    (void)dst->mmu(dst_ctx).translate(cmd.dst, cmd.len, &dst_st);
-    if (ok(dst_st)) {
-      OQS_METRIC_INC("elan4.rdma.writes");
-      OQS_TRACE_INSTANT(node_, "elan4", "rdma_write.fluid", "len", cmd.len,
-                        "dst_vpid", static_cast<std::uint64_t>(cmd.dest_vpid));
-      fluid_stream(dst, dst_ctx, cmd.dst, src_host, cmd.len,
-                   p.nic_rdma_start_ns + p.nic_mmu_lookup_ns, cmd.remote_event,
-                   cmd.local_event, node_);
-      return;
-    }
-  }
-
-  // Fragment to the MTU. Each fragment: PCI read of host memory by the tx
-  // engine, then wire injection. The payload is snapshotted at injection
-  // time, matching when real hardware reads the host buffer.
-  auto fault_seen = std::make_shared<bool>(false);
-  std::uint32_t remaining = cmd.len;
-  std::uint64_t offset = 0;
-  bool first = true;
-  sim::Time earliest = engine().now();
-  const sim::Time posted_at = engine().now();
-  while (remaining > 0) {
-    const std::uint32_t frag = remaining < p.mtu ? remaining : p.mtu;
-    remaining -= frag;
-    const bool last = remaining == 0;
-    sim::Time startup = p.nic_frag_ns;
-    if (first) startup += p.nic_rdma_start_ns + p.nic_mmu_lookup_ns;
-    first = false;
-    // Cut-through injection: the fragment header leaves after startup while
-    // the payload streams off the host over PCI-X behind it.
-    const sim::Time inject_at = tx_.reserve_cut_through(
-        earliest, startup + ModelParams::xfer_ns(frag, p.pci_mbps), startup);
-    earliest = inject_at;
-
-    const int ack_node = node_;
-    engine().schedule_at(inject_at, [this, dst, dst_ctx, frag, offset, last,
-                                     src_host, cmd, fault_seen, ack_node,
-                                     posted_at]() {
-      (void)posted_at;
-      OQS_METRIC_ADD("elan4.rdma.tx_bytes", frag);
-      if (last) {
-        OQS_METRIC_INC("elan4.rdma.writes");
-        OQS_TRACE_SPAN_FROM(posted_at, node_, "elan4", "rdma_write.inject",
-                            "len", cmd.len, "dst_vpid",
-                            static_cast<std::uint64_t>(cmd.dest_vpid));
-      }
-      std::vector<std::uint8_t> data(frag);
-      std::memcpy(data.data(), src_host + offset, frag);
-      net_.fabric().transmit(
-          node_, dst->node(), frag + kRdmaWireHeader,
-          [dst, dst_ctx, cmd, offset, last, fault_seen, ack_node,
-           data = std::move(data)]() mutable {
-            dst->rx_rdma_payload(dst_ctx, cmd.dst, offset, std::move(data), last,
-                                 cmd.remote_event, ack_node, fault_seen,
-                                 cmd.local_event);
-          },
-          rail_);
-    });
-    offset += frag;
-  }
+  rdma_train(dst, dst_ctx, cmd.dst, src_host, cmd.len,
+             p.nic_rdma_start_ns + p.nic_mmu_lookup_ns, cmd.remote_event,
+             cmd.local_event, [this, posted_at = engine().now(), len = cmd.len,
+                               dst_vpid = cmd.dest_vpid] {
+               OQS_METRIC_INC("elan4.rdma.writes");
+               OQS_TRACE_SPAN_FROM(posted_at, node_, "elan4", "rdma_write.inject",
+                                   "len", len, "dst_vpid",
+                                   static_cast<std::uint64_t>(dst_vpid));
+             });
 }
 
 void Elan4Nic::rx_rdma_payload(ContextId ctx, E4Addr dst, std::uint64_t offset,
@@ -393,82 +386,6 @@ void Elan4Nic::rx_ack(E4Event* local_event, Status status) {
   const sim::Time done = rx_.reserve(engine().now(), params().nic_event_fire_ns);
   engine().schedule_at(done, [local_event, status] {
     if (local_event != nullptr) local_event->fire(status);
-  });
-}
-
-// -------------------------------------------------- fluid bulk transfer ----
-
-bool Elan4Nic::fluid_eligible(std::uint32_t len) const {
-  const ModelParams& p = params();
-  if (!p.fluid_bulk || len <= p.mtu) return false;
-  // Any armed fault mechanism forces the per-fragment path: wire rolls and
-  // corruption draws must be consumed in per-packet event order or the
-  // fault schedule (and with it, replay digests) would desynchronize.
-  const net::FaultInjector* f = net_.faults();
-  return f == nullptr || f->quiescent();
-}
-
-void Elan4Nic::fluid_stream(Elan4Nic* dst, ContextId dst_ctx, E4Addr dst_addr,
-                            const char* src_host, std::uint32_t len,
-                            sim::Time first_startup, E4Event* remote_event,
-                            E4Event* ack_event, int ack_node) {
-  const ModelParams& p = params();
-  // Predetermine the whole train now. reserve_cut_through, reserve_path and
-  // reserve are pure functions of their time arguments and the occupancy
-  // state they advance — not of engine().now() — so running the identical
-  // call sequence up front yields bit-identical fragment times to the
-  // per-fragment path, minus its ~3 simulator events per fragment.
-  sim::Time earliest = engine().now();
-  sim::Time last_done = earliest;
-  std::uint32_t remaining = len;
-  bool first = true;
-  while (remaining > 0) {
-    const std::uint32_t frag = remaining < p.mtu ? remaining : p.mtu;
-    remaining -= frag;
-    sim::Time startup = p.nic_frag_ns;
-    if (first) {
-      startup += first_startup;
-      first = false;
-    }
-    const sim::Time inject_at = tx_.reserve_cut_through(
-        earliest, startup + ModelParams::xfer_ns(frag, p.pci_mbps), startup);
-    earliest = inject_at;
-    const sim::Time deliver_at = net_.fabric().reserve_path(
-        node_, dst->node(), frag + kRdmaWireHeader, inject_at, rail_);
-    last_done = dst->rx_.reserve(
-        deliver_at, p.nic_frag_ns + ModelParams::xfer_ns(frag, p.pci_mbps));
-  }
-
-  OQS_METRIC_INC("elan4.rdma.fluid_trains");
-  engine().schedule_at(last_done, [this, dst, dst_ctx, dst_addr, src_host, len,
-                                   remote_event, ack_event, ack_node]() {
-    OQS_METRIC_ADD("elan4.rdma.tx_bytes", len);
-    OQS_METRIC_ADD("elan4.rdma.rx_bytes", len);
-    Status st = Status::kOk;
-    void* host = dst->mmu(dst_ctx).translate(dst_addr, len, &st);
-    Status final_st = Status::kOk;
-    if (!ok(st)) {
-      // Eligibility verified the window, so only a mid-flight unmap lands
-      // here; report it the way the slow path's last fragment would.
-      ++dst->translation_faults_;
-      OQS_METRIC_INC("elan4.nic.translation_faults");
-      final_st = Status::kFault;
-    } else if (len > 0) {
-      // The source buffer is stable until the initiator's completion event
-      // fires (which is later than this instant), so one bulk copy at
-      // landing time is indistinguishable from per-fragment snapshots.
-      std::memcpy(host, src_host, len);
-    }
-    OQS_TRACE_INSTANT(dst->node(), "elan4", "rdma.land", "offset_end",
-                      static_cast<std::uint64_t>(len));
-    if (remote_event != nullptr) remote_event->fire(final_st);
-    if (ack_event != nullptr && ack_node >= 0) {
-      Elan4Nic* origin = &net_.nic(ack_node, rail_);
-      net_.fabric().transmit(
-          dst->node(), ack_node, kRdmaAckBytes,
-          [origin, ack_event, final_st] { origin->rx_ack(ack_event, final_st); },
-          rail_);
-    }
   });
 }
 
@@ -645,55 +562,12 @@ void Elan4Nic::rx_rdma_get(RdmaReadCmd cmd) {
     return;
   }
 
-  if (fluid_eligible(cmd.len)) {
-    // Stream-back mirrors the write fast path; the requester's landing zone
-    // was validated when the GET was issued. The requester's local_event
-    // rides as the train's remote event (fires where the data lands).
-    OQS_TRACE_INSTANT(node_, "elan4", "rdma_read.stream_back", "len", cmd.len);
-    fluid_stream(req, req_ctx, cmd.dst, src_host, cmd.len,
-                 p.nic_rdma_read_req_ns + p.nic_mmu_lookup_ns, cmd.local_event,
-                 /*ack_event=*/nullptr, /*ack_node=*/-1);
-    return;
-  }
-
-  auto fault_seen = std::make_shared<bool>(false);
-  std::uint32_t remaining = cmd.len;
-  std::uint64_t offset = 0;
-  bool first = true;
-  sim::Time earliest = engine().now();
-  while (remaining > 0) {
-    const std::uint32_t frag = remaining < p.mtu ? remaining : p.mtu;
-    remaining -= frag;
-    const bool last = remaining == 0;
-    sim::Time startup = p.nic_frag_ns;
-    if (first) startup += p.nic_rdma_read_req_ns + p.nic_mmu_lookup_ns;
-    first = false;
-    const sim::Time inject_at = tx_.reserve_cut_through(
-        earliest, startup + ModelParams::xfer_ns(frag, p.pci_mbps), startup);
-    earliest = inject_at;
-
-    engine().schedule_at(inject_at, [this, req, req_ctx, frag, offset, last,
-                                     src_host, cmd, fault_seen]() {
-      // Read-backs cross the wire as RDMA payload, so they enter the same
-      // tx/rx byte counters as writes (conservation holds across schemes).
-      OQS_METRIC_ADD("elan4.rdma.tx_bytes", frag);
-      if (last)
-        OQS_TRACE_INSTANT(node_, "elan4", "rdma_read.stream_back", "len",
-                          cmd.len);
-      std::vector<std::uint8_t> data(frag);
-      std::memcpy(data.data(), src_host + offset, frag);
-      net_.fabric().transmit(
-          node_, req->node(), frag + kRdmaWireHeader,
-          [req, req_ctx, cmd, offset, last, fault_seen,
-           data = std::move(data)]() mutable {
-            req->rx_rdma_payload(req_ctx, cmd.dst, offset, std::move(data), last,
-                                 cmd.local_event, /*ack_node=*/-1, fault_seen,
-                                 /*ack_event=*/nullptr);
-          },
-          rail_);
-    });
-    offset += frag;
-  }
+  rdma_train(req, req_ctx, cmd.dst, src_host, cmd.len,
+             p.nic_rdma_read_req_ns + p.nic_mmu_lookup_ns, cmd.local_event,
+             /*ack_event=*/nullptr, [this, len = cmd.len] {
+               OQS_TRACE_INSTANT(node_, "elan4", "rdma_read.stream_back", "len",
+                                 len);
+             });
 }
 
 }  // namespace oqs::elan4

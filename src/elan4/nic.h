@@ -151,25 +151,18 @@ class Elan4Nic {
   void do_rdma_write(RdmaWriteCmd&& cmd);
   void do_rdma_read(RdmaReadCmd&& cmd);
 
-  // --- Fluid bulk-transfer fast path (params().fluid_bulk) ---
-  // A multi-fragment RDMA train whose fault machinery is quiescent has a
-  // fully predetermined timeline: every tx/rx/link reserve is a pure
-  // function of its time arguments, so the whole train can be accounted
-  // up front and collapsed into ONE completion event instead of ~3 events
-  // per fragment. Timing and delivered bytes are identical to the
-  // per-fragment path in the uncontended model (fluid_test proves both);
-  // under contention links arbitrate at train rather than fragment
-  // granularity. Falls back automatically whenever ineligible.
-  bool fluid_eligible(std::uint32_t len) const;
-  // Streams `len` bytes from src_host (already translated on the owning
-  // node) into (dst_ctx, dst_addr) on `dst`'s node. `first_startup` is the
-  // extra tx-engine cost of the first fragment. At completion time the
-  // payload lands, `remote_event` fires on dst, and — for writes — an ack
-  // crosses back to `ack_node` where `ack_event` fires.
-  void fluid_stream(Elan4Nic* dst, ContextId dst_ctx, E4Addr dst_addr,
-                    const char* src_host, std::uint32_t len,
-                    sim::Time first_startup, E4Event* remote_event,
-                    E4Event* ack_event, int ack_node);
+  // Streams `len` bytes from src_host (already translated on this node)
+  // into (dst_ctx, dst_addr) on `dst`'s node as one train of MTU fragments.
+  // `first_startup` is the extra tx-engine cost of the first fragment. When
+  // the last fragment lands, `remote_event` fires on dst and, if
+  // `ack_event` is set, an ack crosses back here to fire it. Writes and read
+  // stream-backs both use it; `on_last_inject` runs as the last fragment
+  // leaves and emits only the caller's trace and metric labels.
+  template <typename OnLastInject>
+  void rdma_train(Elan4Nic* dst, ContextId dst_ctx, E4Addr dst_addr,
+                  const char* src_host, std::uint32_t len,
+                  sim::Time first_startup, E4Event* remote_event,
+                  E4Event* ack_event, OnLastInject on_last_inject);
   void do_hw_bcast(HwBcastCmd&& cmd);
   void rx_hw_bcast(ContextId ctx, E4Addr addr, std::uint64_t offset,
                    std::vector<std::uint8_t> data, bool last, int event_index);

@@ -74,9 +74,8 @@ class QsNet {
   // (all traffic classes). Installs a no-fault injector if none exists, so
   // killing a rail composes with — but does not require — a fault profile.
   void kill_rail(int rail);
-  // Injector for callers that arm non-probabilistic faults (kill schedules,
-  // dead-vpid marks): installs a no-fault injector if none exists, like
-  // kill_rail, so the quiescence gate sees the armed schedule.
+  // Injector for callers that record non-probabilistic faults (dead-vpid
+  // marks): installs a no-fault injector if none exists, like kill_rail.
   net::FaultInjector& ensure_faults();
   net::FaultInjector* faults() { return faults_.get(); }
   std::uint64_t corruptions() const { return faults_ ? faults_->corruptions() : 0; }

@@ -54,22 +54,6 @@ void Fabric::transmit(int src, int dst, std::uint32_t bytes,
   engine_.schedule_at(deliver_at, std::move(deliver));
 }
 
-sim::Time Fabric::reserve_path(int src, int dst, std::uint32_t bytes,
-                               sim::Time inject_at, int rail) {
-  assert(rail >= 0 && rail < num_rails());
-  ++packets_;
-  if (src == dst) return inject_at + params_.hop_ns;  // loopback: no links
-  const sim::Time tx =
-      params_.link_startup_ns + ModelParams::xfer_ns(bytes, params_.link_mbps);
-  rails_[static_cast<std::size_t>(rail)]->route(src, dst, scratch_route_);
-  sim::Time head = inject_at;
-  for (Link* link : scratch_route_) {
-    const sim::Time depart = link->reserve(head, tx);
-    head = depart + params_.hop_ns;
-  }
-  return head + tx;
-}
-
 void Fabric::multicast(int src, const std::vector<int>& dsts, std::uint32_t bytes,
                        std::function<void(std::size_t)> deliver, int rail) {
   assert(rail >= 0 && rail < num_rails());

@@ -47,16 +47,6 @@ class Fabric {
   void multicast(int src, const std::vector<int>& dsts, std::uint32_t bytes,
                  std::function<void(std::size_t idx)> deliver, int rail = 0);
 
-  // Fluid bulk-transfer support: account one wire packet's full path — link
-  // occupancy included — with the head entering the route at `inject_at`
-  // instead of now(), and return the tail-arrival time at dst. This is
-  // exactly transmit()'s timing arithmetic with no event scheduled and no
-  // fault handling (callers only use it while the fault injector is
-  // quiescent), which lets an uncontended fragment train be folded into a
-  // single completion event.
-  sim::Time reserve_path(int src, int dst, std::uint32_t bytes,
-                         sim::Time inject_at, int rail = 0);
-
   std::uint64_t packets_sent() const { return packets_; }
 
  private:

@@ -41,19 +41,6 @@ struct FaultProfile {
   bool any() const { return wire_active() || corrupt > 0; }
 };
 
-// A scheduled process kill: rank `gid` dies at sim-time `at_time` or after
-// completing `after_op` trace operations — whichever trigger the harness
-// consults (exactly one should be set; after_op kills fire at the op
-// boundary, time kills at the first boundary past the deadline). The
-// injector only *stores* the schedule; the replay harness executes it and
-// then records the death here (mark_vpid_dead) so the NIC model and the
-// quiescence gate see it.
-struct KillSpec {
-  int gid = -1;                 // global rank to kill
-  sim::Time at_time = 0;        // kill at this sim time (0 = disabled)
-  std::uint64_t after_op = 0;   // kill after this many ops (used when at_time==0)
-};
-
 class FaultInjector {
  public:
   // `seed` derives both RNG streams: wire rolls and corruption rolls are
@@ -118,41 +105,18 @@ class FaultInjector {
 
   void set_corruption(double prob) { default_.corrupt = prob; }
 
-  // True when no fault mechanism is armed anywhere: no dead rails, and no
-  // profile (default or per-link) with any non-zero probability. While
-  // quiescent, fault handling consumes no RNG, so a fast path that skips
-  // the per-packet rolls entirely cannot desynchronize the fault schedule.
-  bool quiescent() const {
-    if (!dead_rails_.empty() || default_.any()) return false;
-    if (!kill_schedule_.empty() || !dead_vpids_.empty() || !dead_nodes_.empty())
-      return false;
-    for (const auto& [key, profile] : links_)
-      if (profile.any()) return false;
-    return true;
-  }
-
   // Hard-kill a rail: every packet on it — any traffic class — vanishes.
   // Deterministic (no RNG draw), so killing a rail never perturbs the fault
   // schedule of surviving rails.
   void set_rail_dead(int rail) { dead_rails_.insert(rail); }
   bool rail_dead(int rail) const { return dead_rails_.count(rail) != 0; }
 
-  // --- scheduled process/node kills -------------------------------------
-  // Arming a kill makes the injector non-quiescent immediately (before the
-  // kill fires): the fluid fast path must be off for the whole run so the
-  // event schedule around the death is identical with and without it.
-  void schedule_kill(const KillSpec& k) { kill_schedule_.push_back(k); }
-  const std::vector<KillSpec>& kill_schedule() const { return kill_schedule_; }
-
-  // Record a death once it happened. Dead vpids/nodes are bookkeeping for
-  // the NIC model and tests; counters feed bench_reliability.
+  // Record a process death once it happened.
   void mark_vpid_dead(int vpid) {
     dead_vpids_.insert(vpid);
     ++kills_;
   }
   bool vpid_dead(int vpid) const { return dead_vpids_.count(vpid) != 0; }
-  void mark_node_dead(int node) { dead_nodes_.insert(node); }
-  bool node_dead(int node) const { return dead_nodes_.count(node) != 0; }
   std::uint64_t kills() const { return kills_; }
 
   std::uint64_t drops() const { return drops_; }
@@ -164,9 +128,7 @@ class FaultInjector {
   FaultProfile default_;
   std::map<std::pair<int, int>, FaultProfile> links_;
   std::set<int> dead_rails_;
-  std::vector<KillSpec> kill_schedule_;
   std::set<int> dead_vpids_;
-  std::set<int> dead_nodes_;
   std::uint64_t kills_ = 0;
   sim::Rng wire_rng_;
   sim::Rng corrupt_rng_;

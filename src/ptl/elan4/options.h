@@ -55,7 +55,9 @@ struct Options {
   // the FIN_ACK into a host-mediated one (verification must precede the
   // acknowledgement); the fragment schedule verifies per fragment instead.
   bool reliability = false;
-  // Rendezvous payload re-read attempts before the transfer fails.
+  // Rendezvous payload re-read attempts before the transfer fails. Read
+  // only by the paper schemes: the fragment schedule caps its own CRC
+  // re-pulls per fragment (pml/bml.cc).
   int max_data_retries = 3;
   // --- Reliability protocol tuning (active only with reliability on; the
   // ack and retransmission timing is fixed in ptl/reliable_stream.h) ---

@@ -213,7 +213,6 @@ TEST(MultirailSoak, PipelinedFragmentsUnderHeavyFaults) {
     mpi::Options opts;
     opts.elan4.rails = 2;
     opts.elan4.reliability = true;
-    opts.elan4.max_data_retries = 50;
     ModelParams p;
     p.pipeline_frag_bytes = 2048;
     p.pipeline_depth = 3;

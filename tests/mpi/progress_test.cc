@@ -102,9 +102,7 @@ TEST(Progress, InterruptModeReceiveParksWhileItsRendezvousIsInFlight) {
     }
   }, opts);
   EXPECT_GT(parked, 0u);
-  // The fluid bulk path lands this transfer later (OQS_TEST_FLUID); both
-  // instants are the spinning rounds'.
-  EXPECT_EQ(received, test::env_fluid() ? 1812058u : 1720138u);
+  EXPECT_EQ(received, 1720138u);
 }
 
 TEST(Progress, LatencyOrderingAcrossModes) {

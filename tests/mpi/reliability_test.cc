@@ -130,6 +130,32 @@ TEST(Reliability, UnrecoverablePayloadFailsBothSides) {
   }, o);
 }
 
+TEST(Reliability, ExhaustedStripeRepullsFailBothBlockingSides) {
+  // The default pipelined schedule re-pulls a corrupt fragment a bounded
+  // number of times, then fails the transfer: a blocking send and recv
+  // both return the error instead of aborting the process.
+  TestBed bed;
+  bed.pin_transport = true;
+  bed.net->set_corruption(0.5, /*seed=*/3);  // certain corruption
+  const std::uint64_t crc_retries_before =
+      obs::metrics().counter("bml.stripe.crc_retries").value();
+  Status send_st = Status::kOk;
+  Status recv_st = Status::kOk;
+  bed.run_mpi(2, [&](mpi::World& w) {
+    auto& c = w.comm();
+    std::vector<std::uint8_t> buf(100000, 1);
+    if (c.rank() == 0) {
+      send_st = c.send(buf.data(), buf.size(), dtype::byte_type(), 1, 0);
+    } else {
+      recv_st = c.recv(buf.data(), buf.size(), dtype::byte_type(), 0, 0);
+    }
+  }, reliable());
+  EXPECT_EQ(send_st, Status::kError);
+  EXPECT_EQ(recv_st, Status::kError);
+  EXPECT_GT(obs::metrics().counter("bml.stripe.crc_retries").value(),
+            crc_retries_before);
+}
+
 TEST(Reliability, ModerateCorruptionLargePayloadEventuallyClean) {
   // With a per-fragment corruption rate low enough, 3 retries recover.
   TestBed bed;

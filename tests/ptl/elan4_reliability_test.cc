@@ -163,7 +163,6 @@ TEST(Elan4Reliability, MixedFaultsAtTenPercentStayCorrectAndBounded) {
   p.delay = 0.02;
   bed.net->set_faults(p, /*seed=*/7);
   mpi::Options o = reliable();
-  o.elan4.max_data_retries = 50;
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();
     // Eager and rendezvous sizes, interleaved over many rounds.
@@ -303,7 +302,6 @@ TEST(ReliabilitySoak, HighLossSeedSweep) {
     p.delay = 0.03;
     bed.net->set_faults(p, seed);
     mpi::Options o = reliable();
-    o.elan4.max_data_retries = 50;
     o.elan4.seq_start = static_cast<std::uint16_t>(65400 + seed * 31);
     std::uint64_t retransmissions = 0;
     bed.run_mpi(2, [&](mpi::World& w) {

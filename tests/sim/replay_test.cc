@@ -108,10 +108,6 @@ TEST(Replay, GoldenDigestMatchesBinaryHeapBaseline) {
 #if defined(OQS_TRACE_DISABLED)
   GTEST_SKIP() << "instrumentation compiled out (-DOQS_TRACE=OFF)";
 #else
-  // pin_transport cannot gate the fluid knob (it is applied at TestBed
-  // construction), and fluid mode legitimately executes fewer events.
-  if (test::env_fluid())
-    GTEST_SKIP() << "OQS_TEST_FLUID changes the event stream by design";
   struct Golden {
     std::uint64_t seed;
     std::uint64_t digest;
@@ -140,8 +136,6 @@ TEST(Replay, GoldenProtocolDigest) {
 #if defined(OQS_TRACE_DISABLED)
   GTEST_SKIP() << "instrumentation compiled out (-DOQS_TRACE=OFF)";
 #else
-  if (test::env_fluid())
-    GTEST_SKIP() << "OQS_TEST_FLUID changes the event stream by design";
   struct Golden {
     std::uint64_t seed;
     std::uint64_t protocol_digest;

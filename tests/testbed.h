@@ -22,11 +22,6 @@ namespace oqs::test {
 //                     value forces multi-fragment schedules on every
 //                     long message in the suite
 //   OQS_TEST_DEPTH=N  ModelParams::pipeline_depth
-//   OQS_TEST_FLUID=1  enable the fluid bulk-transfer fast path
-//                     (ModelParams::fluid_bulk) for every TestBed. The path
-//                     is timing-conformant in the uncontended model, so the
-//                     whole suite must pass unchanged; only tests pinning a
-//                     dispatch-order digest need to opt out.
 //   OQS_TEST_COLL=M   force a collectives mode for every routed collective:
 //                     p2p (reference algorithms only), nic (NIC combining
 //                     tree for barrier/allreduce, hardware broadcast for
@@ -41,11 +36,6 @@ inline int env_rails() {
 
 inline bool env_tcp() {
   const char* v = std::getenv("OQS_TEST_TCP");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-inline bool env_fluid() {
-  const char* v = std::getenv("OQS_TEST_FLUID");
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
@@ -150,9 +140,6 @@ struct TestBed {
         bad_frames_at_start_(bad_frames()),
         qdma_drops_at_start_(qdma_drops()) {
     if (rails < env_rails()) rails = env_rails();
-    // A model knob, not a transport option: it must be set before the QsNet
-    // exists, so pin_transport (read at run_mpi time) cannot gate it.
-    if (env_fluid()) params.fluid_bulk = true;
     net = std::make_unique<elan4::QsNet>(engine, params, nodes, 64, rails);
     rt = std::make_unique<rte::Runtime>(engine, *net);
   }

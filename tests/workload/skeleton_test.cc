@@ -287,7 +287,6 @@ TEST(WorkloadSoak, SkeletonsSurviveTenPercentLossIntact) {
       // without it a dropped frame is gone forever and the replay wedges.
       mpi::Options mpi_opt;
       mpi_opt.elan4.reliability = true;
-      mpi_opt.elan4.max_data_retries = 50;
       bed.run_mpi(trace.nranks(), [&](mpi::World& w) {
         replay_rank(w, w.comm(), trace, opt, &rep);
       }, mpi_opt);
