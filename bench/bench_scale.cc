@@ -43,6 +43,9 @@ struct Row {
   // From the first rank entering finalize to the end of the run.
   std::uint64_t teardown_events = 0;
   double teardown_wall_s = 0;
+  // QDMAs every NIC dropped over the run: for an unknown queue, a dead
+  // event or a dead context.
+  std::uint64_t qdma_drops = 0;
 };
 
 // One complete simulation at `np` ranks (np/2 nodes): 4 rounds of a ring
@@ -105,6 +108,9 @@ Row measure(int np) {
   row.teardown_events = row.events - teardown_from;
   row.teardown_wall_s =
       std::chrono::duration<double>(t1 - teardown_t0).count();
+  for (int n = 0; n < bed.net->num_nodes(); ++n)
+    for (int r = 0; r < bed.net->num_rails(); ++r)
+      row.qdma_drops += bed.net->nic(n, r).rx_drops();
   return row;
 }
 
@@ -125,31 +131,34 @@ int main(int argc, char** argv) {
     if (np <= max_ranks) nps.push_back(np);
 
   std::printf("DES kernel scaling, 2 ranks/node\n");
-  std::printf("%-8s %-8s %14s %10s %14s %10s %14s %12s %15s %15s\n",
+  std::printf("%-8s %-8s %14s %10s %14s %10s %14s %12s %15s %15s %10s\n",
               "ranks", "nodes", "events", "wall_s", "events/s", "sim_ms",
               "setup_events", "setup_wall_s", "teardown_events",
-              "teardown_wall_s");
+              "teardown_wall_s", "qdma_drops");
 
   for (int np : nps) {
     const Row r = measure(np);
     std::printf(
-        "%-8d %-8d %14llu %10.3f %14.0f %10.2f %14llu %12.3f %15llu %15.3f\n",
+        "%-8d %-8d %14llu %10.3f %14.0f %10.2f %14llu %12.3f %15llu %15.3f "
+        "%10llu\n",
         r.ranks, np / 2, static_cast<unsigned long long>(r.events), r.wall_s,
         r.events_per_s, r.sim_ms,
         static_cast<unsigned long long>(r.setup_events), r.setup_wall_s,
-        static_cast<unsigned long long>(r.teardown_events), r.teardown_wall_s);
+        static_cast<unsigned long long>(r.teardown_events), r.teardown_wall_s,
+        static_cast<unsigned long long>(r.qdma_drops));
     std::fflush(stdout);
     rows.add("{\"ranks\": %d, \"nodes\": %d, "
              "\"events\": %llu, \"wall_s\": %.4f, "
              "\"events_per_sec\": %.0f, \"sim_ms\": %.3f, "
              "\"setup_events\": %llu, \"setup_wall_s\": %.4f, "
-             "\"teardown_events\": %llu, \"teardown_wall_s\": %.4f}",
+             "\"teardown_events\": %llu, \"teardown_wall_s\": %.4f, "
+             "\"qdma_drops\": %llu}",
              r.ranks, np / 2,
              static_cast<unsigned long long>(r.events), r.wall_s,
              r.events_per_s, r.sim_ms,
              static_cast<unsigned long long>(r.setup_events), r.setup_wall_s,
              static_cast<unsigned long long>(r.teardown_events),
-             r.teardown_wall_s);
+             r.teardown_wall_s, static_cast<unsigned long long>(r.qdma_drops));
   }
   std::printf(
       "\nExpected: events per run grow 2.3-2.8x per doubling of ranks. "
@@ -161,7 +170,8 @@ int main(int argc, char** argv) {
       "steps. setup_events and setup_wall_s cover the run until every rank "
       "has left its first barrier; teardown_events and teardown_wall_s "
       "cover it from the first rank entering finalize (goodbyes to the "
-      "O(log n) peers each rank contacted). events/s counts "
+      "O(log n) peers each rank contacted). qdma_drops sums every NIC's "
+      "dropped QDMAs at the end of the run. events/s counts "
       "dispatched events only; replaying parked steps takes wall time too, "
       "but no events.\n");
 

@@ -128,18 +128,6 @@ struct ModelParams {
   TimeNs oob_latency_ns = 55000;
   double oob_mbps = 90.0;
 
-  // ---- Fault injection (reliability testing; all off by default) ----
-  // Wire faults apply only to loss-protected traffic (the Elan4 PTL's
-  // sequenced QDMA frames); corruption applies to landing payloads. All
-  // draws come from RNG streams seeded by fault_seed, so a given seed
-  // reproduces the identical fault schedule.
-  double fault_drop_prob = 0.0;       // packet vanishes on the wire
-  double fault_corrupt_prob = 0.0;    // one bit flipped in a landing payload
-  double fault_duplicate_prob = 0.0;  // packet delivered twice
-  double fault_delay_prob = 0.0;      // packet held past its slot
-  TimeNs fault_delay_ns = 25000;      // how long a delayed packet is held
-  std::uint64_t fault_seed = 1;
-
   // ---- Process-failure detection (rte::FailureService) ----
   // Every launched process heartbeats the head node over the OOB network at
   // heartbeat_interval_ns. A process silent for failure_dead_misses

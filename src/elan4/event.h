@@ -61,8 +61,6 @@ class E4Event {
   // lists, which is how a FIN to the peer and a completion QDMA to the own
   // shared queue can both hang off one RDMA descriptor.
   void chain(Command cmd) { chained_.push_back(std::move(cmd)); }
-  void clear_chain() { chained_.clear(); }
-  bool has_chain() const { return !chained_.empty(); }
 
   // Block the calling fiber until done(). The wakeup is delivered via a
   // device interrupt: params.interrupt_ns elapses between the trigger and

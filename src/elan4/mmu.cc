@@ -10,7 +10,6 @@ E4Addr Mmu::map(void* host, std::size_t len) {
   // Round the span up to page granularity so consecutive mappings never abut.
   const E4Addr span = ((static_cast<E4Addr>(len) + kPage - 1) / kPage + 1) * kPage;
   next_ += span;
-  pages_mapped_ += pages_for(len);
   regions_.emplace(addr, Region{host, len});
   return addr;
 }

@@ -33,9 +33,6 @@ class Mmu {
 
   std::size_t num_mappings() const { return regions_.size(); }
   std::uint64_t faults() const { return faults_; }
-  // Page-table entries built over this context's lifetime (monotonic): the
-  // registration work the pipelined rendezvous overlaps with transfer.
-  std::uint64_t pages_mapped() const { return pages_mapped_; }
 
   // Pages a mapping of `len` bytes spans (registration cost unit).
   static std::uint64_t pages_for(std::size_t len) {
@@ -53,7 +50,6 @@ class Mmu {
   E4Addr next_ = 0x10000;
   std::map<E4Addr, Region> regions_;
   mutable std::uint64_t faults_ = 0;
-  std::uint64_t pages_mapped_ = 0;
 };
 
 }  // namespace oqs::elan4

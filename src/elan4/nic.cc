@@ -237,13 +237,15 @@ void Elan4Nic::rx_coll_qdma(ContextId ctx, E4Addr dest_addr, bool combine,
 
 template <typename OnLastInject>
 void Elan4Nic::rdma_train(Elan4Nic* dst, ContextId dst_ctx, E4Addr dst_addr,
-                          const char* src_host, std::uint32_t len,
+                          ContextId src_ctx, E4Addr src_addr, std::uint32_t len,
                           sim::Time first_startup, E4Event* remote_event,
                           E4Event* ack_event, OnLastInject on_last_inject) {
   const ModelParams& p = params();
   // Fragment to the MTU. Each fragment: PCI read of host memory by the tx
   // engine, then wire injection. The payload is snapshotted at injection
-  // time, matching when real hardware reads the host buffer.
+  // time, matching when real hardware reads the host buffer, and each
+  // fragment is translated then: a region its owner unmapped mid-train
+  // (and may have freed) faults the transfer instead of being read.
   auto fault_seen = std::make_shared<bool>(false);
   std::uint32_t remaining = len;
   std::uint64_t offset = 0;
@@ -260,16 +262,25 @@ void Elan4Nic::rdma_train(Elan4Nic* dst, ContextId dst_ctx, E4Addr dst_addr,
     earliest = inject_at;
     startup = p.nic_frag_ns;
 
-    engine().schedule_at(inject_at, [this, dst, dst_addr, src_host, offset,
-                                     remote_event, ack_event, fault_seen,
-                                     dst_ctx, frag, last, on_last_inject]() {
+    engine().schedule_at(inject_at, [this, dst, dst_addr, src_ctx, src_addr,
+                                     offset, remote_event, ack_event,
+                                     fault_seen, dst_ctx, frag, last,
+                                     on_last_inject]() {
       // Read stream-backs cross the wire as RDMA payload too, so they enter
       // the same tx/rx byte counters as writes (conservation holds across
       // schemes).
       OQS_METRIC_ADD("elan4.rdma.tx_bytes", frag);
       if (last) on_last_inject();
       std::vector<std::uint8_t> data(frag);
-      std::memcpy(data.data(), src_host + offset, frag);
+      Status st = Status::kOk;
+      const void* src = mmu(src_ctx).translate(src_addr + offset, frag, &st);
+      if (ok(st)) {
+        std::memcpy(data.data(), src, frag);
+      } else {
+        ++translation_faults_;
+        OQS_METRIC_INC("elan4.nic.translation_faults");
+        *fault_seen = true;
+      }
       net_.fabric().transmit(
           node_, dst->node(), frag + kRdmaWireHeader,
           [dst, dst_ctx, dst_addr, offset, last, remote_event, ack_node = node_,
@@ -290,9 +301,8 @@ void Elan4Nic::do_rdma_write(RdmaWriteCmd&& cmd) {
   const ContextId src_ctx = net_.context_of(cmd.src_vpid);
 
   Status st = Status::kOk;
-  char* src_host = nullptr;
   if (cmd.len > 0) {
-    src_host = static_cast<char*>(mmu(src_ctx).translate(cmd.src, cmd.len, &st));
+    (void)mmu(src_ctx).translate(cmd.src, cmd.len, &st);
     if (!ok(st)) {
       ++translation_faults_;
       const sim::Time done = tx_.reserve(engine().now(), p.nic_rdma_start_ns);
@@ -330,7 +340,7 @@ void Elan4Nic::do_rdma_write(RdmaWriteCmd&& cmd) {
     return;
   }
 
-  rdma_train(dst, dst_ctx, cmd.dst, src_host, cmd.len,
+  rdma_train(dst, dst_ctx, cmd.dst, src_ctx, cmd.src, cmd.len,
              p.nic_rdma_start_ns + p.nic_mmu_lookup_ns, cmd.remote_event,
              cmd.local_event, [this, posted_at = engine().now(), len = cmd.len,
                                dst_vpid = cmd.dest_vpid] {
@@ -537,10 +547,7 @@ void Elan4Nic::rx_rdma_get(RdmaReadCmd cmd) {
   Elan4Nic* req = &net_.nic(req_node, rail_);
 
   Status st = Status::kOk;
-  char* src_host = nullptr;
-  if (cmd.len > 0) {
-    src_host = static_cast<char*>(mmu(owner_ctx).translate(cmd.src, cmd.len, &st));
-  }
+  if (cmd.len > 0) (void)mmu(owner_ctx).translate(cmd.src, cmd.len, &st);
   if (!ok(st)) {
     ++translation_faults_;
     const sim::Time done = rx_.reserve(engine().now(), p.nic_rdma_read_req_ns);
@@ -562,7 +569,7 @@ void Elan4Nic::rx_rdma_get(RdmaReadCmd cmd) {
     return;
   }
 
-  rdma_train(req, req_ctx, cmd.dst, src_host, cmd.len,
+  rdma_train(req, req_ctx, cmd.dst, owner_ctx, cmd.src, cmd.len,
              p.nic_rdma_read_req_ns + p.nic_mmu_lookup_ns, cmd.local_event,
              /*ack_event=*/nullptr, [this, len = cmd.len] {
                OQS_TRACE_INSTANT(node_, "elan4", "rdma_read.stream_back", "len",

@@ -151,8 +151,8 @@ class Elan4Nic {
   void do_rdma_write(RdmaWriteCmd&& cmd);
   void do_rdma_read(RdmaReadCmd&& cmd);
 
-  // Streams `len` bytes from src_host (already translated on this node)
-  // into (dst_ctx, dst_addr) on `dst`'s node as one train of MTU fragments.
+  // Streams `len` bytes from (src_ctx, src_addr) on this node into
+  // (dst_ctx, dst_addr) on `dst`'s node as one train of MTU fragments.
   // `first_startup` is the extra tx-engine cost of the first fragment. When
   // the last fragment lands, `remote_event` fires on dst and, if
   // `ack_event` is set, an ack crosses back here to fire it. Writes and read
@@ -160,7 +160,7 @@ class Elan4Nic {
   // leaves and emits only the caller's trace and metric labels.
   template <typename OnLastInject>
   void rdma_train(Elan4Nic* dst, ContextId dst_ctx, E4Addr dst_addr,
-                  const char* src_host, std::uint32_t len,
+                  ContextId src_ctx, E4Addr src_addr, std::uint32_t len,
                   sim::Time first_startup, E4Event* remote_event,
                   E4Event* ack_event, OnLastInject on_last_inject);
   void do_hw_bcast(HwBcastCmd&& cmd);

@@ -18,15 +18,6 @@ QsNet::QsNet(sim::Engine& engine, const ModelParams& params, int nodes,
   for (int i = 0; i < nodes; ++i)
     for (int r = 0; r < rails; ++r)
       nics_.push_back(std::make_unique<Elan4Nic>(*this, i, r));
-
-  // ModelParams can pre-arm the injector (bench flags route through here).
-  net::FaultProfile from_params;
-  from_params.drop = params_.fault_drop_prob;
-  from_params.corrupt = params_.fault_corrupt_prob;
-  from_params.duplicate = params_.fault_duplicate_prob;
-  from_params.delay = params_.fault_delay_prob;
-  from_params.delay_ns = params_.fault_delay_ns;
-  if (from_params.any()) set_faults(from_params, params_.fault_seed);
 }
 
 QsNet::~QsNet() = default;
@@ -41,27 +32,9 @@ void QsNet::set_faults(const net::FaultProfile& profile, std::uint64_t seed) {
   fabric_->set_fault_injector(faults_.get());
 }
 
-void QsNet::set_corruption(double prob, std::uint64_t seed) {
-  net::FaultProfile profile;
-  profile.corrupt = prob;
-  set_faults(profile, seed);
-}
-
 void QsNet::kill_rail(int rail) {
   log::warn("elan4", "rail ", rail, " marked dead");
-  ensure_faults().set_rail_dead(rail);
-}
-
-net::FaultInjector& QsNet::ensure_faults() {
-  // Not routed through set_faults: that call resets the injector for an
-  // empty profile, which would resurrect previously-killed rails (and
-  // previously-armed kill schedules).
-  if (faults_ == nullptr) {
-    faults_ = std::make_unique<net::FaultInjector>(net::FaultProfile{},
-                                                   params_.fault_seed);
-    fabric_->set_fault_injector(faults_.get());
-  }
-  return *faults_;
+  fabric_->kill_rail(rail);
 }
 
 bool QsNet::maybe_corrupt(std::vector<std::uint8_t>& data,

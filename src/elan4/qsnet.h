@@ -61,22 +61,16 @@ class QsNet {
   ContextId context_of(Vpid vpid) const { return capability_.context_of(vpid); }
 
   // --- fault injection (reliability testing) ---
-  // Install a full fault profile (drop / corrupt / duplicate / delay) on
-  // the fabric, replacing any previous injector. Deterministic per seed.
+  // Install a fault profile (drop / corrupt / duplicate / delay) on the
+  // fabric, replacing any previous injector; an empty profile removes it.
+  // Deterministic per seed. The one way to configure a fault.
   void set_faults(const net::FaultProfile& profile, std::uint64_t seed = 1);
-  // Legacy knob: with probability `prob`, each delivered payload gets one
-  // bit flipped (beyond any protected prefix). Keeps the historical draw
-  // sequence so existing test seeds reproduce the same corruption schedule.
-  void set_corruption(double prob, std::uint64_t seed = 1);
   // Called by NICs on landing data. Returns true if a bit was flipped.
   bool maybe_corrupt(std::vector<std::uint8_t>& data, std::size_t protect_prefix);
   // Hard-kill one rail from now on: every packet routed over it vanishes
-  // (all traffic classes). Installs a no-fault injector if none exists, so
-  // killing a rail composes with — but does not require — a fault profile.
+  // (all traffic classes). Fabric state, so a later set_faults leaves the
+  // rail dead.
   void kill_rail(int rail);
-  // Injector for callers that record non-probabilistic faults (dead-vpid
-  // marks): installs a no-fault injector if none exists, like kill_rail.
-  net::FaultInjector& ensure_faults();
   net::FaultInjector* faults() { return faults_.get(); }
   std::uint64_t corruptions() const { return faults_ ? faults_->corruptions() : 0; }
 

@@ -668,13 +668,11 @@ void World::crash() {
   // The Elan contexts stay open — peers' frames keep landing unread,
   // bounded by their send windows — but the capability slot is marked
   // failed (routing stays resolvable, and the NIC model drops traffic
-  // addressed to it) and the injector records the death.
+  // addressed to it).
   for (int r = 0;; ++r) {
     ptl_elan4::PtlElan4* ptl = elan4_rail_ptl(r);
     if (ptl == nullptr) break;
-    const elan4::Vpid vpid = ptl->device().vpid();
-    net_.capability().mark_failed(vpid);
-    net_.ensure_faults().mark_vpid_dead(vpid);
+    net_.capability().mark_failed(ptl->device().vpid());
   }
   // A dead host cannot clean up device state: abandon the collective trees
   // (peers keep their events; shm segments outlive the process) and drop

@@ -5,7 +5,7 @@
 namespace oqs::net {
 
 Fabric::Fabric(sim::Engine& engine, const ModelParams& params, int nodes, int rails)
-    : engine_(engine), params_(params), nodes_(nodes) {
+    : engine_(engine), params_(params), nodes_(nodes), rail_dead_(rails, false) {
   assert(rails >= 1);
   for (int r = 0; r < rails; ++r) {
     if (nodes <= 8)
@@ -29,10 +29,10 @@ void Fabric::transmit(int src, int dst, std::uint32_t bytes,
 
   // A killed rail eats every traffic class — RDMA streams included — which
   // is what distinguishes a rail failure from per-packet wire loss.
-  if (faults_ != nullptr && faults_->rail_dead(rail)) return;
+  if (rail_dead_[static_cast<std::size_t>(rail)]) return;
 
   FaultInjector::WireFault fault;
-  if (faults_ != nullptr && cls == Delivery::kLossy) fault = faults_->roll_wire(src, dst);
+  if (faults_ != nullptr && cls == Delivery::kLossy) fault = faults_->roll_wire();
   if (fault.drop) return;  // the packet vanishes on the wire
 
   const sim::Time tx =

@@ -32,7 +32,11 @@ class Fabric {
   // Delivery::kLossy packets are subject to wire faults; loopback
   // (src == dst) never touches the fabric and is always immune.
   void set_fault_injector(FaultInjector* f) { faults_ = f; }
-  FaultInjector* fault_injector() const { return faults_; }
+
+  // Hard-kill a rail from now on: every packet on it — any traffic class —
+  // vanishes. No RNG draw, so the fault schedule of surviving rails is
+  // unperturbed.
+  void kill_rail(int rail) { rail_dead_[static_cast<std::size_t>(rail)] = true; }
 
   // Ship `bytes` from src to dst; run `deliver` at the destination when the
   // packet tail arrives. `bytes` here is one wire packet (the NIC fragments
@@ -54,6 +58,7 @@ class Fabric {
   const ModelParams& params_;
   int nodes_;
   std::vector<std::unique_ptr<Topology>> rails_;
+  std::vector<bool> rail_dead_;
   std::vector<Link*> scratch_route_;
   std::uint64_t packets_ = 0;
   FaultInjector* faults_ = nullptr;

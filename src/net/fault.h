@@ -14,13 +14,11 @@
 // Delivery::kGuaranteed: the hardware model has no recovery for a lost
 // fragment (QsNetII links are reliable; the end-to-end layer exists to
 // catch what the hardware misses), but their *contents* can still be
-// corrupted, which the CRC + re-read path recovers.
+// corrupted, which the fragment schedule's per-fragment CRC re-pull
+// recovers.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "sim/rng.h"
@@ -28,8 +26,8 @@
 
 namespace oqs::net {
 
-// Per-link fault probabilities. `delay_ns` is how long a delayed packet is
-// held beyond its normal delivery time.
+// Fault probabilities, one set for the whole fabric. `delay_ns` is how long
+// a delayed packet is held beyond its normal delivery time.
 struct FaultProfile {
   double drop = 0.0;
   double corrupt = 0.0;
@@ -37,8 +35,7 @@ struct FaultProfile {
   double delay = 0.0;
   sim::Time delay_ns = 25000;
 
-  bool wire_active() const { return drop > 0 || duplicate > 0 || delay > 0; }
-  bool any() const { return wire_active() || corrupt > 0; }
+  bool any() const { return drop > 0 || corrupt > 0 || duplicate > 0 || delay > 0; }
 };
 
 class FaultInjector {
@@ -47,55 +44,37 @@ class FaultInjector {
   // independent so enabling loss does not perturb an existing corruption
   // schedule (and vice versa).
   FaultInjector(const FaultProfile& profile, std::uint64_t seed)
-      : default_(profile), wire_rng_(seed ^ 0x9E3779B97F4A7C15ull), corrupt_rng_(seed) {}
+      : profile_(profile), wire_rng_(seed ^ 0x9E3779B97F4A7C15ull), corrupt_rng_(seed) {}
 
-  // Directed per-link override; -1 on either side is a wildcard matched
-  // after the exact pair (exact, then (-1,dst), then (src,-1)).
-  void set_link(int src, int dst, const FaultProfile& profile) {
-    links_[{src, dst}] = profile;
-  }
-
-  const FaultProfile& profile_for(int src, int dst) const {
-    if (!links_.empty()) {
-      if (auto it = links_.find({src, dst}); it != links_.end()) return it->second;
-      if (auto it = links_.find({-1, dst}); it != links_.end()) return it->second;
-      if (auto it = links_.find({src, -1}); it != links_.end()) return it->second;
-    }
-    return default_;
-  }
-
-  // One wire-level decision for a lossy packet traversing src -> dst.
+  // One wire-level decision for a lossy packet.
   struct WireFault {
     bool drop = false;
     bool duplicate = false;
     sim::Time delay_ns = 0;
   };
-  WireFault roll_wire(int src, int dst) {
-    const FaultProfile& p = profile_for(src, dst);
+  WireFault roll_wire() {
     WireFault f;
-    if (p.drop > 0 && wire_rng_.chance(p.drop)) {
+    if (profile_.drop > 0 && wire_rng_.chance(profile_.drop)) {
       f.drop = true;
       ++drops_;
       return f;  // a dropped packet can be neither duplicated nor delayed
     }
-    if (p.duplicate > 0 && wire_rng_.chance(p.duplicate)) {
+    if (profile_.duplicate > 0 && wire_rng_.chance(profile_.duplicate)) {
       f.duplicate = true;
       ++duplicates_;
     }
-    if (p.delay > 0 && wire_rng_.chance(p.delay)) {
-      f.delay_ns = p.delay_ns;
+    if (profile_.delay > 0 && wire_rng_.chance(profile_.delay)) {
+      f.delay_ns = profile_.delay_ns;
       ++delays_;
     }
     return f;
   }
 
-  // Corruption roll at landing time: with the link's corrupt probability,
-  // flip one bit beyond `protect_prefix`. Returns true if a bit flipped.
-  bool corrupt(std::vector<std::uint8_t>& data, std::size_t protect_prefix,
-               int src = -1, int dst = -1) {
-    const FaultProfile& p = profile_for(src, dst);
-    if (p.corrupt <= 0 || data.size() <= protect_prefix) return false;
-    if (!corrupt_rng_.chance(p.corrupt)) return false;
+  // Corruption roll at landing time: with the corrupt probability, flip one
+  // bit beyond `protect_prefix`. Returns true if a bit flipped.
+  bool corrupt(std::vector<std::uint8_t>& data, std::size_t protect_prefix) {
+    if (profile_.corrupt <= 0 || data.size() <= protect_prefix) return false;
+    if (!corrupt_rng_.chance(profile_.corrupt)) return false;
     const std::size_t idx = corrupt_rng_.uniform(protect_prefix, data.size() - 1);
     const int bit = static_cast<int>(corrupt_rng_.uniform(0, 7));
     data[idx] ^= static_cast<std::uint8_t>(1 << bit);
@@ -103,33 +82,13 @@ class FaultInjector {
     return true;
   }
 
-  void set_corruption(double prob) { default_.corrupt = prob; }
-
-  // Hard-kill a rail: every packet on it — any traffic class — vanishes.
-  // Deterministic (no RNG draw), so killing a rail never perturbs the fault
-  // schedule of surviving rails.
-  void set_rail_dead(int rail) { dead_rails_.insert(rail); }
-  bool rail_dead(int rail) const { return dead_rails_.count(rail) != 0; }
-
-  // Record a process death once it happened.
-  void mark_vpid_dead(int vpid) {
-    dead_vpids_.insert(vpid);
-    ++kills_;
-  }
-  bool vpid_dead(int vpid) const { return dead_vpids_.count(vpid) != 0; }
-  std::uint64_t kills() const { return kills_; }
-
   std::uint64_t drops() const { return drops_; }
   std::uint64_t duplicates() const { return duplicates_; }
   std::uint64_t delays() const { return delays_; }
   std::uint64_t corruptions() const { return corruptions_; }
 
  private:
-  FaultProfile default_;
-  std::map<std::pair<int, int>, FaultProfile> links_;
-  std::set<int> dead_rails_;
-  std::set<int> dead_vpids_;
-  std::uint64_t kills_ = 0;
+  FaultProfile profile_;
   sim::Rng wire_rng_;
   sim::Rng corrupt_rng_;
   std::uint64_t drops_ = 0;

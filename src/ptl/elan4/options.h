@@ -13,7 +13,8 @@ enum class Scheme {
   // Every PTL shares it.
   kPipelined,
   // The paper's monolithic schemes (§4.2, Figs. 3 and 4), run by this PTL
-  // on the one chosen rail:
+  // on the one chosen rail. They carry no payload checksum, so reliability
+  // runs the fragment schedule instead:
   kRdmaRead,   // receiver GETs the data, then FIN_ACK to the sender
   kRdmaWrite,  // receiver ACKs with its address; sender PUTs, then FIN
 };
@@ -50,14 +51,12 @@ struct Options {
   // measures the difference).
   bool use_dtype_engine = false;
   // End-to-end reliability (LA-MPI heritage): CRC32C on every frame with
-  // NACK-driven go-back-N retransmission, and checksum + re-read recovery
-  // of rendezvous payloads. Turns the RDMA-write scheme into RDMA-read and
-  // the FIN_ACK into a host-mediated one (verification must precede the
-  // acknowledgement); the fragment schedule verifies per fragment instead.
+  // NACK-driven go-back-N retransmission. Rendezvous payloads then ride the
+  // fragment schedule whatever `scheme` says: it checksums each fragment
+  // and re-pulls a corrupt one (pml/bml.cc caps the re-pulls).
   bool reliability = false;
-  // Rendezvous payload re-read attempts before the transfer fails. Read
-  // only by the paper schemes: the fragment schedule caps its own CRC
-  // re-pulls per fragment (pml/bml.cc).
+  // Read by nothing. Kept only because perfbench/main.cc still sets it;
+  // goes once that line does.
   int max_data_retries = 3;
   // --- Reliability protocol tuning (active only with reliability on; the
   // ack and retransmission timing is fixed in ptl/reliable_stream.h) ---

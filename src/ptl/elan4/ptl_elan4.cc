@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "base/checksum.h"
 #include "base/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -34,14 +33,9 @@ PtlElan4::PtlElan4(pml::Pml& pml, elan4::QsNet& net, int node, Options opts,
     opts_.completion = Completion::kSharedCombined;
   if (opts_.progress == Progress::kTwoThreads)
     opts_.completion = Completion::kSharedSeparate;
-  // Reliability: checksums must be verified by the host before the
-  // acknowledgement goes out, and payload recovery re-issues RDMA reads, so
-  // the paper scheme is RDMA-read with a host-mediated FIN_ACK. The
-  // fragment schedule verifies and re-pulls per fragment on its own.
-  if (opts_.reliability) {
-    if (opts_.scheme == Scheme::kRdmaWrite) opts_.scheme = Scheme::kRdmaRead;
-    opts_.chained_fin = false;
-  }
+  // Reliability verifies rendezvous payloads per fragment, which only the
+  // fragment schedule does: the paper schemes carry no payload checksum.
+  if (opts_.reliability) opts_.scheme = Scheme::kPipelined;
   rtuning_.send_window = opts_.send_window;
   rtuning_.suspect_timeouts = net_.params().suspect_timeouts;
   rtuning_.seq_start = opts_.seq_start;
@@ -124,17 +118,15 @@ void PtlElan4::charge_pack(std::size_t bytes) {
   device_->compute(p.host_memcpy_startup_ns + ModelParams::xfer_ns(bytes, rate));
 }
 
-void PtlElan4::charge_crc(std::size_t bytes) {
-  device_->compute(ModelParams::xfer_ns(bytes, net_.params().crc_mbps) + 40);
-}
-
 std::unique_ptr<ptl::ReliableStream> PtlElan4::make_stream(int gid) {
   ptl::ReliableStream::Hooks hooks;
   hooks.wire = [this, gid](const std::vector<std::uint8_t>& frame,
                            void* recycle) {
     post_wire(peers_.at(gid), frame, static_cast<E4Event*>(recycle));
   };
-  hooks.charge_crc = [this](std::size_t bytes) { charge_crc(bytes); };
+  hooks.charge_crc = [this](std::size_t bytes) {
+    device_->compute(ModelParams::xfer_ns(bytes, net_.params().crc_mbps) + 40);
+  };
   hooks.now = [this] { return net_.engine().now(); };
   hooks.arm_rtx = [this](sim::Time deadline) { arm_rtx_timer(deadline); };
   hooks.arm_ack = [this] { arm_ack_timer(); };
@@ -207,7 +199,6 @@ void PtlElan4::send_frame_ack(int gid) {
   ack.flags = pml::kFlagControl;
   ack.src_gid = pml_.ctx().gid;
   ack.dst_gid = gid;
-  ++counters_.acks_sent;
   OQS_METRIC_INC("ptl.reliability.acks_sent");
   post_frame(peer, ack, nullptr, 0, nullptr, 0);  // ack_seq set by post_frame
 }
@@ -399,23 +390,20 @@ void PtlElan4::send_first(pml::SendRequest& req) {
 
   // Expose the remainder: directly for contiguous data, via a packed
   // staging buffer otherwise (the E4_Addr constraint of §4.2).
+  const char* src;
   if (req.type->is_contiguous()) {
-    op.src_ptr = static_cast<const char*>(req.buf) + inline_len;
+    src = static_cast<const char*>(req.buf) + inline_len;
   } else {
     req.staging.resize(op.rest);
     charge_pack(op.rest);
     req.convertor.pack(req.staging.data(), op.rest);
-    op.src_ptr = reinterpret_cast<const char*>(req.staging.data());
+    src = reinterpret_cast<const char*>(req.staging.data());
   }
-  op.src_addr = device_->map(const_cast<char*>(op.src_ptr), op.rest);
+  op.src_addr = device_->map(const_cast<char*>(src), op.rest);
 
   RdvBody body{};
   body.src_addr =
       opts_.scheme == Scheme::kRdmaRead ? op.src_addr : elan4::kNullE4Addr;
-  if (opts_.reliability) {
-    charge_crc(op.rest);
-    body.data_crc = crc32c(op.src_ptr, op.rest);
-  }
 
   sends_.emplace(id, std::move(op));
   changed_.notify();
@@ -507,55 +495,10 @@ void PtlElan4::handle_fin_ack(const MatchHeader& hdr) {
     log::warn(name_, "FIN_ACK for unknown send cookie ", hdr.cookie);
     return;
   }
-  if (hdr.status != static_cast<std::uint16_t>(Status::kOk)) {
-    // Receiver could not recover the payload; fail the send accordingly.
-    PendingSend& op = it->second;
-    if (op.src_addr != elan4::kNullE4Addr) device_->unmap(op.src_addr);
-    pml::SendRequest* req = op.req;
-    sends_.erase(it);
-    changed_.notify();
-    req->fail(static_cast<Status>(hdr.status));
-    return;
-  }
   complete_send(it->first, it->second);
 }
 
 // ------------------------------------------------------ receive path ----
-
-void PtlElan4::issue_read(std::uint64_t id, PendingRecv& op) {
-  const Elan4Endpoint& peer = peers_.at(op.gid);
-  const bool chain_finack = opts_.chained_fin;
-  op.awaiting = 1;
-  OQS_METRIC_ADD("ptl.rdma.read_bytes", op.rest);
-  OQS_TRACE_INSTANT(node_, "ptl", "rdv.issue_reads", "cookie", id, "rest",
-                    op.rest);
-  E4Event* ev;
-  if (!op.events.empty()) {
-    ev = op.events.front();  // retry: re-arm
-  } else {
-    ev = device_->alloc_event("get");
-    op.events.push_back(ev);
-  }
-  ev->init(1);
-  if (chain_finack) {
-    MatchHeader fa;
-    fa.kind = FragKind::kFinAck;
-    fa.cookie = op.send_cookie;
-    fa.src_gid = pml_.ctx().gid;
-    fa.dst_gid = op.gid;
-    QdmaCmd cmd;
-    cmd.src_vpid = device_->vpid();
-    cmd.dest_vpid = peer.vpid;
-    cmd.dest_queue = peer.recv_queue;
-    cmd.data.resize(sizeof(MatchHeader));
-    std::memcpy(cmd.data.data(), &fa, sizeof(MatchHeader));
-    ev->chain(std::move(cmd));
-  }
-  arm_completion(ev, id);
-  tx_bytes_ += op.rest;
-  device_->rdma_read(peer.vpid, op.src_remote, op.dst_addr,
-                     static_cast<std::uint32_t>(op.rest), ev);
-}
 
 void PtlElan4::matched(pml::RecvRequest& req, std::unique_ptr<pml::FirstFrag> frag) {
   auto* ef = static_cast<ElanFirstFrag*>(frag.get());
@@ -574,7 +517,6 @@ void PtlElan4::matched(pml::RecvRequest& req, std::unique_ptr<pml::FirstFrag> fr
   op.gid = ef->hdr.src_gid;
   op.send_cookie = ef->send_cookie;
   op.rest = ef->hdr.len - got_inline;
-  op.expect_crc = ef->data_crc;
 
   if (req.type->is_contiguous()) {
     op.dst_ptr = static_cast<char*>(req.buf) + got_inline;
@@ -583,22 +525,44 @@ void PtlElan4::matched(pml::RecvRequest& req, std::unique_ptr<pml::FirstFrag> fr
     op.dst_ptr = reinterpret_cast<char*>(req.staging.data());
     op.staged = true;
   }
+  op.dst_addr = device_->map(op.dst_ptr, op.rest);
 
   // The sender's scheme decides: RDMA-read exposes its source address in
   // the first fragment, RDMA-write leaves it null.
   if (ef->src_addr != elan4::kNullE4Addr) {
     op.finack_needed = !opts_.chained_fin;
-    op.src_remote = ef->src_addr;
-    op.dst_addr = device_->map(op.dst_ptr, op.rest);
-    auto [it, inserted] = recvs_.emplace(id, std::move(op));
-    assert(inserted);
+    op.awaiting = 1;
+    E4Event* ev = device_->alloc_event("get");
+    ev->init(1);
+    if (opts_.chained_fin) {
+      MatchHeader fa;
+      fa.kind = FragKind::kFinAck;
+      fa.cookie = op.send_cookie;
+      fa.src_gid = pml_.ctx().gid;
+      fa.dst_gid = op.gid;
+      QdmaCmd cmd;
+      cmd.src_vpid = device_->vpid();
+      cmd.dest_vpid = peer.vpid;
+      cmd.dest_queue = peer.recv_queue;
+      cmd.data.resize(sizeof(MatchHeader));
+      std::memcpy(cmd.data.data(), &fa, sizeof(MatchHeader));
+      ev->chain(std::move(cmd));
+    }
+    const std::size_t rest = op.rest;
+    const E4Addr dst_addr = op.dst_addr;
+    recvs_.emplace(id, std::move(op));
     changed_.notify();
-    issue_read(id, it->second);
+    OQS_METRIC_ADD("ptl.rdma.read_bytes", rest);
+    OQS_TRACE_INSTANT(node_, "ptl", "rdv.issue_reads", "cookie", id, "rest",
+                      rest);
+    arm_completion(ev, id);
+    tx_bytes_ += rest;
+    device_->rdma_read(peer.vpid, ef->src_addr, dst_addr,
+                       static_cast<std::uint32_t>(rest), ev);
     return;
   }
 
-  // RDMA-write scheme: expose the landing zone and ACK with its address.
-  op.dst_addr = device_->map(op.dst_ptr, op.rest);
+  // RDMA-write scheme: ACK with the exposed landing zone's address.
   OQS_METRIC_ADD("ptl.rdma.write_bytes", op.rest);
   OQS_TRACE_INSTANT(node_, "ptl", "rdv.ack_sent", "cookie", op.send_cookie,
                     "rest", op.rest);
@@ -616,40 +580,19 @@ void PtlElan4::matched(pml::RecvRequest& req, std::unique_ptr<pml::FirstFrag> fr
 }
 
 void PtlElan4::complete_recv(std::uint64_t id, PendingRecv& op) {
-  Status final_st = Status::kOk;
-  if (opts_.reliability && op.rest > 0) {
-    // End-to-end verification of the RDMA payload (LA-MPI style). On a
-    // mismatch, re-issue the read: the sender keeps the region exposed
-    // until it sees our FIN_ACK, so retries are always safe.
-    charge_crc(op.rest);
-    if (crc32c(op.dst_ptr, op.rest) != op.expect_crc) {
-      ++data_retries_;
-      OQS_METRIC_INC("ptl.reliability.data_retries");
-      if (++op.retries <= opts_.max_data_retries) {
-        log::debug(name_, "payload CRC mismatch; re-reading (attempt ",
-                   op.retries, ")");
-        issue_read(id, op);
-        return;
-      }
-      log::error(name_, "payload unrecoverable after ", op.retries - 1,
-                 " retries");
-      final_st = Status::kError;
-    }
-  }
   if (op.finack_needed) {
     auto pit = peers_.find(op.gid);
     if (pit != peers_.end() && pit->second.alive) {
       MatchHeader fa;
       fa.kind = FragKind::kFinAck;
       fa.cookie = op.send_cookie;
-      fa.status = static_cast<std::uint16_t>(final_st);
       fa.src_gid = pml_.ctx().gid;
       fa.dst_gid = op.gid;
       post_frame(pit->second, fa, nullptr, 0, nullptr, 0);
     }
   }
   if (op.dst_addr != elan4::kNullE4Addr) device_->unmap(op.dst_addr);
-  if (op.staged && ok(final_st)) {
+  if (op.staged) {
     charge_pack(op.rest);
     op.req->convertor.unpack(op.req->staging.data(), op.rest);
   }
@@ -659,10 +602,7 @@ void PtlElan4::complete_recv(std::uint64_t id, PendingRecv& op) {
   OQS_TRACE_INSTANT(node_, "ptl", "rdv.recv_done", "cookie", id, "rest", rest);
   recvs_.erase(id);
   changed_.notify();
-  if (!ok(final_st))
-    req->fail(final_st);
-  else
-    pml_.recv_progress(*req, rest);
+  pml_.recv_progress(*req, rest);
 }
 
 void PtlElan4::handle_fin(const MatchHeader& hdr) {
@@ -738,7 +678,7 @@ void PtlElan4::bml_post(int gid, const MatchHeader& hdr, const void* body,
 
 void PtlElan4::handle_local_complete(std::uint64_t id) {
   if (id == kRecycleCookie) {
-    ++sendbufs_recycled_;  // a 2KB send buffer returned to the pool
+    // A 2KB send buffer returned to the pool.
     OQS_METRIC_INC("ptl.sendbuf.recycled");
     return;
   }
@@ -825,7 +765,6 @@ void PtlElan4::handle_frame(elan4::QdmaQueue::Slot&& slot) {
         off += sizeof(body);
         frag->src_addr = body.src_addr;
         frag->send_cookie = hdr.cookie;
-        frag->data_crc = static_cast<std::uint32_t>(body.data_crc);
       }
       // kRendezvousStriped carries the BML's stripe map as inline_data.
       frag->inline_data.assign(slot.data.begin() + static_cast<std::ptrdiff_t>(off),

@@ -50,7 +50,6 @@ namespace oqs::ptl_elan4 {
 struct ElanFirstFrag final : pml::FirstFrag {
   elan4::E4Addr src_addr = elan4::kNullE4Addr;
   std::uint64_t send_cookie = 0;
-  std::uint32_t data_crc = 0;  // reliability: CRC32C of the remainder
 };
 
 // Per-peer connection state on this rail: network identity plus (in
@@ -137,10 +136,8 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   std::size_t pending_ops() const { return sends_.size() + recvs_.size(); }
   std::uint64_t frames_dropped() const { return counters_.frames_dropped; }
   std::uint64_t retransmissions() const { return counters_.retransmissions; }
-  std::uint64_t data_retries() const { return data_retries_; }
   std::uint64_t dup_frames() const { return counters_.dup_frames; }
   std::uint64_t rtx_timeouts() const { return counters_.rtx_timeouts; }
-  std::uint64_t acks_sent() const { return counters_.acks_sent; }
   // Bytes this rail pushed onto the wire (bench per-rail breakdown).
   std::uint64_t tx_bytes() const { return tx_bytes_; }
   // Unacked + backlogged sequenced frames toward gid (bounded-memory tests).
@@ -154,7 +151,6 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   struct PendingSend {
     pml::SendRequest* req = nullptr;
     std::size_t rest = 0;
-    const char* src_ptr = nullptr;  // rest region (user buffer or staging)
     elan4::E4Addr src_addr = elan4::kNullE4Addr;
     std::vector<elan4::E4Event*> events;  // write scheme
     int gid = -1;
@@ -170,15 +166,10 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
     char* dst_ptr = nullptr;
     bool staged = false;
     elan4::E4Addr dst_addr = elan4::kNullE4Addr;
-    std::vector<elan4::E4Event*> events;  // read scheme
     int gid = -1;
     int awaiting = 0;  // outstanding local RDMA completions
     std::uint64_t send_cookie = 0;
     bool finack_needed = false;  // read scheme without chaining
-    // Reliability: enough to verify and re-issue the read.
-    elan4::E4Addr src_remote = elan4::kNullE4Addr;
-    std::uint32_t expect_crc = 0;
-    int retries = 0;
   };
 
   // BML stripe pull in flight (RDMA read into a mapped slice).
@@ -192,7 +183,8 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   // Wire frame bodies (after the 64 B MatchHeader).
   struct RdvBody {
     elan4::E4Addr src_addr;
-    std::uint64_t data_crc;  // reliability: CRC32C of the remainder
+    // Unused; keeps the body at 16 B, which fixes the inline prefix (Fig. 7).
+    std::uint64_t pad;
   };
   struct AckBody {
     std::uint64_t recv_cookie;
@@ -202,7 +194,6 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   void post_frame(Elan4Endpoint& peer, const pml::MatchHeader& hdr,
                   const void* body, std::size_t body_len, const void* payload,
                   std::size_t payload_len);
-  void charge_crc(std::size_t bytes);
   // Build the per-endpoint go-back-N stream (reliability mode).
   std::unique_ptr<ptl::ReliableStream> make_stream(int gid);
   void send_nack(int gid);
@@ -225,8 +216,6 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
     return threaded() ? sim::Cadence::kThreaded : sim::Cadence::kPoll;
   }
   sim::PollPlan* wait_plan() { return threaded() ? nullptr : this; }
-  // Issue (or re-issue) the RDMA read for a pending receive.
-  void issue_read(std::uint64_t id, PendingRecv& op);
   void handle_frame(elan4::QdmaQueue::Slot&& slot);
   void handle_ack(const pml::MatchHeader& hdr, const AckBody& body);
   void handle_fin(const pml::MatchHeader& hdr);
@@ -268,11 +257,9 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   // Notified on every change to poll_list_ (the shape of the idle round).
   sim::Signal poll_list_changed_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t sendbufs_recycled_ = 0;
   std::uint64_t tx_bytes_ = 0;
   // Local event attached to the next post_frame (send-buffer recycling).
   elan4::E4Event* recycle_event_ = nullptr;
-  std::uint64_t data_retries_ = 0;  // rendezvous payload re-reads
   bool stopping_ = false;
   bool finalized_ = false;
   bool halted_ = false;  // crashed in place: inbound frames go unread

@@ -60,7 +60,6 @@ struct ReliableCounters {
   std::uint64_t retransmissions = 0;  // frames resent (NACK or timeout)
   std::uint64_t dup_frames = 0;       // duplicates suppressed
   std::uint64_t rtx_timeouts = 0;     // retransmission-timer expiries
-  std::uint64_t acks_sent = 0;        // explicit ack frames
 };
 
 class ReliableStream {

@@ -66,7 +66,6 @@ class FailureService {
 
   bool dead(int gid) const { return dead_set_.count(gid) != 0; }
   bool any_dead() const { return !dead_set_.empty(); }
-  const std::set<int>& dead_set() const { return dead_set_; }
   std::uint64_t epoch() const { return epoch_; }
 
   // ULFM-style revoke: a survivor that observed kErrProcFailed inside a

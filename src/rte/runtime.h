@@ -56,7 +56,6 @@ class Registry {
     auto it = kv_.find(key);
     return it == kv_.end() || it->second.put_at > t;
   }
-  bool contains(const std::string& key) const { return kv_.count(key) > 0; }
   void erase(const std::string& key) { kv_.erase(key); }
 
   // Named counting barrier: returns once `count` participants arrived.

@@ -81,11 +81,6 @@ class Semaphore {
     while (count_ == 0) cond_.wait();
     --count_;
   }
-  bool try_acquire() {
-    if (count_ == 0) return false;
-    --count_;
-    return true;
-  }
   void release(std::size_t n = 1) {
     count_ += n;
     for (std::size_t i = 0; i < n; ++i) cond_.notify_one();

@@ -104,8 +104,10 @@ TEST(QsNetFaults, CorruptionCounterAndDeterminism) {
   auto run_once = [](std::uint64_t seed) {
     sim::Engine engine;
     ModelParams params;
+    net::FaultProfile corrupt;
+    corrupt.corrupt = 0.5;
     QsNet net(engine, params, 2);
-    net.set_corruption(0.5, seed);
+    net.set_faults(corrupt, seed);
     auto d0 = net.open(0);
     auto d1 = net.open(1);
     std::vector<std::uint8_t> src(65536, 0xAA);

@@ -146,6 +146,29 @@ TEST_F(RdmaFixture, WriteFromUnmappedLocalFaultsImmediately) {
   engine.run();
 }
 
+TEST_F(RdmaFixture, SourceUnmappedMidTrainFaults) {
+  // The owner gives up on a transfer and unmaps (then may free) its source
+  // while the NIC is still streaming it: the fragments after the unmap
+  // fault instead of reading the region, and so does the transfer.
+  std::vector<std::uint8_t> src(64 * 1024, 0xAB);
+  std::vector<std::uint8_t> dst(src.size(), 0);
+  engine.spawn("t", [&] {
+    E4Addr rsrc = d0->map(src.data(), src.size());
+    E4Addr rdst = d1->map(dst.data(), dst.size());
+    E4Event* local = d0->alloc_event("w");
+    local->init(1);
+    d0->rdma_write(d1->vpid(), rsrc, rdst,
+                   static_cast<std::uint32_t>(src.size()), local);
+    engine.sleep(10 * sim::kUs);
+    ASSERT_FALSE(local->done());
+    d0->unmap(rsrc);
+    local->wait_block();
+    EXPECT_EQ(local->status(), Status::kFault);
+    EXPECT_GE(net->nic(0).translation_faults(), 1u);
+  });
+  engine.run();
+}
+
 TEST_F(RdmaFixture, ReadFromUnmappedRemoteFaults) {
   std::vector<std::uint8_t> local_buf(256);
   engine.spawn("t", [&] {

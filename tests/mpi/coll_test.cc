@@ -66,9 +66,12 @@ int bed_nodes(const std::string& mode) {
 // Every algorithm, every non-power-of-two size (plus 8 for the hier modes'
 // leaders-tree shape), one body exercising all four routed collectives
 // against serially computed expectations.
-void run_conformance(const std::string& mode, int np, ModelParams params = {},
-                     int rails = 1, bool reliability = false) {
-  TestBed bed(bed_nodes(mode), rails, params);
+void run_conformance(const std::string& mode, int np,
+                     const net::FaultProfile& faults = {},
+                     std::uint64_t seed = 1, int rails = 1,
+                     bool reliability = false) {
+  TestBed bed(bed_nodes(mode), rails);
+  bed.net->set_faults(faults, seed);
   mpi::Options opts = coll_opts(mode);
   // Fault-injection runs need the end-to-end reliability protocol: without
   // it frames ride the guaranteed class (wire faults never apply) and a
@@ -243,13 +246,13 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, CollSubComm,
 class CollFaults : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CollFaults, ExactUnderInjectedFaults) {
-  ModelParams p;
-  p.fault_drop_prob = 0.02;
-  p.fault_duplicate_prob = 0.01;
-  p.fault_delay_prob = 0.02;
-  p.fault_corrupt_prob = 0.01;
-  p.fault_seed = 42;
-  run_conformance(GetParam(), 7, p, /*rails=*/2, /*reliability=*/true);
+  net::FaultProfile faults;
+  faults.drop = 0.02;
+  faults.duplicate = 0.01;
+  faults.delay = 0.02;
+  faults.corrupt = 0.01;
+  run_conformance(GetParam(), 7, faults, /*seed=*/42, /*rails=*/2,
+                  /*reliability=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, CollFaults,

@@ -1,6 +1,6 @@
 // End-to-end reliability (LA-MPI heritage): CRC32C framing, NACK-driven
-// retransmission, and RDMA payload verification with re-read recovery,
-// under injected wire corruption.
+// retransmission, and per-fragment verification with re-pull recovery of
+// rendezvous payloads, under injected wire corruption.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -18,8 +18,20 @@ mpi::Options reliable() {
   return o;
 }
 
+// Corruption only: each landing payload gets one bit flipped with `prob`.
+net::FaultProfile corruption(double prob) {
+  net::FaultProfile p;
+  p.corrupt = prob;
+  return p;
+}
+
+std::uint64_t crc_retries() {
+  return obs::metrics().counter("bml.stripe.crc_retries").value();
+}
+
 TEST(Reliability, CleanWireBehavesNormally) {
   TestBed bed;
+  const std::uint64_t crc_retries_before = crc_retries();
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();
     for (std::size_t bytes : {0ul, 4ul, 1980ul, 4096ul, 100000ul}) {
@@ -33,15 +45,14 @@ TEST(Reliability, CleanWireBehavesNormally) {
       }
     }
     c.barrier();
-    auto* ptl = w.elan4_ptl();
-    EXPECT_EQ(ptl->retransmissions(), 0u);
-    EXPECT_EQ(ptl->data_retries(), 0u);
+    EXPECT_EQ(w.elan4_ptl()->retransmissions(), 0u);
   }, reliable());
+  EXPECT_EQ(crc_retries(), crc_retries_before);
 }
 
 TEST(Reliability, EagerTrafficSurvivesCorruption) {
   TestBed bed;
-  bed.net->set_corruption(0.05, /*seed=*/77);
+  bed.net->set_faults(corruption(0.05), /*seed=*/77);
   std::uint64_t retransmissions = 0;
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();
@@ -70,20 +81,17 @@ TEST(Reliability, EagerTrafficSurvivesCorruption) {
   EXPECT_GT(retransmissions, 0u);
 }
 
-TEST(Reliability, RendezvousPayloadRecoversByRereading) {
-  mpi::Options o = reliable();
-  o.elan4.max_data_retries = 25;  // survive an aggressive corruption rate
-  // Asserts the PTL's data_retries counter, which the BML's fragmented path
-  // (with its own per-fragment CRC re-pulls) bypasses — run the paper's
-  // monolithic single-pull rendezvous.
-  o.elan4.scheme = ptl_elan4::Scheme::kRdmaRead;
+TEST(Reliability, RendezvousPayloadRecoversByRepulling) {
   TestBed bed;
+  // Corruption hits the Elan4 fabric only: keep every pull on it.
   bed.pin_transport = true;
-  bed.net->set_corruption(0.04, /*seed=*/5);
-  std::uint64_t retries = 0;
+  bed.net->set_faults(corruption(0.04), /*seed=*/5);
+  const std::uint64_t crc_retries_before = crc_retries();
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();
-    const std::size_t bytes = 100000;  // ~49 fragments: retries near-certain
+    // ~98 wire packets, so a pulled one is corrupt (at this seed 100 KB
+    // corrupts only a control frame, which go-back-N recovers).
+    const std::size_t bytes = 200000;
     std::vector<std::uint8_t> buf(bytes);
     if (c.rank() == 0) {
       std::iota(buf.begin(), buf.end(), 0);
@@ -96,70 +104,80 @@ TEST(Reliability, RendezvousPayloadRecoversByRereading) {
       std::vector<std::uint8_t> expect(bytes);
       std::iota(expect.begin(), expect.end(), 0);
       EXPECT_EQ(buf, expect);
-      retries = w.elan4_ptl()->data_retries();
     }
     c.barrier();
-  }, o);
+  }, reliable());
   EXPECT_GT(bed.net->corruptions(), 0u);
-  EXPECT_GT(retries, 0u);
+  EXPECT_GT(crc_retries(), crc_retries_before);
 }
 
-TEST(Reliability, UnrecoverablePayloadFailsBothSides) {
-  mpi::Options o = reliable();
-  o.elan4.max_data_retries = 0;  // no recovery allowed
-  // Expects the monolithic scheme's FIN_ACK failure path; the fragmented
-  // path recovers via CRC re-pulls instead of failing.
-  o.elan4.scheme = ptl_elan4::Scheme::kRdmaRead;
-  TestBed bed;
-  bed.pin_transport = true;
-  bed.net->set_corruption(0.5, /*seed=*/3);  // certain corruption
-  bed.run_mpi(2, [&](mpi::World& w) {
-    auto& c = w.comm();
-    std::vector<std::uint8_t> buf(100000, 1);
-    if (c.rank() == 0) {
-      mpi::Request s = c.isend(buf.data(), buf.size(), dtype::byte_type(), 1, 0);
-      mpi::RecvStatus st;
-      s.wait(&st);
-      EXPECT_EQ(st.status, Status::kError);  // FIN_ACK carried the failure
-    } else {
-      mpi::RecvStatus st;
-      mpi::Request r = c.irecv(buf.data(), buf.size(), dtype::byte_type(), 0, 0);
-      r.wait(&st);
-      EXPECT_EQ(st.status, Status::kError);
-    }
-  }, o);
+TEST(Reliability, PaperSchemesUnderReliabilityRunTheSchedule) {
+  // The paper schemes carry no payload checksum, so reliability sends
+  // every rendezvous through the fragment schedule, which verifies and
+  // re-pulls per fragment, whatever scheme was asked for.
+  for (const auto scheme :
+       {ptl_elan4::Scheme::kRdmaRead, ptl_elan4::Scheme::kRdmaWrite}) {
+    SCOPED_TRACE(scheme == ptl_elan4::Scheme::kRdmaRead ? "read" : "write");
+    mpi::Options o = reliable();
+    o.elan4.scheme = scheme;
+    TestBed bed;
+    const test::RdvCounts before;
+    bed.run_mpi(2, [&](mpi::World& w) {
+      auto& c = w.comm();
+      std::vector<std::uint8_t> buf(100000);
+      if (c.rank() == 0) {
+        std::iota(buf.begin(), buf.end(), 0);
+        c.send(buf.data(), buf.size(), dtype::byte_type(), 1, 0);
+      } else {
+        c.recv(buf.data(), buf.size(), dtype::byte_type(), 0, 0);
+        std::vector<std::uint8_t> expect(buf.size());
+        std::iota(expect.begin(), expect.end(), 0);
+        EXPECT_EQ(buf, expect);
+      }
+    }, o);
+    test::expect_rendezvous_path(ptl_elan4::Scheme::kPipelined, before);
+  }
 }
 
 TEST(Reliability, ExhaustedStripeRepullsFailBothBlockingSides) {
   // The default pipelined schedule re-pulls a corrupt fragment a bounded
-  // number of times, then fails the transfer: a blocking send and recv
-  // both return the error instead of aborting the process.
-  TestBed bed;
-  bed.pin_transport = true;
-  bed.net->set_corruption(0.5, /*seed=*/3);  // certain corruption
-  const std::uint64_t crc_retries_before =
-      obs::metrics().counter("bml.stripe.crc_retries").value();
-  Status send_st = Status::kOk;
-  Status recv_st = Status::kOk;
-  bed.run_mpi(2, [&](mpi::World& w) {
-    auto& c = w.comm();
-    std::vector<std::uint8_t> buf(100000, 1);
-    if (c.rank() == 0) {
-      send_st = c.send(buf.data(), buf.size(), dtype::byte_type(), 1, 0);
-    } else {
-      recv_st = c.recv(buf.data(), buf.size(), dtype::byte_type(), 0, 0);
-    }
-  }, reliable());
-  EXPECT_EQ(send_st, Status::kError);
-  EXPECT_EQ(recv_st, Status::kError);
-  EXPECT_GT(obs::metrics().counter("bml.stripe.crc_retries").value(),
-            crc_retries_before);
+  // number of times, then fails the transfer: both sides see the error,
+  // from a blocking send/recv and from a nonblocking isend/irecv + wait,
+  // instead of the process aborting.
+  for (const bool blocking : {true, false}) {
+    SCOPED_TRACE(blocking ? "blocking" : "nonblocking");
+    TestBed bed;
+    bed.pin_transport = true;
+    bed.net->set_faults(corruption(0.5), /*seed=*/3);  // certain corruption
+    const std::uint64_t crc_retries_before = crc_retries();
+    Status send_st = Status::kOk;
+    Status recv_st = Status::kOk;
+    bed.run_mpi(2, [&](mpi::World& w) {
+      auto& c = w.comm();
+      std::vector<std::uint8_t> buf(100000, 1);
+      mpi::RecvStatus st;
+      if (c.rank() == 0 && blocking) {
+        send_st = c.send(buf.data(), buf.size(), dtype::byte_type(), 1, 0);
+      } else if (c.rank() == 0) {
+        c.isend(buf.data(), buf.size(), dtype::byte_type(), 1, 0).wait(&st);
+        send_st = st.status;
+      } else if (blocking) {
+        recv_st = c.recv(buf.data(), buf.size(), dtype::byte_type(), 0, 0);
+      } else {
+        c.irecv(buf.data(), buf.size(), dtype::byte_type(), 0, 0).wait(&st);
+        recv_st = st.status;
+      }
+    }, reliable());
+    EXPECT_EQ(send_st, Status::kError);
+    EXPECT_EQ(recv_st, Status::kError);
+    EXPECT_GT(crc_retries(), crc_retries_before);
+  }
 }
 
 TEST(Reliability, ModerateCorruptionLargePayloadEventuallyClean) {
   // With a per-fragment corruption rate low enough, 3 retries recover.
   TestBed bed;
-  bed.net->set_corruption(0.01, /*seed=*/11);
+  bed.net->set_faults(corruption(0.01), /*seed=*/11);
   int delivered_ok = 0;
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();

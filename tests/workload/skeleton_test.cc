@@ -251,8 +251,8 @@ TEST(Interference, TwoJobsShareTheFabricAndBothConform) {
 
 // Fault soak, slow-labelled (its own ctest entry runs WorkloadSoak.*):
 // 10% wire loss plus duplication/delay/corruption, and every skeleton must
-// still complete with its oracle intact — the go-back-N and CRC re-read
-// machinery, not the workload, absorbs the faults.
+// still complete with its oracle intact — the go-back-N and per-fragment
+// CRC re-pull machinery, not the workload, absorbs the faults.
 TEST(WorkloadSoak, SkeletonsSurviveTenPercentLossIntact) {
   struct JobCase {
     const char* label;
