@@ -17,8 +17,6 @@
 
 namespace oqs::pml {
 
-class Ptl;
-
 class Request {
  public:
   enum class Kind { kSend, kRecv };
@@ -101,10 +99,6 @@ class SendRequest final : public Request, public ListItem<SendRequest> {
   // Contiguous staging for RDMA of non-contiguous data (paper §4.2: the
   // memory descriptor must be presentable as an E4 address range).
   std::vector<std::uint8_t> staging;
-
-  // Per-PTL scratch (e.g. the exposed E4 address of the payload).
-  Ptl* ptl = nullptr;
-  std::uint64_t ptl_cookie = 0;
 };
 
 class RecvRequest final : public Request, public ListItem<RecvRequest> {
@@ -138,8 +132,6 @@ class RecvRequest final : public Request, public ListItem<RecvRequest> {
   MatchHeader matched_hdr;
 
   std::vector<std::uint8_t> staging;
-  Ptl* ptl = nullptr;
-  std::uint64_t ptl_cookie = 0;
 };
 
 }  // namespace oqs::pml

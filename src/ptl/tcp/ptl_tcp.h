@@ -74,7 +74,8 @@ class PtlTcp final : public pml::Ptl,
   }
   std::uint64_t stripe_pull(int gid, std::uint64_t region, std::size_t offset,
                             void* dst, std::size_t len,
-                            std::function<void(Status)> done) override;
+                            std::function<void(Status)> done,
+                            const pml::MatchHeader* fin) override;
   void stripe_cancel(std::uint64_t pull_id) override {
     stripe_pulls_.erase(pull_id);
   }

@@ -48,9 +48,6 @@ class MockPtl final : public Ptl, public NoPoints {
     req.add_progress(req.total_bytes());
   }
 
-  void matched(RecvRequest&, std::unique_ptr<FirstFrag>) override {
-    FAIL() << "mock is eager-only";
-  }
   int progress() override { return 0; }
   sim::PollPlan& poll_plan() override { return *this; }
   int sweep(std::size_t, bool) override { return progress(); }
