@@ -6,17 +6,17 @@
 
 namespace oqs::ptl_elan4 {
 
-// Long-message scheme: the one rendezvous selector.
+// Long-message scheme: the one rendezvous selector. Each names a shape of
+// the BML's one fragment schedule (pml/frag_schedule.h) on the lead rail.
 enum class Scheme {
-  // The BML's fragment schedule (pml/frag_schedule.h): inline prefix and
-  // pushed fragments behind the RTS, chunked pulls striped across rails.
-  // Every PTL shares it.
+  // Inline prefix and pushed fragments behind the RTS, chunked pulls
+  // striped across rails. Every PTL shares it.
   kPipelined,
-  // The paper's monolithic schemes (§4.2, Figs. 3 and 4), run by this PTL
-  // on the one chosen rail. They carry no payload checksum, so reliability
-  // runs the fragment schedule instead:
+  // The paper's schemes (§4.2, Figs. 3 and 4) as one-fragment shapes: one
+  // RDMA on the lead rail, its FIN chained to it. They verify no payload
+  // checksum, so reliability runs the pipelined shape instead:
   kRdmaRead,   // receiver GETs the data, then FIN_ACK to the sender
-  kRdmaWrite,  // receiver ACKs with its address; sender PUTs, then FIN
+  kRdmaWrite,  // receiver sends a CTS with its region; sender PUTs, then FIN
 };
 
 // How local RDMA completions are detected (paper §4.3, Fig. 6).
@@ -36,15 +36,15 @@ enum class Progress {
 
 struct Options {
   Scheme scheme = Scheme::kPipelined;
-  // Carry an eager-limit payload prefix in the rendezvous first fragment
-  // (paper §6.1 ablation; the best configuration leaves this off on RDMA
-  // networks). Read only by the paper schemes: the fragment schedule sizes
-  // its own inline prefix.
+  // Carry an eager-limit payload prefix (at most 1968 B) in the RTS of the
+  // one-fragment shapes (paper §6.1 ablation; the best configuration leaves
+  // this off on RDMA networks). The pipelined shape sizes its own prefix.
   bool inline_rendezvous = false;
   Completion completion = Completion::kDirectPoll;
   Progress progress = Progress::kPolling;
-  // Chain the FIN/FIN_ACK QDMA to the last RDMA via the chained-event
-  // mechanism (paper §4.2; ablated in Fig. 8 as Read-NoChain).
+  // Chain the one-fragment shapes' FIN/FIN_ACK QDMA to their RDMA via the
+  // chained-event mechanism (paper §4.2; ablated in Fig. 8 as
+  // Read-NoChain); off, the host posts it at local completion.
   bool chained_fin = true;
   // Route pack/unpack through the datatype copy engine and charge its cost;
   // false models the paper's memcpy() replacement (Fig. 7 "DTP" ablation

@@ -382,5 +382,98 @@ TEST(P2P, SameNodeProcessesCommunicate) {
   });
 }
 
+// Revoke races. A revoke aborts a rendezvous send that no FIN has settled
+// and no put has left; the receiver must then fail, never hang and never
+// complete with bytes that did not arrive.
+
+struct RevokeCase {
+  Scheme scheme;
+  ptl_elan4::Completion completion;
+};
+
+std::string revoke_case_name(const ::testing::TestParamInfo<RevokeCase>& info) {
+  static const char* const kModes[] = {"DirectPoll", "OneQueue", "TwoQueue"};
+  return std::string(info.param.scheme == Scheme::kRdmaRead ? "Read"
+                                                            : "Pipelined") +
+         kModes[static_cast<int>(info.param.completion)];
+}
+
+class RevokeBeforePull : public ::testing::TestWithParam<RevokeCase> {};
+
+TEST_P(RevokeBeforePull, ReceiveFails) {
+  // The sender revokes right after its RTS left and aborts the send, which
+  // unexposes its region; the receiver matches afterwards, so its pull
+  // reads a region that is gone and the NIC faults it. Every completion
+  // mode must report that fault.
+  mpi::Options opts;
+  opts.elan4.scheme = GetParam().scheme;
+  opts.elan4.completion = GetParam().completion;
+  TestBed bed;
+  bed.pin_transport = true;
+  Status sent = Status::kOk;
+  Status received = Status::kOk;
+  bed.run_mpi(2, [&](mpi::World& w) {
+    auto& c = w.comm();
+    std::vector<std::uint8_t> buf(65536, 0x5A);
+    if (c.rank() == 0) {
+      mpi::Request s = c.isend(buf.data(), buf.size(), dtype::byte_type(), 1, 0);
+      w.revoke();
+      mpi::RecvStatus st;
+      s.wait(&st);
+      sent = st.status;
+    } else {
+      w.net().engine().sleep(20 * sim::kUs);
+      received = c.recv(buf.data(), buf.size(), dtype::byte_type(), 0, 0);
+    }
+  }, opts);
+  EXPECT_EQ(sent, Status::kRevoked);
+  EXPECT_EQ(received, Status::kFault);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShapesAndCompletions, RevokeBeforePull,
+    ::testing::Values(
+        RevokeCase{Scheme::kRdmaRead, ptl_elan4::Completion::kDirectPoll},
+        RevokeCase{Scheme::kRdmaRead, ptl_elan4::Completion::kSharedCombined},
+        RevokeCase{Scheme::kRdmaRead, ptl_elan4::Completion::kSharedSeparate},
+        RevokeCase{Scheme::kPipelined, ptl_elan4::Completion::kDirectPoll},
+        RevokeCase{Scheme::kPipelined, ptl_elan4::Completion::kSharedCombined},
+        RevokeCase{Scheme::kPipelined, ptl_elan4::Completion::kSharedSeparate}),
+    revoke_case_name);
+
+TEST(Revoke, WriteSendAbortedBeforeItsCtsFailsTheMatchedReceive) {
+  // The receiver matches and sends its CTS; the sender revokes and aborts
+  // before reading it. The CTS then finds no send and is answered with an
+  // error FIN, which fails the matched receive with kRevoked.
+  mpi::Options opts;
+  opts.elan4.scheme = Scheme::kRdmaWrite;
+  TestBed bed;
+  bed.pin_transport = true;
+  Status sent = Status::kOk;
+  Status received = Status::kOk;
+  bed.run_mpi(2, [&](mpi::World& w) {
+    auto& c = w.comm();
+    sim::Engine& engine = w.net().engine();
+    std::vector<std::uint8_t> buf(65536, 0x5A);
+    if (c.rank() == 0) {
+      engine.sleep(20 * sim::kUs);  // the receive is posted by now
+      mpi::Request s = c.isend(buf.data(), buf.size(), dtype::byte_type(), 1, 0);
+      engine.sleep(40 * sim::kUs);  // the CTS has arrived, unread
+      w.revoke();
+      mpi::RecvStatus st;
+      s.wait(&st);
+      sent = st.status;
+      for (int i = 0; i < 40; ++i) {  // read the CTS, answer it
+        w.pml().progress();
+        engine.sleep(sim::kUs);
+      }
+    } else {
+      received = c.recv(buf.data(), buf.size(), dtype::byte_type(), 0, 0);
+    }
+  }, opts);
+  EXPECT_EQ(sent, Status::kRevoked);
+  EXPECT_EQ(received, Status::kRevoked);
+}
+
 }  // namespace
 }  // namespace oqs
