@@ -43,12 +43,6 @@ Status Elan4Device::free_event(E4Event* ev) {
   return Status::kNotFound;
 }
 
-int Elan4Device::event_index(const E4Event* ev) const {
-  for (const EventEntry& e : events_)
-    if (e.ev.get() == ev) return e.index;
-  return -1;
-}
-
 Status Elan4Device::set_event(E4Event* ev) {
   if (closed_) return Status::kShutdown;
   compute(params().host_pio_write_ns);
@@ -99,27 +93,6 @@ Status Elan4Device::post_qdma(Vpid dest, int queue_id,
   cmd.local_event = local_event;
   cmd.lossy = lossy;
   compute(params().host_qdma_post_ns);
-  nic().submit(std::move(cmd));
-  return Status::kOk;
-}
-
-Status Elan4Device::post_coll_qdma(Vpid dest, E4Addr src_addr,
-                                   std::uint32_t len, E4Addr dest_addr,
-                                   bool combine, int remote_event_index,
-                                   E4Event* local_event) {
-  if (closed_) return Status::kShutdown;
-  if (len > 2048) return Status::kBadParam;  // QDMA hard limit
-  compute(params().host_qdma_post_ns);
-  QdmaCmd cmd;
-  cmd.src_vpid = vpid_;
-  cmd.dest_vpid = dest;
-  cmd.dest_queue = -1;
-  cmd.src_addr = src_addr;
-  cmd.src_len = len;
-  cmd.dest_addr = dest_addr;
-  cmd.combine = combine;
-  cmd.remote_event_index = remote_event_index;
-  cmd.local_event = local_event;
   nic().submit(std::move(cmd));
   return Status::kOk;
 }

@@ -65,8 +65,6 @@ class Elan4Device {
   E4Event* alloc_event(std::string name);
   Status free_event(E4Event* ev);
   int last_event_index() const { return last_event_index_; }
-  // Table index of one of this device's live events; -1 if not found.
-  int event_index(const E4Event* ev) const;
   // Host SETEVENT command: one PIO word, then the NIC fires `ev` (the cheap
   // host->NIC arrival signal of the NIC-offloaded collectives).
   Status set_event(E4Event* ev);
@@ -84,14 +82,6 @@ class Elan4Device {
   // protocol recovers from loss.
   Status post_qdma(Vpid dest, int queue_id, std::span<const std::uint8_t> data,
                    E4Event* local_event = nullptr, bool lossy = false);
-  // Collective QDMA (NIC combining-tree traffic): the NIC reads `len` bytes
-  // from this context's memory at descriptor-processing time, lands them at
-  // `dest_addr` in the target context (element-wise double sum when
-  // `combine`, copy otherwise; pass kNullE4Addr for pure-signal barrier
-  // frames) and fires event #remote_event_index in the target's table.
-  Status post_coll_qdma(Vpid dest, E4Addr src_addr, std::uint32_t len,
-                        E4Addr dest_addr, bool combine, int remote_event_index,
-                        E4Event* local_event = nullptr);
   // Non-blocking poll of a local queue (charges one poll).
   bool queue_poll(QdmaQueue* q, QdmaQueue::Slot* out);
   // Block until the queue has a message (interrupt-driven wakeup).
