@@ -83,16 +83,16 @@ inline void env_coll(mpi::coll::CollOptions* coll) {
   }
 }
 
-// Rendezvous sends each engine has started so far (process-wide): the
-// paper schemes count ptl.rdv.started, the BML fragment schedule
-// bml.send.pipelined.
+// Rendezvous sends each shape of the BML's fragment schedule has started so
+// far (process-wide): the paper's one-fragment read and write shapes count
+// ptl.rdv.started, the pipelined shape bml.send.pipelined.
 struct RdvCounts {
   std::uint64_t paper = obs::metrics().counter("ptl.rdv.started").value();
   std::uint64_t pipelined =
       obs::metrics().counter("bml.send.pipelined").value();
 };
 
-// Every rendezvous since `before` ran the engine `scheme` names, and at
+// Every rendezvous since `before` ran the shape `scheme` names, and at
 // least one did.
 inline void expect_rendezvous_path(ptl_elan4::Scheme scheme,
                                    const RdvCounts& before) {
@@ -101,7 +101,7 @@ inline void expect_rendezvous_path(ptl_elan4::Scheme scheme,
   const std::uint64_t pipelined = now.pipelined - before.pipelined;
   const bool pipe = scheme == ptl_elan4::Scheme::kPipelined;
   EXPECT_GT(pipe ? pipelined : paper, 0u) << "no rendezvous ran";
-  EXPECT_EQ(pipe ? paper : pipelined, 0u) << "a rendezvous took the other engine";
+  EXPECT_EQ(pipe ? paper : pipelined, 0u) << "a rendezvous took the other shape";
 }
 
 struct TestBed {
