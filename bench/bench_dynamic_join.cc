@@ -59,7 +59,9 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nExpected: wire-up dominated by management-network round trips "
-      "(sub-millisecond to a few ms, growing with job size); post-merge "
-      "traffic runs at full Elan4 speed.\n");
+      "(a few tenths of a ms: publish, the init barrier and one fetch of "
+      "every contact record, whatever the job size; what grows with it is "
+      "the closing barrier's ceil(log2 n) steps); post-merge traffic runs "
+      "at full Elan4 speed.\n");
   return 0;
 }

@@ -86,7 +86,7 @@ Status Colls::barrier(Communicator& c) {
   const bool degraded = world_.any_failure();
   if (alg == BarrierAlg::kAuto) {
     if (!degraded && hier_gate(c)) {
-      ensure_hier(c, st);
+      OQS_COLL_TRY(ensure_hier(c, st));
       if (st.hier.multi) alg = BarrierAlg::kHier;
     }
     if (alg == BarrierAlg::kAuto && !degraded && nic_gate(c, 0))
@@ -96,13 +96,13 @@ Status Colls::barrier(Communicator& c) {
   const Group flat{nullptr, c.size(), c.rank()};
   switch (alg) {
     case BarrierAlg::kHier:
-      ensure_hier(c, st);
+      OQS_COLL_TRY(ensure_hier(c, st));
       OQS_METRIC_INC("coll.barrier.hier");
       return hier_barrier(c, tag, st);
     case BarrierAlg::kNic: {
       std::vector<int> ranks(static_cast<std::size_t>(c.size()));
       std::iota(ranks.begin(), ranks.end(), 0);
-      ensure_nic(c, st.nic_flat, std::move(ranks));
+      OQS_COLL_TRY(ensure_nic(c, st.nic_flat, std::move(ranks)));
       if (st.nic_flat.usable) {
         OQS_METRIC_INC("coll.barrier.nic");
         return nic_round(st.nic_flat, nullptr, 0);
@@ -133,14 +133,14 @@ Status Colls::bcast(Communicator& c, void* buf, std::size_t count,
   BcastAlg alg = o.bcast;
   if (alg == BcastAlg::kAuto) {
     if (contig && !degraded && hier_gate(c)) {
-      ensure_hier(c, st);
+      OQS_COLL_TRY(ensure_hier(c, st));
       if (st.hier.multi) alg = BcastAlg::kHier;
     }
     if (alg == BcastAlg::kAuto) alg = BcastAlg::kBinomial;
   }
   if (alg == BcastAlg::kHier && !contig) alg = BcastAlg::kBinomial;
   if (alg == BcastAlg::kHier) {
-    ensure_hier(c, st);
+    OQS_COLL_TRY(ensure_hier(c, st));
     OQS_METRIC_INC("coll.bcast.hier");
     return hier_bcast(c, tag, st, buf, count, type, root);
   }
@@ -151,7 +151,7 @@ Status Colls::bcast(Communicator& c, void* buf, std::size_t count,
     HwBcastState& hb = st.hw_bcast;
     const std::size_t bytes = count * type->size();
     if (contig && (!hb.built || bytes > hb.slot_bytes))
-      build_hw_bcast(c, hb, bytes);
+      OQS_COLL_TRY(build_hw_bcast(c, hb, bytes));
     if (contig && hb.usable) {
       OQS_METRIC_INC("coll.bcast.nic");
       return hw_bcast(c, hb, buf, bytes, root);
@@ -174,14 +174,14 @@ Status Colls::reduce_sum(Communicator& c, const double* send, double* recv,
   ReduceAlg alg = world_.options().coll.reduce;
   if (alg == ReduceAlg::kAuto) {
     if (!degraded && hier_gate(c)) {
-      ensure_hier(c, st);
+      OQS_COLL_TRY(ensure_hier(c, st));
       if (st.hier.multi) alg = ReduceAlg::kHier;
     }
     if (alg == ReduceAlg::kAuto) alg = ReduceAlg::kBinomial;
   }
   switch (alg) {
     case ReduceAlg::kHier:
-      ensure_hier(c, st);
+      OQS_COLL_TRY(ensure_hier(c, st));
       OQS_METRIC_INC("coll.reduce.hier");
       return hier_reduce(c, tag, st, send, recv, count, root);
     case ReduceAlg::kLinear:
@@ -209,7 +209,7 @@ Status Colls::allreduce_sum(Communicator& c, const double* send, double* recv,
   AllreduceAlg alg = world_.options().coll.allreduce;
   if (alg == AllreduceAlg::kAuto) {
     if (!degraded && hier_gate(c)) {
-      ensure_hier(c, st);
+      OQS_COLL_TRY(ensure_hier(c, st));
       if (st.hier.multi) alg = AllreduceAlg::kHier;
     }
     if (alg == AllreduceAlg::kAuto && !degraded && nic_gate(c, bytes))
@@ -222,13 +222,13 @@ Status Colls::allreduce_sum(Communicator& c, const double* send, double* recv,
   const Group flat{nullptr, c.size(), c.rank()};
   switch (alg) {
     case AllreduceAlg::kHier:
-      ensure_hier(c, st);
+      OQS_COLL_TRY(ensure_hier(c, st));
       OQS_METRIC_INC("coll.allreduce.hier");
       return hier_allreduce(c, tag, st, send, recv, count);
     case AllreduceAlg::kNic: {
       std::vector<int> ranks(static_cast<std::size_t>(c.size()));
       std::iota(ranks.begin(), ranks.end(), 0);
-      ensure_nic(c, st.nic_flat, std::move(ranks));
+      OQS_COLL_TRY(ensure_nic(c, st.nic_flat, std::move(ranks)));
       if (recv != send) std::memcpy(recv, send, bytes);
       if (st.nic_flat.usable && bytes <= p.coll_nic_max_bytes) {
         OQS_METRIC_INC("coll.allreduce.nic");
@@ -255,16 +255,8 @@ Status Colls::allreduce_sum(Communicator& c, const double* send, double* recv,
 void Colls::reset() {
   for (auto& [ctx_id, st] : states_) {
     (void)ctx_id;
-    for (NicState* ns : {&st->nic_flat, &st->nic_leaders}) {
-      if (!ns->built || ns->dev == nullptr || ns->dev->closed()) continue;
-      for (int s = 0; s < kNicSlots; ++s) {
-        if (ns->up[s] != nullptr) ns->dev->free_event(ns->up[s]);
-        if (ns->down[s] != nullptr) ns->dev->free_event(ns->down[s]);
-        if (ns->drain[s] != nullptr) ns->dev->free_event(ns->drain[s]);
-        if (!ns->acc[s].empty()) ns->dev->unmap(ns->acc_addr[s]);
-        if (!ns->res[s].empty()) ns->dev->unmap(ns->res_addr[s]);
-      }
-    }
+    for (NicState* ns : {&st->nic_flat, &st->nic_leaders})
+      if (ns->built) release_nic(*ns);
     release_hw_bcast(st->hw_bcast);
     if (st->hier.seg != nullptr)
       world_.net().node(world_.env().node).shm_unlink(st->hier.shm_key);

@@ -48,6 +48,13 @@ class World;
 
 namespace oqs::mpi::coll {
 
+// Return from the enclosing Status function when `expr` fails.
+#define OQS_COLL_TRY(expr)                      \
+  do {                                          \
+    const Status st_ = (expr);                  \
+    if (!ok(st_)) return st_;                   \
+  } while (0)
+
 class Colls {
  public:
   explicit Colls(World& world) : world_(world) {}
@@ -210,7 +217,11 @@ class Colls {
                        std::size_t count);
 
   // --- NIC combining tree (nic.cc) ---
-  void ensure_nic(Communicator& c, NicState& st, std::vector<int> group);
+  // A failed exchange releases what the build allocated and leaves the
+  // state unbuilt; every build below returns the exchange's Status.
+  Status ensure_nic(Communicator& c, NicState& st, std::vector<int> group);
+  // Frees the tree's events and slot mappings.
+  void release_nic(NicState& st);
   void prep_nic_slot(NicState& st, int slot);
   // One tree round: count == 0 is a barrier, else an in-place allreduce of
   // buf[0..count) (count * 8 must fit coll_nic_max_bytes). Aborts with
@@ -221,14 +232,14 @@ class Colls {
   // --- hardware broadcast (nic.cc) ---
   // Collective (re)build for payloads up to `bytes`; every rank passes the
   // same count, so every rank rebuilds together.
-  void build_hw_bcast(Communicator& c, HwBcastState& hb, std::size_t bytes);
+  Status build_hw_bcast(Communicator& c, HwBcastState& hb, std::size_t bytes);
   // Frees the ring mapping and events; the verdict stays.
   void release_hw_bcast(HwBcastState& hb);
   Status hw_bcast(Communicator& c, HwBcastState& hb, void* buf,
                   std::size_t bytes, int root);
 
   // --- hierarchical composition (hier.cc) ---
-  void ensure_hier(Communicator& c, CommState& st);
+  Status ensure_hier(Communicator& c, CommState& st);
   Status hier_barrier(Communicator& c, int tag, CommState& st);
   Status hier_bcast(Communicator& c, int tag, CommState& st, void* buf,
                     std::size_t count, const dtype::DatatypePtr& type, int root);

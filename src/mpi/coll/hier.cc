@@ -39,20 +39,13 @@
 
 namespace oqs::mpi::coll {
 
-#define OQS_COLL_TRY(expr)                      \
-  do {                                          \
-    const Status st_ = (expr);                  \
-    if (!ok(st_)) return st_;                   \
-  } while (0)
-
-void Colls::ensure_hier(Communicator& c, CommState& st) {
+Status Colls::ensure_hier(Communicator& c, CommState& st) {
   HierState& h = st.hier;
-  if (h.built) return;
-  h.built = true;
+  if (h.built) return Status::kOk;
   const int n = c.size();
   const std::int32_t mynode = world_.env().node;
   std::vector<std::int32_t> nodes(static_cast<std::size_t>(n));
-  c.allgather(&mynode, sizeof(std::int32_t), nodes.data());
+  OQS_COLL_TRY(c.allgather(&mynode, sizeof(std::int32_t), nodes.data()));
   h.node_of.assign(nodes.begin(), nodes.end());
   for (int r = 0; r < n; ++r) {
     if (nodes[static_cast<std::size_t>(r)] == mynode) {
@@ -80,6 +73,8 @@ void Colls::ensure_hier(Communicator& c, CommState& st) {
     return seg;
   });
   OQS_METRIC_INC("coll.hier.maps_built");
+  h.built = true;
+  return Status::kOk;
 }
 
 // Leader-group inter phase helpers. Called on every rank (uniform), but
@@ -91,7 +86,7 @@ Status Colls::inter_barrier(Communicator& c, int tag, CommState& st) {
   const bool want_nic =
       world_.options().coll.nic &&
       static_cast<int>(h.leaders.size()) >= p.coll_nic_min_ranks;
-  if (want_nic) ensure_nic(c, st.nic_leaders, h.leaders);
+  if (want_nic) OQS_COLL_TRY(ensure_nic(c, st.nic_leaders, h.leaders));
   if (h.leader_pos < 0 || h.leaders.size() < 2) return Status::kOk;
   if (want_nic && st.nic_leaders.usable)
     return nic_round(st.nic_leaders, nullptr, 0);
@@ -108,7 +103,7 @@ Status Colls::inter_allreduce(Communicator& c, int tag, CommState& st,
       world_.options().coll.nic && bytes > 0 &&
       bytes <= p.coll_nic_max_bytes &&
       static_cast<int>(h.leaders.size()) >= p.coll_nic_min_ranks;
-  if (want_nic) ensure_nic(c, st.nic_leaders, h.leaders);
+  if (want_nic) OQS_COLL_TRY(ensure_nic(c, st.nic_leaders, h.leaders));
   if (h.leader_pos < 0 || h.leaders.size() < 2) return Status::kOk;
   if (want_nic && st.nic_leaders.usable)
     return nic_round(st.nic_leaders, buf, count);
@@ -298,7 +293,5 @@ Status Colls::hier_reduce(Communicator& c, int tag, CommState& st,
     OQS_COLL_TRY(shm_wait(seg.slots[i].ack_gen, r));
   return Status::kOk;
 }
-
-#undef OQS_COLL_TRY
 
 }  // namespace oqs::mpi::coll

@@ -57,9 +57,14 @@ using elan4::QdmaCmd;
 // job, so a later hardware-broadcast build still finds its arrival events
 // at the same indices everywhere. A rank without an Elan4 context reports capable = 0, and the group
 // uniformly resolves usable = false (host fallback) from the exchange.
-void Colls::ensure_nic(Communicator& c, NicState& st, std::vector<int> group) {
-  if (st.built) return;
-  st.built = true;
+Status Colls::ensure_nic(Communicator& c, NicState& st, std::vector<int> group) {
+  if (st.built) return Status::kOk;
+  // A failed exchange leaves nothing behind, so a later call rebuilds.
+  auto fail = [&](Status s) {
+    release_nic(st);
+    st = NicState{};
+    return s;
+  };
   st.group = std::move(group);
   NicPeerInfo mine{};
   mine.vpid = elan4::kInvalidVpid;
@@ -92,7 +97,8 @@ void Colls::ensure_nic(Communicator& c, NicState& st, std::vector<int> group) {
     mine.capable = 1;
   }
   std::vector<NicPeerInfo> all(static_cast<std::size_t>(c.size()));
-  c.allgather(&mine, sizeof(NicPeerInfo), all.data());
+  if (Status s = c.allgather(&mine, sizeof(NicPeerInfo), all.data()); !ok(s))
+    return fail(s);
   const int gn = static_cast<int>(st.group.size());
   st.peers.resize(static_cast<std::size_t>(gn));
   st.usable = gn >= 2;
@@ -114,7 +120,21 @@ void Colls::ensure_nic(Communicator& c, NicState& st, std::vector<int> group) {
   // LOST (Fig. 5d), deadlocking the tree. Dissemination exit guarantees
   // every rank passed its prep above. Uniform tag consumption: every rank
   // runs this, member or not.
-  ref_barrier(c, c.coll_tag(), Group{nullptr, c.size(), c.rank()});
+  const Group all_ranks{nullptr, c.size(), c.rank()};
+  if (Status s = ref_barrier(c, c.coll_tag(), all_ranks); !ok(s)) return fail(s);
+  st.built = true;
+  return Status::kOk;
+}
+
+void Colls::release_nic(NicState& st) {
+  if (st.dev == nullptr || st.dev->closed()) return;
+  for (int s = 0; s < kNicSlots; ++s) {
+    if (st.up[s] != nullptr) st.dev->free_event(st.up[s]);
+    if (st.down[s] != nullptr) st.dev->free_event(st.down[s]);
+    if (st.drain[s] != nullptr) st.dev->free_event(st.drain[s]);
+    if (!st.acc[s].empty()) st.dev->unmap(st.acc_addr[s]);
+    if (!st.res[s].empty()) st.dev->unmap(st.res_addr[s]);
+  }
 }
 
 void Colls::prep_nic_slot(NicState& st, int slot) {
@@ -218,11 +238,10 @@ Status Colls::nic_round(NicState& st, double* buf, std::size_t count) {
 // histories (e.g. rendezvous traffic mapped on one side only, or a
 // dynamically joined process) have lost. Otherwise the build frees what it
 // allocated and the group falls back to the binomial tree.
-void Colls::build_hw_bcast(Communicator& c, HwBcastState& hb,
-                           std::size_t bytes) {
+Status Colls::build_hw_bcast(Communicator& c, HwBcastState& hb,
+                             std::size_t bytes) {
   release_hw_bcast(hb);
   hb = HwBcastState{};
-  hb.built = true;
   hb.slot_bytes = bytes;
   struct Info {
     elan4::Vpid vpid;
@@ -247,7 +266,12 @@ void Colls::build_hw_bcast(Communicator& c, HwBcastState& hb,
     mine.addr = hb.ring_addr;
   }
   std::vector<Info> all(static_cast<std::size_t>(c.size()));
-  c.allgather(&mine, sizeof(Info), all.data());
+  if (Status s = c.allgather(&mine, sizeof(Info), all.data()); !ok(s)) {
+    release_hw_bcast(hb);
+    hb = HwBcastState{};
+    return s;
+  }
+  hb.built = true;
   hb.usable = true;
   for (const Info& i : all) {
     hb.usable &= i.capable == 1 && i.addr == all[0].addr &&
@@ -257,6 +281,7 @@ void Colls::build_hw_bcast(Communicator& c, HwBcastState& hb,
   // Every rank armed its arrival events before contributing to the
   // allgather, so no root can fire one before it is armed.
   if (!hb.usable) release_hw_bcast(hb);
+  return Status::kOk;
 }
 
 void Colls::release_hw_bcast(HwBcastState& hb) {

@@ -26,12 +26,6 @@ const dtype::DatatypePtr& dbl() {
 }
 }  // namespace
 
-#define OQS_COLL_TRY(expr)                      \
-  do {                                          \
-    const Status st_ = (expr);                  \
-    if (!ok(st_)) return st_;                   \
-  } while (0)
-
 // Dissemination barrier (Hensgen/Finkel/Manber): ceil(log2 n) rounds; in
 // round k each member signals (idx + 2^k) mod n and waits on
 // (idx - 2^k) mod n. Works for any n.
@@ -219,7 +213,5 @@ Status Colls::ref_allreduce(Communicator& c, int tag, const Group& g,
     return ref_allreduce_rsag(c, tag, g, buf, count);
   return ref_allreduce_recdbl(c, tag, g, buf, count);
 }
-
-#undef OQS_COLL_TRY
 
 }  // namespace oqs::mpi::coll

@@ -567,8 +567,10 @@ void World::migrate(int new_node) {
 }
 
 void World::modex(const std::vector<int>& gids) {
-  rte::Registry& reg = env_.rte->registry();
-  for (int g : gids) reg.get(proc_key(g));
+  std::vector<std::string> keys;
+  keys.reserve(gids.size());
+  for (int g : gids) keys.push_back(proc_key(g));
+  env_.rte->registry().fetch(keys);
   const sim::Time at = net_.engine().now();
   bool self = false;
   for (int g : gids) {

@@ -249,10 +249,10 @@ class World {
 
   void open_stack();  // pml + ptls + contact publication
   void watch_failures();  // register with + subscribe to the detector
-  // The wire-up exchange (Open MPI's modex): one registry round trip per
-  // gid, in order. Only self is wired from it; its other results are read
-  // again on first contact (peer_resolver), so what this process keeps is
-  // when it fetched which gids.
+  // The wire-up exchange (Open MPI's modex): the gids' contact records in
+  // one registry fetch. Only self is wired from it; its other results are
+  // read again on first contact (peer_resolver), so what this process
+  // keeps is when it fetched which gids.
   void modex(const std::vector<int>& gids);
   std::string proc_key(int gid) const;
 

@@ -1,5 +1,6 @@
 #include "rte/runtime.h"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 
@@ -23,16 +24,31 @@ std::vector<std::uint8_t> Registry::get(const std::string& key) {
   }
 }
 
+void Registry::fetch(const std::vector<std::string>& keys) {
+  auto all_present = [&] {
+    return std::all_of(keys.begin(), keys.end(),
+                       [&](const std::string& k) { return kv_.contains(k); });
+  };
+  engine_.sleep(rtt());
+  while (!all_present()) {
+    changed_.wait();
+    engine_.sleep(rtt());  // re-fetch after the change notification
+  }
+  std::uint64_t bytes = 0;
+  for (const std::string& k : keys) bytes += kv_.at(k).value.size();
+  if (const sim::Time xfer = ModelParams::xfer_ns(bytes, params_.oob_mbps))
+    engine_.sleep(xfer);
+}
+
 void Registry::barrier(const std::string& name, int count) {
   engine_.sleep(rtt());
-  int& entered = barrier_counts_[name];
-  ++entered;
-  if (entered >= count) {
+  Barrier& b = barriers_[name];
+  if (++b.entered >= count) {
+    b.released_at = engine_.now();
     changed_.notify_all();
     return;
   }
-  const int target = count;
-  while (barrier_counts_[name] < target) changed_.wait();
+  while (barriers_[name].entered < count) changed_.wait();
 }
 
 void Runtime::launch(int nprocs, Body body, const std::vector<int>& nodes) {

@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,9 +45,14 @@ class Registry {
   // Block until the key exists, then return its value. Each probe of a
   // missing key costs a registry round trip (subscription model).
   std::vector<std::uint8_t> get(const std::string& key);
+  // Block until every key exists, then fetch all their values in one
+  // round trip, the reply's bytes paid at oob_mbps. Like get(), each probe
+  // that finds a key missing costs another round trip. The caller reads
+  // the values through peek() for as long as they stay current.
+  void fetch(const std::vector<std::string>& keys);
   // A key's value without a round trip. It stands for the copy a caller
-  // kept from an earlier get(), so call it only when republished_after()
-  // says that copy is still current.
+  // kept from an earlier get() or fetch(), so call it only when
+  // republished_after() says that copy is still current.
   const std::vector<std::uint8_t>& peek(const std::string& key) const {
     return kv_.at(key).value;
   }
@@ -60,6 +66,12 @@ class Registry {
 
   // Named counting barrier: returns once `count` participants arrived.
   void barrier(const std::string& name, int count);
+  // The instant the named barrier let its participants go, if it has.
+  std::optional<sim::Time> barrier_released_at(const std::string& name) const {
+    auto it = barriers_.find(name);
+    if (it == barriers_.end()) return std::nullopt;
+    return it->second.released_at;
+  }
 
  private:
   sim::Time rtt() const { return 2 * params_.oob_latency_ns; }
@@ -71,7 +83,11 @@ class Registry {
     sim::Time put_at = 0;
   };
   std::map<std::string, Entry> kv_;
-  std::map<std::string, int> barrier_counts_;
+  struct Barrier {
+    int entered = 0;
+    std::optional<sim::Time> released_at;
+  };
+  std::map<std::string, Barrier> barriers_;
   sim::Notifier changed_;
 };
 

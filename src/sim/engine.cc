@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <new>
+
+#include <sys/mman.h>
 
 #include "base/log.h"
 #include "obs/metrics.h"
@@ -50,23 +53,24 @@ std::size_t initial_stack_bytes() {
 }
 }  // namespace
 
+void StackUnmap::operator()(char* base) const noexcept {
+  poison_stack(base, bytes, false);
+  ::munmap(base, bytes);
+}
+
 Engine::Engine() : stack_bytes_(initial_stack_bytes()) {
   log::set_clock([this] { return now_; });
   obs::set_clock([this] { return now_; });
 }
 
 Engine::~Engine() {
-  for (auto& s : stack_pool_) poison_stack(s.get(), stack_bytes_, false);
   log::set_clock(nullptr);
   obs::set_clock(nullptr);
 }
 
 void Engine::set_stack_bytes(std::size_t bytes) {
   if (bytes < kMinStackBytes) bytes = kMinStackBytes;
-  if (bytes != stack_bytes_) {  // pooled stacks are sized
-    for (auto& s : stack_pool_) poison_stack(s.get(), stack_bytes_, false);
-    stack_pool_.clear();
-  }
+  if (bytes != stack_bytes_) stack_pool_.clear();  // pooled stacks are sized
   stack_bytes_ = bytes;
 }
 
@@ -80,20 +84,28 @@ bool Engine::canary_ok(const char* base) {
   return true;
 }
 
-std::unique_ptr<char[]> Engine::acquire_stack() {
+Stack Engine::acquire_stack() {
   if (!stack_pool_.empty()) {
-    std::unique_ptr<char[]> s = std::move(stack_pool_.back());
+    Stack s = std::move(stack_pool_.back());
     stack_pool_.pop_back();
     poison_stack(s.get(), stack_bytes_, false);
     return s;  // canary still armed from release_stack()
   }
   ++stacks_allocated_;
-  auto s = std::make_unique<char[]>(stack_bytes_);
+  void* base = ::mmap(nullptr, stack_bytes_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+#ifdef MADV_NOHUGEPAGE
+  // Neighbouring stacks merge into one mapping; a huge page there would
+  // commit 2 MiB on a fiber's first touch.
+  ::madvise(base, stack_bytes_, MADV_NOHUGEPAGE);
+#endif
+  Stack s(static_cast<char*>(base), StackUnmap{stack_bytes_});
   arm_canary(s.get());
   return s;
 }
 
-void Engine::release_stack(std::unique_ptr<char[]> stack, std::size_t bytes) {
+void Engine::release_stack(Stack stack) {
   if (stack == nullptr) return;
   if (!canary_ok(stack.get())) {
     ++canary_violations_;
@@ -102,6 +114,7 @@ void Engine::release_stack(std::unique_ptr<char[]> stack, std::size_t bytes) {
                "dropping the stack — raise OQS_SIM_STACK_BYTES");
     return;  // do not recycle a stack something wrote past
   }
+  const std::size_t bytes = stack.get_deleter().bytes;
   if (bytes != stack_bytes_) return;
   poison_stack(stack.get(), bytes, true);
   stack_pool_.push_back(std::move(stack));
@@ -152,7 +165,7 @@ void Engine::resume(Fiber* f) {
   // A finished fiber's stack goes back to the pool at once; the Fiber
   // itself waits for reap(), since queued wakeups may still name it. The
   // reap cadence counts dispatches, which parked idle waits make sparse.
-  if (f->done()) release_stack(std::move(f->stack_), f->stack_bytes_);
+  if (f->done()) release_stack(std::move(f->stack_));
 }
 
 bool Engine::dispatch_one(Time deadline) {

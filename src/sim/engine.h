@@ -81,10 +81,14 @@ class Engine {
   std::size_t parked_waits() const { return parked_.size(); }
 
   // --- Fiber stack pool ---
-  // Stacks are recycled through a free list when fibers are reaped; the
-  // size knob applies to subsequently spawned fibers (a change drops the
-  // pooled stacks of the old size). Default 256 KiB, overridable with the
-  // OQS_SIM_STACK_BYTES environment variable; clamped to >= 64 KiB.
+  // Each stack is an anonymous private mapping (MAP_NORESERVE): the kernel
+  // commits a page only when a fiber first touches it, so a fiber that
+  // runs a few frames deep costs a few pages, not the whole stack. Stacks
+  // are recycled through a free list when fibers are reaped; the size knob
+  // applies to subsequently spawned fibers (a change unmaps the pooled
+  // stacks of the old size), and destroying the engine unmaps every
+  // pooled stack. Default 256 KiB, overridable with the OQS_SIM_STACK_BYTES
+  // environment variable; clamped to >= 64 KiB.
   std::size_t stack_bytes() const { return stack_bytes_; }
   void set_stack_bytes(std::size_t bytes);
   std::uint64_t stacks_allocated() const { return stacks_allocated_; }
@@ -129,8 +133,8 @@ class Engine {
   void resume(Fiber* f);
   void reap();
 
-  std::unique_ptr<char[]> acquire_stack();
-  void release_stack(std::unique_ptr<char[]> stack, std::size_t bytes);
+  Stack acquire_stack();
+  void release_stack(Stack stack);
   static void arm_canary(char* base);
   static bool canary_ok(const char* base);
 
@@ -146,7 +150,7 @@ class Engine {
   Fiber* current_ = nullptr;
   void* loop_sp_ = nullptr;  // the engine loop's stack while a fiber runs
   std::size_t stack_bytes_;
-  std::vector<std::unique_ptr<char[]>> stack_pool_;
+  std::vector<Stack> stack_pool_;
   std::uint64_t stacks_allocated_ = 0;
   std::uint64_t canary_violations_ = 0;
   std::vector<std::unique_ptr<Fiber>> fibers_;

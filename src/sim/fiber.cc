@@ -106,13 +106,12 @@ Fiber::Fiber(Engine& engine, std::uint64_t serial, std::string name,
       serial_(serial),
       name_(std::move(name)),
       body_(std::move(body)),
-      stack_(engine.acquire_stack()),
-      stack_bytes_(engine.stack_bytes()) {
+      stack_(engine.acquire_stack()) {
   // Seed the frame oqs_sim_switch pops, so the first switch "returns" into
   // trampoline() with rsp+8 16-byte aligned, as after a call. The canary
   // region sits below the usable stack, so a deep enough overflow
   // scribbles over it before leaving the allocation.
-  auto top = reinterpret_cast<std::uintptr_t>(stack_.get() + stack_bytes_);
+  auto top = reinterpret_cast<std::uintptr_t>(stack_.get() + stack_bytes());
   auto* sp = reinterpret_cast<std::uintptr_t*>(top & ~std::uintptr_t{15});
   *--sp = 0;  // trampoline()'s own return address: it never returns
   *--sp = reinterpret_cast<std::uintptr_t>(&Fiber::trampoline);
@@ -122,7 +121,7 @@ Fiber::Fiber(Engine& engine, std::uint64_t serial, std::string name,
 }
 
 Fiber::~Fiber() {
-  engine_.release_stack(std::move(stack_), stack_bytes_);
+  engine_.release_stack(std::move(stack_));
 }
 
 void Fiber::trampoline() {
@@ -144,7 +143,7 @@ void Fiber::enter(void** from) {
   if (!started_) g_starting = this;
   void* fake_stack = nullptr;
   asan_start(&fake_stack, stack_.get() + kStackCanaryBytes,
-             stack_bytes_ - kStackCanaryBytes);
+             stack_bytes() - kStackCanaryBytes);
   oqs_sim_switch(from, sp_);
   asan_finish(fake_stack, nullptr, nullptr);
 }

@@ -7,7 +7,8 @@
 // callee preserve (fiber.cc); no signal mask, no syscall. Stacks come from
 // the engine's pool: reaped fibers return theirs for reuse, and the low
 // (overflow-target, stacks grow down) bytes carry a canary pattern the
-// engine checks before recycling.
+// engine checks before recycling. A stack is an anonymous mapping, so only
+// the pages a fiber touches are ever committed.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +24,14 @@ class Engine;
 // Bytes at the bottom of every stack reserved for the overflow canary; the
 // usable stack starts above them.
 inline constexpr std::size_t kStackCanaryBytes = 64;
+
+// Owns one fiber stack, `bytes` long, mapped by the engine (engine.cc).
+// Dropping it unmaps the stack and returns its pages to the OS.
+struct StackUnmap {
+  std::size_t bytes = 0;
+  void operator()(char* base) const noexcept;
+};
+using Stack = std::unique_ptr<char[], StackUnmap>;
 
 class Fiber {
  public:
@@ -54,13 +63,13 @@ class Fiber {
   void enter(void** from);
   // Called from inside the fiber: save state, return to the engine.
   void leave(State new_state);
+  std::size_t stack_bytes() const { return stack_.get_deleter().bytes; }
 
   Engine& engine_;
   std::uint64_t serial_;
   std::string name_;
   std::function<void()> body_;
-  std::unique_ptr<char[]> stack_;
-  std::size_t stack_bytes_;
+  Stack stack_;
   void* sp_ = nullptr;  // saved stack pointer while not running
   void** return_sp_ = nullptr;
   State state_ = State::kReady;

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "testbed.h"
 
 namespace oqs {
@@ -134,6 +136,39 @@ TEST_P(CollFault, RankKilledMidAllreduceSurvivorsShrinkAndMatchOracle) {
   // and at least one actually observed the failure as an error.
   EXPECT_EQ(clean_reruns, kNp - 1) << mode;
   EXPECT_GE(faulted, 1) << mode;
+}
+
+TEST(CollFaultBuild, FailedPlacementExchangeBuildsNoMap) {
+  // A rank that dies before the first collective, and is not yet declared
+  // dead, fails the survivors' placement allgather inside the hierarchical
+  // build. The build hands that Status to the collective and keeps no map
+  // made from the partial exchange; a survivor that sees it revokes, which
+  // breaks the others out of the exchange too.
+  TestBed bed(4);
+  bed.allow_drops = true;  // frames to the corpse are dropped at its NIC
+  mpi::Options opts;
+  opts.coll = mode_opts("hier");
+  obs::Counter& maps = obs::metrics().counter("coll.hier.maps_built");
+  const std::uint64_t maps_before = maps.value();
+  constexpr int kNp = 8;
+  constexpr int kVictim = 5;
+  std::vector<Status> got;
+  bed.run_mpi(kNp, [&](mpi::World& w) {
+    auto& comm = w.comm();
+    if (comm.rank() == kVictim) {
+      w.crash();
+      return;
+    }
+    double in = 1.0;
+    double out = 0.0;
+    const Status st = comm.allreduce_sum(&in, &out, 1);
+    if (!ok(st)) w.revoke();
+    got.push_back(st);
+  }, opts);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kNp - 1));
+  for (Status st : got) EXPECT_FALSE(ok(st));
+  EXPECT_NE(std::count(got.begin(), got.end(), Status::kErrProcFailed), 0);
+  EXPECT_EQ(maps.value(), maps_before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, CollFault,

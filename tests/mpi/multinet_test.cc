@@ -161,7 +161,8 @@ TEST(MultiNet, BlockedReceiveParksBesideTcp) {
     }
   }, opts);
   EXPECT_EQ(parked, 1u);
-  EXPECT_EQ(received, 544101u);
+  // Init's modex is one registry fetch: a round trip plus 80 B of records.
+  EXPECT_EQ(received, 434989u);
 }
 
 TEST(MultiNet, MultirailStripesLargeMessages) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "ptl/elan4/ptl_elan4.h"
@@ -151,6 +153,33 @@ TEST(Wireup, ContactOnRailOneKeepsRailZeroStream) {
     EXPECT_EQ(stream->window_in_use(), 0u);
   }, two_reliable_rails());
   EXPECT_TRUE(received);
+}
+
+TEST(Wireup, InitEndsOneRegistryFetchAfterTheBarrier) {
+  // The modex fetches the whole job's contact records at once: every rank
+  // leaves World construction one management-net round trip, plus the
+  // records' bytes at oob_mbps, after the init barrier, whatever the size
+  // of the job.
+  for (int n : {2, 8, 32}) {
+    TestBed bed(16);
+    std::string job;
+    std::vector<sim::Time> ends;
+    bed.run_mpi(n, [&](mpi::World& w) {
+      ends.push_back(w.net().engine().now());
+      job = w.env().job;
+    });
+    ASSERT_EQ(static_cast<int>(ends.size()), n);
+    rte::Registry& reg = bed.rt->registry();
+    const std::optional<sim::Time> released =
+        reg.barrier_released_at(job + "/init");
+    ASSERT_TRUE(released.has_value());
+    std::uint64_t bytes = 0;
+    for (int g = 0; g < n; ++g)
+      bytes += reg.peek(job + "/proc/" + std::to_string(g)).size();
+    const sim::Time fetch = 2 * bed.params.oob_latency_ns +
+                            ModelParams::xfer_ns(bytes, bed.params.oob_mbps);
+    for (sim::Time t : ends) EXPECT_EQ(t, *released + fetch) << n << " ranks";
+  }
 }
 
 TEST(Wireup, UncontactedRankReachesMigrant) {

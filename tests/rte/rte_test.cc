@@ -98,6 +98,35 @@ TEST_F(RteFixture, RegistryStampsEachPut) {
   EXPECT_EQ(reg.peek("k"), (std::vector<std::uint8_t>{2}));
 }
 
+TEST_F(RteFixture, RegistryFetchIsOneRoundTripForEveryKey) {
+  // Present keys come back in one round trip plus the reply's bytes; a
+  // missing one holds the fetch until it is put, then costs a re-probe.
+  Registry& reg = rt->registry();
+  const sim::Time rtt = 2 * params.oob_latency_ns;
+  sim::Time present = 0;
+  sim::Time fetched_late = 0;
+  sim::Time put_at = 0;
+  engine.spawn("p", [&] {
+    reg.put("a", std::vector<std::uint8_t>(300));
+    reg.put("b", std::vector<std::uint8_t>(600));
+    const sim::Time t0 = engine.now();
+    reg.fetch({"a", "b"});
+    present = engine.now() - t0;
+    reg.fetch({"a", "c"});
+    fetched_late = engine.now();
+  });
+  engine.spawn("late", [&] {
+    engine.sleep(5 * sim::kMs);
+    reg.put("c", std::vector<std::uint8_t>(100));
+    put_at = engine.now();
+  });
+  engine.run();
+  EXPECT_EQ(present, rtt + ModelParams::xfer_ns(900, params.oob_mbps));
+  ASSERT_GT(put_at, 0u);
+  EXPECT_EQ(fetched_late,
+            put_at + rtt + ModelParams::xfer_ns(400, params.oob_mbps));
+}
+
 TEST_F(RteFixture, RegistryBarrierHoldsUntilAllArrive) {
   Registry& reg = rt->registry();
   int through = 0;

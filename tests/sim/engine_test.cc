@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 namespace oqs::sim {
 namespace {
@@ -157,6 +162,46 @@ TEST(Engine, StackPoolReusesReapedStacks) {
   e.run();
   EXPECT_EQ(e.stacks_allocated(), 1u);  // recycled, not freshly allocated
   EXPECT_EQ(e.pooled_stacks(), 1u);
+}
+
+// Resident pages among the whole pages within [base, base + bytes), or -1
+// with errno set when the range is not mapped (mincore's ENOMEM).
+long resident_pages(const char* base, std::size_t bytes) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto lo = (reinterpret_cast<std::uintptr_t>(base) + page - 1) & ~(page - 1);
+  const auto hi = (reinterpret_cast<std::uintptr_t>(base) + bytes) & ~(page - 1);
+  std::vector<unsigned char> in_core((hi - lo) / page);
+  if (mincore(reinterpret_cast<void*>(lo), hi - lo, in_core.data()) != 0)
+    return -1;
+  long n = 0;
+  for (unsigned char c : in_core) n += c & 1;
+  return n;
+}
+
+TEST(Engine, StackPagesCommitOnTouchAndUnmapWithTheEngine) {
+  constexpr std::size_t kBytes = 1 << 20;
+  const auto pages = static_cast<long>(kBytes / sysconf(_SC_PAGESIZE));
+  const char* base = nullptr;
+  long resident_while_running = -1;
+  {
+    Engine e;
+    e.set_stack_bytes(kBytes);
+    Fiber* f = e.spawn("shallow", [&] {
+      resident_while_running = resident_pages(base, kBytes);
+    });
+    base = f->stack_base_for_test();
+    e.run();
+    // A shallow fiber touches the canary page and a few pages at the top;
+    // the rest of its stack was never committed.
+    EXPECT_GT(resident_while_running, 0);
+    EXPECT_LE(resident_while_running, pages / 8) << "of " << pages;
+    ASSERT_EQ(e.pooled_stacks(), 1u);
+    EXPECT_GE(resident_pages(base, kBytes), 0);  // pooled: still mapped
+  }
+  // The engine returned its pooled stack to the OS.
+  errno = 0;
+  EXPECT_EQ(resident_pages(base, kBytes), -1);
+  EXPECT_EQ(errno, ENOMEM);
 }
 
 TEST(Engine, StackCanaryDetectsOverflow) {

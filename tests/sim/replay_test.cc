@@ -93,7 +93,15 @@ RunResult run_pinned(std::uint64_t seed) {
 // — (when, seq) FIFO — so the digest, the event count and the final time
 // may never drift. If a deliberate model change moves
 // these values, recapture them in the same commit and say why. Last
-// recaptured for a teardown-only model change: finalize says goodbye only
+// recaptured for an init-only model change: the modex fetches the job's
+// contact records in one registry round trip (plus the reply's 200 bytes
+// at oob_mbps), not eight, so init ends 767,778 ns earlier. Every protocol
+// event (outside the "sim" layer) is unchanged but for that shift, at both
+// seeds; the 48 events fewer are 8 ranks' 8 lookups become one fetch of
+// two steps each. Before it: 0xbff336905a67a30b / 3928 events / 1374622
+// ns and protocol digest 0x2385fd0097980d76 (seed 42); 0x813ae126b013d678
+// / 4070 / 1369331 and 0x8b9d1b46cb61d502 (seed 7). The recapture before
+// that was for a teardown-only model change: finalize says goodbye only
 // to the peers a process exchanged frames with (3 per rank here, not 8),
 // reading its receive queue before each. Every trace event recorded before
 // the first rank leaves its body is unchanged (8,610 of them at seed 42,
@@ -115,8 +123,8 @@ TEST(Replay, GoldenDigestMatchesBinaryHeapBaseline) {
     sim::Time final_time;
   };
   constexpr Golden kGolden[] = {
-      {42, 0xbff336905a67a30bull, 3928ull, 1374622ull},
-      {7, 0x813ae126b013d678ull, 4070ull, 1369331ull},
+      {42, 0x1978abe23b0e3629ull, 3880ull, 606844ull},
+      {7, 0x30e12c34254feeb9ull, 4022ull, 601553ull},
   };
   for (const Golden& g : kGolden) {
     const RunResult r = run_pinned(g.seed);
@@ -142,8 +150,8 @@ TEST(Replay, GoldenProtocolDigest) {
     sim::Time final_time;
   };
   constexpr Golden kGolden[] = {
-      {42, 0x2385fd0097980d76ull, 1374622ull},
-      {7, 0x8b9d1b46cb61d502ull, 1369331ull},
+      {42, 0x3d429eeb8c16fc7bull, 606844ull},
+      {7, 0x2c4130966dc84075ull, 601553ull},
   };
   for (const Golden& g : kGolden) {
     const RunResult r = run_pinned(g.seed);
