@@ -8,7 +8,9 @@
 // point is the crossover: where the offloaded/hierarchical paths overtake
 // the host-driven p2p trees as fan-in traffic and rank count grow.
 //
-//   bench_coll [--json=coll.json]   also emit the grid as JSON rows
+//   bench_coll [--json=coll.json]   also emit the grid as JSON rows, each
+//                                   with its run's qdma_drops (the sum of
+//                                   every NIC's rx_drops; 0 when clean)
 //   bench_coll --max-ranks=64       trim the sweep (CI smoke)
 #include "common.h"
 
@@ -63,8 +65,13 @@ const char* op_name(Op op) {
   return "?";
 }
 
-// Mean time per operation (us) for `np` ranks packed 2 per node.
-double coll_us(Op op, const std::string& mode, int np) {
+struct Point {
+  double us = 0;                // mean time per operation
+  std::uint64_t qdma_drops = 0;  // over the whole run, teardown included
+};
+
+// One grid point: `np` ranks packed 2 per node.
+Point coll_point(Op op, const std::string& mode, int np) {
   Bed bed(np / 2);
   double us = 0;
   auto body = [&](mpi::World& w) {
@@ -105,7 +112,7 @@ double coll_us(Op op, const std::string& mode, int np) {
     (*shared)(w);
   });
   bed.engine.run();
-  return us;
+  return {us, bed.qdma_drops()};
 }
 
 }  // namespace
@@ -135,12 +142,13 @@ int main(int argc, char** argv) {
     for (int np : nps) {
       std::printf("%-8d", np);
       for (const auto& m : modes) {
-        const double us = coll_us(op, m, np);
-        std::printf(" %12.2f", us);
+        const Point pt = coll_point(op, m, np);
+        std::printf(" %12.2f", pt.us);
         std::fflush(stdout);
         rows.add("{\"op\": \"%s\", \"mode\": \"%s\", \"ranks\": %d, "
-                 "\"us\": %.3f}",
-                 op_name(op), m.c_str(), np, us);
+                 "\"us\": %.3f, \"qdma_drops\": %llu}",
+                 op_name(op), m.c_str(), np, pt.us,
+                 static_cast<unsigned long long>(pt.qdma_drops));
       }
       std::printf("\n");
     }

@@ -106,9 +106,7 @@ Row measure(int np) {
   row.teardown_events = row.events - teardown_from;
   row.teardown_wall_s =
       std::chrono::duration<double>(t1 - teardown_t0).count();
-  for (int n = 0; n < bed.net->num_nodes(); ++n)
-    for (int r = 0; r < bed.net->num_rails(); ++r)
-      row.qdma_drops += bed.net->nic(n, r).rx_drops();
+  row.qdma_drops = bed.qdma_drops();
   return row;
 }
 

@@ -125,6 +125,16 @@ struct Bed {
     net = std::make_unique<elan4::QsNet>(engine, params, nodes, 64, rails);
     rt = std::make_unique<rte::Runtime>(engine, *net);
   }
+
+  // QDMAs every NIC dropped (Elan4Nic::rx_drops: unknown-queue, dead-event
+  // and dead-context drops alike); a fault-free run drops none.
+  std::uint64_t qdma_drops() const {
+    std::uint64_t drops = 0;
+    for (int n = 0; n < net->num_nodes(); ++n)
+      for (int r = 0; r < net->num_rails(); ++r)
+        drops += net->nic(n, r).rx_drops();
+    return drops;
+  }
 };
 
 // One-way ping-pong latency (us) over the Open MPI stack.

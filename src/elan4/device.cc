@@ -168,6 +168,10 @@ void Elan4Device::close() {
   if (closed_) return;
   for (int id : my_queues_) nic().destroy_queue(id);
   my_queues_.clear();
+  // The context's event table holds only this device's events: it goes
+  // whole (the objects live until the device does), so the next process to
+  // claim the context starts from an empty one.
+  nic().clear_events(ctx_);
   net_.capability().release(vpid_);
   closed_ = true;
 }

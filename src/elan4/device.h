@@ -106,7 +106,8 @@ class Elan4Device {
   // Charge one host event-word poll.
   void charge_poll();
 
-  // Release the context back to the system capability. The caller is
+  // Release the context back to the system capability, its queues and its
+  // events' slots in the NIC's event table with it. The caller is
   // responsible for quiescing traffic first (paper §4.1: finalization only
   // after pending messages complete, else a leftover DMA can regenerate
   // traffic indefinitely).

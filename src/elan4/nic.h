@@ -113,6 +113,11 @@ class Elan4Nic {
     it->second[static_cast<std::size_t>(index)] = nullptr;
     event_free_[ctx].insert(index);
   }
+  // Empty a released context's table.
+  void clear_events(ContextId ctx) {
+    event_table_.erase(ctx);
+    event_free_.erase(ctx);
+  }
   E4Event* event_at(ContextId ctx, int index) {
     auto it = event_table_.find(ctx);
     if (it == event_table_.end() || index < 0 ||

@@ -531,17 +531,32 @@ void World::watch_failures() {
   // to a fiber of our own, guarded by the liveness token so notifications
   // arriving after our teardown no-op. gid == -1 is a revoke notification:
   // no new corpse, but blocked waits must wake to observe the moved epoch.
+  // Both calls charge the host and so may suspend: the token is read again
+  // after each, and the World outlives the fiber (retire_failure_watch).
   failure_sub_ = failure().subscribe(
       [this, alive = alive_](const rte::FailureEvent& e) {
         if (!*alive || e.gid == gid_) return;
+        failure_fibers_ = failure_fibers_ + 1;
         net_.engine().spawn(
             "peer-failed/" + std::to_string(gid_),
             [this, alive, dead_gid = e.gid] {
-              if (!*alive) return;
-              if (dead_gid >= 0) pml_->peer_failed(dead_gid);
-              pml_->wake_waits();
+              if (*alive && dead_gid >= 0) pml_->peer_failed(dead_gid);
+              if (*alive) pml_->wake_waits();
+              failure_fibers_ = failure_fibers_ - 1;
             });
       });
+}
+
+void World::retire_failure_watch() {
+  *alive_ = false;
+  if (failure_sub_ != 0) {
+    failure().unsubscribe(failure_sub_);
+    failure_sub_ = 0;
+  }
+  pml_->ctx().wait_until(
+      sim::Cadence::kThreadExit,
+      sim::watched(&failure_fibers_.signal(),
+                   [this] { return failure_fibers_ == 0; }));
 }
 
 void World::migrate(int new_node) {
@@ -556,14 +571,18 @@ void World::migrate(int new_node) {
   // enough to migrate under (see Colls::hier_gate / nic_gate); forcing a
   // coll algorithm and then migrating mid-job is unsupported.
   coll_.reset();
-  pml_->finalize();  // quiesce + goodbyes + release the old context
-  pml_.reset();
+  // The new stack opens (a fresh context on the new node) and republishes
+  // the contact before the old one leaves, so a peer that answers the old
+  // stack's goodbye from its progress re-resolves to the new context at
+  // once. The old context stays open until those answers land.
+  std::unique_ptr<pml::Pml> leaving = std::move(pml_);
   env_.node = new_node;
   // The rebuilt stack starts unwired, its modex results gone with the old
   // one: every peer it contacts from here costs a registry lookup.
   fetched_.clear();
-  open_stack();  // fresh context on the new node; contact republished
+  open_stack();
   pml_->import_sequences(seqs);
+  leaving->finalize();  // quiesce + goodbyes + release the old context
 }
 
 void World::modex(const std::vector<int>& gids) {
@@ -685,24 +704,24 @@ void World::crash() {
   }
   pml_->halt();
   env_.rte->oob().remove_endpoint(env_.oob_id);
+  retire_failure_watch();
 }
 
 void World::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  *alive_ = false;
-  if (failure_sub_ != 0) {
-    failure().unsubscribe(failure_sub_);
-    failure_sub_ = 0;
-  }
   failure().deregister(gid_);
-  // Applications synchronize (e.g. a barrier) before finalize; here we only
+  // Applications synchronize (e.g. a barrier) before finalize; here we
   // quiesce our own traffic and leave (paper §4.1's synchronous completion
-  // of pending messages before a connection finalizes). Collective device
-  // state (NIC tree events/mappings) must go first, while the context is
-  // still open.
+  // of pending messages before a connection finalizes): each rail closes
+  // its context once every contacted peer outside the dead-set has said
+  // goodbye. The failure watch stays up meanwhile, so a peer declared dead
+  // during the wait is excused and the waiting rails are nudged. Collective
+  // device state (NIC tree events/mappings) must go first, while the
+  // context is still open.
   coll_.reset();
   pml_->finalize();
+  retire_failure_watch();
   env_.rte->oob().remove_endpoint(env_.oob_id);
 }
 

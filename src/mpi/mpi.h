@@ -249,6 +249,9 @@ class World {
 
   void open_stack();  // pml + ptls + contact publication
   void watch_failures();  // register with + subscribe to the detector
+  // End the subscription and wait out its fibers still running, so none
+  // touches the stack after this World is gone.
+  void retire_failure_watch();
   // The wire-up exchange (Open MPI's modex): the gids' contact records in
   // one registry fetch. Only self is wired from it; its other results are
   // read again on first contact (peer_resolver), so what this process
@@ -276,9 +279,11 @@ class World {
   bool finalized_ = false;
   bool crashed_ = false;
   int failure_sub_ = 0;  // FailureService subscription id (0 = none)
-  // Liveness token for the failure-subscriber fiber: cleared before the
-  // stack is torn down so late notifications no-op.
+  // Liveness token for the failure-subscriber fiber: cleared once the
+  // stack is torn down (crash: before) so late notifications no-op.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  // Failure-subscriber fibers spawned and not yet finished.
+  sim::Word<int> failure_fibers_;
 };
 
 }  // namespace oqs::mpi

@@ -1,5 +1,6 @@
 #include "net/fabric.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace oqs::net {
@@ -45,7 +46,23 @@ void Fabric::transmit(int src, int dst, std::uint32_t bytes,
     head = depart + params_.hop_ns;
   }
   // Tail arrival: head arrival at the destination plus serialization.
-  const sim::Time deliver_at = head + tx + fault.delay_ns;
+  sim::Time deliver_at = head + tx + fault.delay_ns;
+  const std::uint64_t path =
+      (static_cast<std::uint64_t>(rail) * static_cast<std::uint64_t>(nodes_) +
+       static_cast<std::uint64_t>(src)) *
+          static_cast<std::uint64_t>(nodes_) +
+      static_cast<std::uint64_t>(dst);
+  if (fault.delay_ns > 0 || fault.duplicate) {
+    sim::Time& held = held_[path];
+    held = std::max(held, deliver_at + (fault.duplicate ? 2 * params_.hop_ns : 0));
+  } else if (cls == Delivery::kGuaranteed && !held_.empty()) {
+    // Scheduled after the held copy at the same instant: FIFO ties keep it
+    // behind.
+    if (auto it = held_.find(path); it != held_.end()) {
+      deliver_at = std::max(deliver_at, it->second);
+      if (it->second <= engine_.now()) held_.erase(it);
+    }
+  }
   if (fault.duplicate) {
     // Two independent deliveries of the same packet. Copy the closure
     // before either runs: both copies must own the full payload.

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -37,10 +38,19 @@ class Fabric {
   // vanishes. No RNG draw, so the fault schedule of surviving rails is
   // unperturbed.
   void kill_rail(int rail) { rail_dead_[static_cast<std::size_t>(rail)] = true; }
+  // The link state every NIC on the rail sees.
+  bool rail_dead(int rail) const {
+    return rail_dead_[static_cast<std::size_t>(rail)];
+  }
 
   // Ship `bytes` from src to dst; run `deliver` at the destination when the
   // packet tail arrives. `bytes` here is one wire packet (the NIC fragments
   // to MTU); on-wire overhead per packet is folded into link_startup_ns.
+  // Routes are deterministic and links FIFO, so packets between two nodes
+  // on a rail arrive in send order, except lossy ones a fault delays or
+  // duplicates. A guaranteed packet never overtakes those either: it lands
+  // no earlier than the last copy a fault still holds on its path, so a
+  // connection's final frame (a goodbye) is final on the wire too.
   void transmit(int src, int dst, std::uint32_t bytes, std::function<void()> deliver,
                 int rail = 0, Delivery cls = Delivery::kGuaranteed);
 
@@ -59,6 +69,9 @@ class Fabric {
   int nodes_;
   std::vector<std::unique_ptr<Topology>> rails_;
   std::vector<bool> rail_dead_;
+  // Per path (rail, src, dst): when the last copy a fault delayed or
+  // duplicated lands.
+  std::map<std::uint64_t, sim::Time> held_;
   std::vector<Link*> scratch_route_;
   std::uint64_t packets_ = 0;
   FaultInjector* faults_ = nullptr;

@@ -1011,6 +1011,7 @@ void Bml::finalize() {
   finalized_ = true;
   *alive_ = false;
   pipe_stash_.clear();
+  for (const auto& p : ptls_) p->leave();
   for (const auto& p : ptls_) p->finalize();
 }
 

@@ -101,7 +101,8 @@ class Bml final : public sim::PollPlan {
   int watch(sim::IdleWait& w) override;
   bool quiet() const override;
   sim::Time point_ns() const override;
-  // Drain in-flight striped operations, then quiesce every PTL.
+  // Drain in-flight striped operations, then have every PTL leave (say
+  // its goodbyes) before any finalizes (waits for the answers, closes).
   void finalize();
   // The failure detector declared gid dead: purge every rail's connection
   // to it and fail in-flight fragmented operations with kErrProcFailed.

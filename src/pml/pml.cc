@@ -374,7 +374,7 @@ void Pml::peer_failed(int gid) {
 }
 
 void Pml::wake_waits() {
-  if (finalized_) return;
+  // Also while finalizing: each PTL ignores the nudge once it has closed.
   for (std::size_t i = 0; i < num_ptls(); ++i) ptl(i).wake();
 }
 

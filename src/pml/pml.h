@@ -122,9 +122,15 @@ class Pml {
   void halt();
   // Nudge every PTL so fibers blocked in progress_blocking() return and
   // re-check their requests (failed by peer_failed, or stamped before a
-  // now-moved abort epoch). A dead peer raises no interrupt, so the
-  // World's failure/revoke subscriber must provide the wakeup.
+  // now-moved abort epoch), and so a teardown blocked on goodbyes re-reads
+  // the dead-set. A dead peer raises no interrupt, so the World's
+  // failure/revoke subscriber must provide the wakeup.
   void wake_waits();
+  // A leaving PTL owes no goodbye to, and waits for none from, itself or a
+  // peer in the published dead-set.
+  bool excused(int gid) const {
+    return gid == ctx_.gid || (peer_dead && peer_dead(gid));
+  }
 
   // --- instrumentation (Fig. 9 layer-cost analysis) ---
   // Invoked when a first fragment is handed up for matching, and when a

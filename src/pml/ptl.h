@@ -195,9 +195,15 @@ class Ptl {
   // module's own waits read (a peer's send window, its liveness).
   sim::Signal& changed() { return changed_; }
 
-  // Quiesce: complete pending traffic, stop progress threads, release
-  // network resources (paper §4.1: finalize only after pending messages
-  // drain so no leftover DMA can regenerate traffic).
+  // Teardown in two steps (paper §4.1: a context is released only once
+  // nothing can still arrive; the rule is in pml/endpoint.h). leave()
+  // quiesces — pending traffic completes, so no leftover DMA can regenerate
+  // any — and says goodbye to every contacted peer outside the dead-set.
+  // finalize() leaves if it has not, waits until each of those peers has
+  // said goodbye back, stops progress threads and releases the network
+  // resources. The BML has every rail leave before any finalizes, so a
+  // peer sees this process go from all rails at once.
+  virtual void leave() {}
   virtual void finalize() = 0;
 
   // True when this module runs its own progress thread(s); the PML then

@@ -18,6 +18,20 @@ using elan4::Vpid;
 using pml::FragKind;
 using pml::MatchHeader;
 
+namespace {
+// The cookie of finalize's self-addressed goodbye that stops a progress
+// thread (a wake() nudge carries 0).
+constexpr std::uint64_t kStopCookie = 1;
+
+bool is_stop_nudge(const std::vector<std::uint8_t>& frame, int self) {
+  MatchHeader hdr;
+  if (frame.size() < sizeof(hdr)) return false;
+  std::memcpy(&hdr, frame.data(), sizeof(hdr));
+  return hdr.kind == FragKind::kGoodbye && hdr.src_gid == self &&
+         hdr.cookie == kStopCookie;
+}
+}  // namespace
+
 PtlElan4::PtlElan4(pml::Pml& pml, elan4::QsNet& net, int node, Options opts,
                    int rail, std::string name)
     : pml_(pml),
@@ -88,6 +102,7 @@ Status PtlElan4::add_peer(int gid, const pml::ContactInfo& info) {
   Elan4Endpoint& p = peers_[gid];
   p.gid = gid;
   p.alive = true;
+  p.said_bye = p.heard_bye = false;
   p.vpid = rte::get_pod<Vpid>(blob, off);
   p.recv_queue = rte::get_pod<std::int32_t>(blob, off);
   p.stream = opts_.reliability ? make_stream(gid) : nullptr;
@@ -145,6 +160,9 @@ std::unique_ptr<ptl::ReliableStream> PtlElan4::make_stream(int gid) {
 void PtlElan4::post_wire(Elan4Endpoint& peer,
                          const std::vector<std::uint8_t>& frame,
                          E4Event* recycle) {
+  // A backlogged or retransmitted frame after our goodbye: refused, as
+  // post_frame refuses new ones.
+  if (peer.said_bye) return;
   tx_bytes_ += frame.size();
   device_->post_qdma(peer.vpid, peer.recv_queue, frame, recycle,
                      /*lossy=*/true);
@@ -153,13 +171,17 @@ void PtlElan4::post_wire(Elan4Endpoint& peer,
 void PtlElan4::post_frame(Elan4Endpoint& peer, const MatchHeader& hdr,
                           const void* body, std::size_t body_len,
                           const void* payload, std::size_t payload_len) {
+  // The choke point: nothing follows our goodbye to a peer (say_goodbye
+  // marks it before posting the goodbye itself).
+  if (peer.said_bye && hdr.kind != FragKind::kGoodbye) return;
   const bool sequenced =
       opts_.reliability && (hdr.flags & pml::kFlagControl) == 0;
   const std::size_t trailer = sequenced ? 4 : 0;
   std::vector<std::uint8_t> frame(sizeof(MatchHeader) + body_len + payload_len +
                                   trailer);
   MatchHeader h = hdr;
-  if (opts_.reliability) peer.stream->stamp_ack(h);
+  // A goodbye to a peer whose stream a failure dropped carries no ack.
+  if (peer.stream != nullptr) peer.stream->stamp_ack(h);
   if (sequenced) {
     h.flags |= pml::kFlagChecksummed;
     h.frame_seq = peer.stream->assign_seq();
@@ -190,6 +212,18 @@ void PtlElan4::send_nack(int gid) {
   nack.dst_gid = gid;
   OQS_METRIC_INC("ptl.reliability.nacks_sent");
   post_frame(peer, nack, nullptr, 0, nullptr, 0);
+}
+
+void PtlElan4::say_goodbye(Elan4Endpoint& peer) {
+  // Marked before the post charge: a frame another fiber posts meanwhile
+  // is refused rather than following the goodbye.
+  peer.said_bye = true;
+  MatchHeader bye;
+  bye.kind = FragKind::kGoodbye;
+  bye.flags = pml::kFlagControl;
+  bye.src_gid = pml_.ctx().gid;
+  bye.dst_gid = peer.gid;
+  post_frame(peer, bye, nullptr, 0, nullptr, 0);
 }
 
 void PtlElan4::send_frame_ack(int gid) {
@@ -456,10 +490,12 @@ void PtlElan4::stripe_cancel(std::uint64_t pull_id) {
   if (it == local_ops_.end()) return;
   if (it->second.dst_addr != elan4::kNullE4Addr)
     device_->unmap(it->second.dst_addr);
+  // Abandoned, not forgotten: the RDMA may still be in flight toward this
+  // context, so teardown waits for its event (still polled or chained)
+  // unless the peer or the rail died (leave's quiesce excuses those).
+  orphans_.emplace(pull_id, it->second.gid);
   local_ops_.erase(it);
   changed_.notify();
-  // Drop the poll-list registration too (the event may never fire).
-  unpoll(pull_id);
 }
 
 void PtlElan4::bml_post(int gid, const MatchHeader& hdr, const void* body,
@@ -486,6 +522,10 @@ void PtlElan4::handle_local_complete(std::uint64_t id) {
     if (op.done) op.done(op.event->status());
     return;
   }
+  if (orphans_.erase(id) > 0) {
+    changed_.notify();
+    return;
+  }
   log::warn(name_, "completion for unknown op ", id);
 }
 
@@ -507,11 +547,12 @@ void PtlElan4::handle_frame(elan4::QdmaQueue::Slot&& slot) {
   OQS_METRIC_INC("ptl.frames.handled");
 
   // First contact: a frame from a peer this rail has no endpoint for wires
-  // it (on every rail), and a first fragment from a peer we thought was gone
-  // means it migrated or rejoined, so its fresh contact is fetched. Both
-  // happen before the reliability gate, so the frame is admitted on the new
-  // stream. A goodbye only ever retires a peer.
-  if (hdr.src_gid != pml_.ctx().gid && hdr.kind != FragKind::kGoodbye) {
+  // it (on every rail) — a goodbye too, which can overtake the peer's first
+  // frame on another rail — and a first fragment from a peer we thought was
+  // gone means it migrated or rejoined, so its fresh contact is fetched.
+  // Both happen before the reliability gate, so the frame is admitted on the
+  // new stream.
+  if (hdr.src_gid != pml_.ctx().gid) {
     auto pit = peers_.find(hdr.src_gid);
     const bool first = hdr.kind == FragKind::kEager ||
                        hdr.kind == FragKind::kRendezvous ||
@@ -590,12 +631,15 @@ void PtlElan4::handle_frame(elan4::QdmaQueue::Slot&& slot) {
       break;  // pure ack carrier: fully consumed by the gate above
 
     case FragKind::kGoodbye:
-      if (hdr.src_gid != pml_.ctx().gid) {
-        auto it = peers_.find(hdr.src_gid);
-        if (it != peers_.end()) it->second.alive = false;
-        changed_.notify();
+      if (hdr.src_gid == pml_.ctx().gid) {
+        // A self-goodbye only wakes a blocked reader (wake, finalize).
+        --nudges_;
+        break;
       }
-      // A self-goodbye just wakes a blocked thread during shutdown.
+      if (auto it = peers_.find(hdr.src_gid); it != peers_.end()) {
+        changed_.notify();
+        if (it->second.hear_bye()) say_goodbye(it->second);  // answer it
+      }
       break;
     default:
       log::warn(name_, "unexpected frame kind ", static_cast<int>(hdr.kind));
@@ -703,21 +747,26 @@ void PtlElan4::start_threads() {
   // (the read completion, the FIN) are picked up by polling rather than
   // each paying another interrupt.
   const sim::Time spin_ns = 12 * sim::kUs;
+  // A thread leaves once it has read finalize's stop nudge from its queue
+  // (so nothing addressed to the queue is still in flight at close), or
+  // when the host dies.
   auto loop = [this, spin_ns, &engine](elan4::QdmaQueue* q, bool spin) {
-    while (!stopping_) {
-      device_->queue_wait(q);
-      elan4::QdmaQueue::Slot slot;
-      if (!spin) {
-        while (device_->queue_poll(q, &slot)) handle_frame(std::move(slot));
-        continue;
+    elan4::QdmaQueue::Slot slot;
+    bool stop = false;
+    auto serve = [&] {
+      while (!stop && device_->queue_poll(q, &slot)) {
+        stop = is_stop_nudge(slot.data, pml_.ctx().gid);
+        handle_frame(std::move(slot));
       }
+    };
+    while (!stop && !halted_) {
+      device_->queue_wait(q);
       // Fixed spin window from the wakeup: follow-up events of the exchange
       // just handled are caught by polling; then the thread re-blocks and
       // the next inbound message pays one interrupt.
       const sim::Time woke = engine.now();
-      while (!stopping_ && engine.now() - woke < spin_ns) {
-        while (device_->queue_poll(q, &slot)) handle_frame(std::move(slot));
-      }
+      do serve();
+      while (spin && !stop && !halted_ && engine.now() - woke < spin_ns);
     }
     live_threads_ = live_threads_ - 1;
   };
@@ -728,29 +777,50 @@ void PtlElan4::start_threads() {
     engine.spawn("elan4-completion", [loop, this] { loop(comp_q_, false); });
 }
 
-void PtlElan4::send_self(FragKind kind) {
+void PtlElan4::nudge(std::uint64_t cookie) {
   MatchHeader hdr;
-  hdr.kind = kind;
+  hdr.kind = FragKind::kGoodbye;
   hdr.flags = pml::kFlagControl;
+  hdr.cookie = cookie;
   hdr.src_gid = hdr.dst_gid = pml_.ctx().gid;
+  // Only a progress thread blocks on the completion queue.
+  const bool both = comp_q_ != nullptr && threaded();
+  // Counted before the post charges: teardown reads every nudge back
+  // before it closes the queues.
+  nudges_ += both ? 2 : 1;
   std::vector<std::uint8_t> frame(sizeof(MatchHeader));
   std::memcpy(frame.data(), &hdr, sizeof(MatchHeader));
   device_->post_qdma(device_->vpid(), recv_q_->id(), frame);
-  if (comp_q_ != nullptr)
-    device_->post_qdma(device_->vpid(), comp_q_->id(), frame);
+  if (both) device_->post_qdma(device_->vpid(), comp_q_->id(), frame);
 }
 
-void PtlElan4::finalize() {
-  if (finalized_) return;
-  finalized_ = true;
+bool PtlElan4::excused(int gid) {
+  // Ourselves, the dead-set, and every peer once the rail's links are down
+  // (nothing crosses a dead rail, goodbyes included).
+  return pml_.excused(gid) || net_.fabric().rail_dead(rail_);
+}
+
+void PtlElan4::say_goodbyes() {
+  for (auto& [gid, peer] : peers_)
+    if (!peer.said_bye && !excused(gid)) say_goodbye(peer);
+}
+
+void PtlElan4::leave() {
+  if (left_) return;
+  left_ = true;
   const sim::ProcessCtx& host = pml_.ctx();
 
   // Quiesce: pending messages must complete before teardown (§4.1), so no
   // leftover DMA descriptor can regenerate traffic. Stripe pulls count: the
-  // BML cancels the doomed ones before it lets the rails finalize.
-  host.wait_until(wait_cadence(),
-                  sim::watched(&changed_, [this] { return !active(); }),
-                  wait_plan());
+  // BML cancels the doomed ones before it lets the rails finalize, and a
+  // cancelled one still lands here unless its peer or the rail died.
+  auto quiet = [this] {
+    return !active() &&
+           std::all_of(orphans_.begin(), orphans_.end(),
+                       [this](const auto& o) { return excused(o.second); });
+  };
+  host.wait_until(wait_cadence(), sim::watched(&changed_, quiet), wait_plan(),
+                  sim::watched(pml_.abort_signal, quiet));
 
   if (opts_.reliability) {
     // Acknowledge everything received so peers can prune and leave too,
@@ -766,33 +836,51 @@ void PtlElan4::finalize() {
     host.wait_until(wait_cadence(), sim::watched(&changed_, settled),
                     wait_plan());
   }
+  say_goodbyes();
+}
 
-  // Tell the peers we talked to that we are leaving, so they stop
-  // addressing our context. Before each goodbye, read what already arrived:
-  // a peer whose own goodbye is waiting there may have closed its context
-  // since, and a goodbye to it would be dropped. (Progress threads read the
-  // queue themselves.)
-  for (auto& [gid, peer] : peers_) {
-    if (peer.alive && !threaded()) drain(recv_q_, /*paid=*/false);
-    if (!peer.alive) continue;
-    MatchHeader bye;
-    bye.kind = FragKind::kGoodbye;
-    bye.flags = pml::kFlagControl;
-    bye.src_gid = pml_.ctx().gid;
-    bye.dst_gid = gid;
-    post_frame(peer, bye, nullptr, 0, nullptr, 0);
+void PtlElan4::finalize() {
+  if (finalized_) return;
+  leave();
+  finalized_ = true;
+  const sim::ProcessCtx& host = pml_.ctx();
+
+  // Close once every peer leave() said goodbye to has said goodbye back
+  // (pml/endpoint.h). A peer first heard from meanwhile is owed one too,
+  // hence the loop.
+  auto excused = [this](int gid) { return this->excused(gid); };
+  for (;;) {
+    const pml::Leave s = pml::leave_state(peers_, excused);
+    if (s == pml::Leave::kSay) {
+      say_goodbyes();
+      continue;
+    }
+    // Unthreaded, the nudges posted so far must be read back first.
+    if (s == pml::Leave::kDone && (threaded() || nudges_ == 0)) break;
+    if (threaded()) {
+      // The progress threads read the goodbyes; a dead-set change (the
+      // abort signal) excuses a peer that will never send one.
+      auto moved = [&] { return pml::leave_state(peers_, excused) != s; };
+      host.wait_until(sim::Cadence::kThreaded, sim::watched(&changed_, moved),
+                      nullptr, sim::watched(pml_.abort_signal, moved));
+      continue;
+    }
+    // Block on the receive queue's interrupt, then read everything that
+    // landed in one pass: one poll, as the ring's producer index says how
+    // many slots are new. A dead-set change arrives as a wake() nudge.
+    device_->queue_wait(recv_q_);
+    device_->charge_poll();
+    for (elan4::QdmaQueue::Slot slot; recv_q_->consume(&slot);)
+      handle_frame(std::move(slot));
   }
 
   if (threaded()) {
     stopping_ = true;
-    send_self(FragKind::kGoodbye);
+    nudge(kStopCookie);
     host.wait_until(sim::Cadence::kThreadExit,
                     sim::watched(&live_threads_.signal(),
                                  [this] { return live_threads_ == 0; }));
   }
-
-  // Let in-flight goodbyes drain before the contexts disappear.
-  net_.engine().sleep(5 * net_.params().interrupt_ns);
   // Disarm the reliability timers: any already-scheduled callback sees the
   // cleared token and no-ops instead of touching a closed device.
   *alive_ = false;
@@ -831,11 +919,12 @@ void PtlElan4::peer_failed(int gid) {
 }
 
 void PtlElan4::wake() {
-  if (halted_ || finalized_) return;
-  // A self-addressed goodbye is the established "wake a blocked thread"
-  // nudge (see finalize): it lands in the receive queue, queue_wait
-  // returns, and handle_frame discards it (src == self).
-  send_self(FragKind::kGoodbye);
+  if (halted_ || stopping_ || device_->closed()) return;
+  // A self-addressed goodbye is the "wake a blocked reader" nudge: it
+  // lands in the receive queue, queue_wait returns, and handle_frame
+  // discards it (src == self). Teardown's wait takes it too, to re-read
+  // the dead-set.
+  nudge();
 }
 
 void PtlElan4::halt() {
@@ -857,6 +946,7 @@ void PtlElan4::halt() {
     if (op.dst_addr != elan4::kNullE4Addr) device_->unmap(op.dst_addr);
     if (op.done) op.done(Status::kErrProcFailed);
   }
+  orphans_.clear();
   poll_list_.clear();
   poll_list_changed_.notify();
   // Endpoints are retired, never erased: a timer walk suspended mid-map

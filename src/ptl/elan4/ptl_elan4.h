@@ -25,8 +25,9 @@
 // Dynamic joins: each module claims an Elan context at construction and
 // releases it at finalize. Peers are wired on first contact (add_peer, with
 // contact info from the RTE registry), so the endpoint map holds exactly the
-// peers this process exchanged frames with, and finalize says goodbye to
-// those alone.
+// peers this process exchanged frames with. Finalize says goodbye to those
+// alone and closes the context once each has said goodbye back
+// (pml/endpoint.h).
 #pragma once
 
 #include <cstdint>
@@ -96,6 +97,7 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   }
   int progress_blocking() override;
   bool active() const override { return held_ > 0 || !local_ops_.empty(); }
+  void leave() override;
   void finalize() override;
   bool threaded() const override {
     return opts_.progress == Progress::kOneThread ||
@@ -158,6 +160,12 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   // Build the per-endpoint go-back-N stream (reliability mode).
   std::unique_ptr<ptl::ReliableStream> make_stream(int gid);
   void send_nack(int gid);
+  // Our goodbye to peer: the last frame it gets from us.
+  void say_goodbye(Elan4Endpoint& peer);
+  // One to every contacted peer not excused that has none yet.
+  void say_goodbyes();
+  // Teardown owes no goodbye to, and waits for none from, gid.
+  bool excused(int gid);
   void handle_nack(const pml::MatchHeader& hdr);
   // Put one already-sequenced frame on the wire (lossy-classed QDMA).
   void post_wire(Elan4Endpoint& peer, const std::vector<std::uint8_t>& frame,
@@ -197,7 +205,9 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   int poll_direct(std::size_t first, bool paid);
   // Drop op id's poll-list registrations.
   void unpoll(std::uint64_t id);
-  void send_self(pml::FragKind kind);
+  // Post a self-addressed goodbye that wakes a reader blocked on the
+  // receive queue (and, threaded, the completion queue).
+  void nudge(std::uint64_t cookie = 0);
   void start_threads();
   // A header-only QDMA to (vpid, queue), for chaining to an event.
   elan4::QdmaCmd header_qdma(elan4::Vpid vpid, int queue,
@@ -216,6 +226,9 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   elan4::QdmaQueue* comp_q_ = nullptr;  // Two-Queue variant
   std::map<int, Elan4Endpoint> peers_;
   std::map<std::uint64_t, LocalOp> local_ops_;
+  // Ops stripe_cancel abandoned whose RDMA may still be in flight: id ->
+  // peer gid.
+  std::map<std::uint64_t, int> orphans_;
   // Ops with events to poll in kDirectPoll mode: (op id, event).
   std::vector<std::pair<std::uint64_t, elan4::E4Event*>> poll_list_;
   // Notified on every change to poll_list_ (the shape of the idle round).
@@ -224,7 +237,10 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   std::uint64_t tx_bytes_ = 0;
   // Local event attached to the next post_frame (send-buffer recycling).
   elan4::E4Event* recycle_event_ = nullptr;
-  bool stopping_ = false;
+  bool left_ = false;      // leave() ran: quiesced, goodbyes said
+  bool stopping_ = false;  // the progress threads were told to leave
+  // Self-addressed nudges posted and not read back yet.
+  int nudges_ = 0;
   bool finalized_ = false;
   bool halted_ = false;  // crashed in place: inbound frames go unread
   sim::Word<int> live_threads_;

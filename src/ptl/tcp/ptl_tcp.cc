@@ -35,6 +35,7 @@ Status PtlTcp::add_peer(int gid, const pml::ContactInfo& info) {
   TcpEndpoint& p = peers_[gid];
   p.gid = gid;
   p.alive = true;
+  p.said_bye = p.heard_bye = false;
   p.addr = rte::get_pod<std::int32_t>(it->second, off);
   changed_.notify();
   return Status::kOk;
@@ -48,6 +49,9 @@ void PtlTcp::charge_io(std::size_t bytes) {
 
 void PtlTcp::post_frame(TcpEndpoint& peer, const MatchHeader& hdr,
                         const void* payload, std::size_t payload_len) {
+  // The choke point: nothing follows our goodbye to a peer (say_goodbye
+  // marks it before posting the goodbye itself).
+  if (peer.said_bye && hdr.kind != FragKind::kGoodbye) return;
   std::vector<std::uint8_t> frame(sizeof(MatchHeader) + payload_len);
   std::memcpy(frame.data(), &hdr, sizeof(MatchHeader));
   if (payload_len > 0)
@@ -55,6 +59,15 @@ void PtlTcp::post_frame(TcpEndpoint& peer, const MatchHeader& hdr,
   charge_io(frame.size());
   tx_bytes_ += frame.size();
   net_.eth().send(addr_, peer.addr, std::move(frame));
+}
+
+void PtlTcp::say_goodbye(TcpEndpoint& peer) {
+  peer.said_bye = true;  // before the post charge, as on Elan4
+  MatchHeader bye;
+  bye.kind = FragKind::kGoodbye;
+  bye.src_gid = pml_.ctx().gid;
+  bye.dst_gid = peer.gid;
+  post_frame(peer, bye, nullptr, 0);
 }
 
 void PtlTcp::send_first(pml::SendRequest& req) {
@@ -139,9 +152,9 @@ void PtlTcp::handle_frame(std::vector<std::uint8_t>&& frame) {
                  static_cast<std::uint64_t>(hdr.kind));
   OQS_METRIC_INC("ptl.frames.handled");
 
-  // First contact: a frame from a peer with no endpoint wires it. A
-  // goodbye only ever retires a peer.
-  if (hdr.src_gid != pml_.ctx().gid && hdr.kind != FragKind::kGoodbye &&
+  // First contact: a frame from a peer with no endpoint wires it (a
+  // goodbye too: it can overtake the peer's first frame on another PTL).
+  if (hdr.src_gid != pml_.ctx().gid &&
       peers_.find(hdr.src_gid) == peers_.end())
     pml_.resolve_peer(hdr.src_gid);
 
@@ -207,10 +220,12 @@ void PtlTcp::handle_frame(std::vector<std::uint8_t>&& frame) {
     }
     case FragKind::kGoodbye: {
       // The peer tore down (finalize or migration): stop addressing its
-      // socket. A later send re-resolves fresh contact info lazily.
+      // socket, and answer unless ours went out already. A later send
+      // re-resolves fresh contact info lazily.
       auto pit = peers_.find(hdr.src_gid);
-      if (pit != peers_.end()) pit->second.alive = false;
+      if (pit == peers_.end()) break;
       changed_.notify();
+      if (pit->second.hear_bye()) say_goodbye(pit->second);
       break;
     }
     default:
@@ -236,21 +251,38 @@ int PtlTcp::sweep(std::size_t from, bool paid) {
   return n;
 }
 
+void PtlTcp::say_goodbyes() {
+  for (auto& [gid, peer] : peers_)
+    if (!peer.said_bye && !pml_.excused(gid)) say_goodbye(peer);
+}
+
+void PtlTcp::leave() {
+  if (left_) return;
+  left_ = true;
+  // Tell the peers we talked to that we are leaving, so they stop
+  // addressing this socket (a send to a detached address drops silently —
+  // a migrated peer would hang).
+  say_goodbyes();
+}
+
 void PtlTcp::finalize() {
   if (finalized_) return;
+  leave();
   finalized_ = true;
-  // Tell peers we are leaving so they stop addressing this socket (a send
-  // to a detached address drops silently — a migrated peer would hang).
-  for (auto& [gid, peer] : peers_) {
-    if (!peer.alive) continue;
-    MatchHeader bye;
-    bye.kind = FragKind::kGoodbye;
-    bye.src_gid = pml_.ctx().gid;
-    bye.dst_gid = gid;
-    post_frame(peer, bye, nullptr, 0);
+  // Detach once each peer has said goodbye back or joined the dead-set
+  // (pml/endpoint.h); a peer first heard from meanwhile is owed one too.
+  auto excused = [this](int gid) { return pml_.excused(gid); };
+  for (;;) {
+    const pml::Leave s = pml::leave_state(peers_, excused);
+    if (s == pml::Leave::kDone) break;
+    if (s == pml::Leave::kSay) {
+      say_goodbyes();
+      continue;
+    }
+    auto moved = [&] { return pml::leave_state(peers_, excused) != s; };
+    pml_.ctx().wait_until(sim::Cadence::kPoll, sim::watched(&changed_, moved),
+                          this, sim::watched(pml_.abort_signal, moved));
   }
-  // Let the in-flight goodbyes land before the endpoint detaches.
-  net_.engine().sleep(net_.params().eth_latency_ns * 2);
   net_.eth().detach(addr_);
 }
 

@@ -91,6 +91,7 @@ class PtlTcp final : public pml::Ptl,
   // One poll point: the poll() syscall's charge, then a probe of the
   // kernel-side inbox (changed() is notified on every arrival).
   sim::PollPlan& poll_plan() override { return *this; }
+  void leave() override;
   void finalize() override;
   void peer_failed(int gid) override;
   void halt() override;
@@ -122,6 +123,10 @@ class PtlTcp final : public pml::Ptl,
 
   void post_frame(TcpEndpoint& peer, const pml::MatchHeader& hdr,
                   const void* payload, std::size_t payload_len);
+  // Our goodbye to peer: the last frame it gets from us.
+  void say_goodbye(TcpEndpoint& peer);
+  // One to every contacted peer outside the dead-set that has none yet.
+  void say_goodbyes();
   void handle_frame(std::vector<std::uint8_t>&& frame);
   void charge_io(std::size_t bytes);
 
@@ -136,6 +141,7 @@ class PtlTcp final : public pml::Ptl,
   std::deque<std::vector<std::uint8_t>> inbox_;
   std::uint64_t next_id_ = 1;
   std::uint64_t tx_bytes_ = 0;
+  bool left_ = false;  // leave() ran: goodbyes said
   bool finalized_ = false;
   bool halted_ = false;  // crashed in place: inbound frames go unread
 };

@@ -330,14 +330,15 @@ int replay_jobs(mpi::World& w, const std::vector<const Trace*>& jobs,
   // A killed rank is gone — its World crashed in place, so it must not
   // touch the stack again (no quiesce, no barrier).
   if (outcome == ReplayOutcome::kKilled) return job;
-  // Quiesce the whole fabric before returning: jobs finish at different
-  // times, and a rank that tears down its queues while another job's
-  // retransmissions or duplicates are still in flight spews unknown-queue
-  // warnings. Timing was recorded inside replay_rank, so the barrier does
-  // not touch the reports. With a kill schedule the MPI barrier would hang
-  // (or fault) on the corpses, so the survivors meet at the OOB registry
-  // instead: the survivor count is statically known from the schedule, and
-  // dead ranks never arrive.
+  // Meet before returning: jobs finish at different times, and a rank that
+  // finalized early would say goodbye to the peers it shares with a job
+  // still running (the world-level collectives wired them), whose answers
+  // would then take host time from that job's measured operations. Timing
+  // was recorded inside replay_rank, so the barrier does not touch the
+  // reports. With a kill schedule the MPI barrier would hang (or fault) on
+  // the corpses, so the survivors meet at the OOB registry instead: the
+  // survivor count is statically known from the schedule, and dead ranks
+  // never arrive.
   if (opt.kills.empty()) {
     world_comm.barrier();
   } else {

@@ -146,6 +146,28 @@ TEST(E4Event, ChainedCommandRunsOnNic) {
   EXPECT_TRUE(checked);
 }
 
+TEST(E4Event, ClosedDeviceLeavesNoEventsInItsContextsTable) {
+  // A released context's next owner must not inherit dangling entries: its
+  // events would otherwise land after them at unrelated indices.
+  sim::Engine e;
+  ModelParams p;
+  QsNet net(e, p, 2);
+  ContextId ctx = 0;
+  {
+    auto dev = net.open(0);
+    ASSERT_TRUE(dev);
+    ctx = dev->context();
+    for (int i = 0; i < 3; ++i) dev->alloc_event("gone");
+    EXPECT_EQ(dev->nic().event_table_live(ctx), 3u);
+  }
+  auto again = net.open(0);
+  ASSERT_TRUE(again);
+  ASSERT_EQ(again->context(), ctx) << "the freed context is claimed again";
+  EXPECT_EQ(again->nic().event_table_live(ctx), 0u);
+  again->alloc_event("fresh");
+  EXPECT_EQ(again->last_event_index(), 0) << "the lowest free index is reused";
+}
+
 TEST(E4Event, StatusPropagatesFromFire) {
   sim::Engine e;
   ModelParams p;

@@ -275,5 +275,46 @@ TEST(Reliability, SuspectThresholdComesFromModelParams) {
   EXPECT_GT(after_three, after_one);
 }
 
+TEST(Reliability, WorldFinalizesTheInstantAPeerIsDeclaredDead) {
+  // The declaration hands the purge to a fiber of the World's own, which
+  // charges the host (so suspends) inside Pml::peer_failed and again in
+  // wake_waits. The survivor returns, finalizing and destroying its World,
+  // at the declaration instant: finalize must wait that fiber out rather
+  // than leave it to resume inside a freed stack (ASan's heap-use-after-free
+  // in Elan4Device::nic(), via PtlElan4::wake, before the fix).
+  TestBed bed(8, 1);
+  bed.pin_transport = true;
+  bed.allow_drops = true;  // frames to the corpse are dropped at its NIC
+  const obs::Counter& aborted =
+      obs::metrics().counter("pml.failure.recvs_aborted");
+  const std::uint64_t base = aborted.value();
+  sim::Time declared = 0;
+  bed.run_mpi(2, [&](mpi::World& w) {
+    auto& c = w.comm();
+    sim::Engine& engine = w.net().engine();
+    c.barrier();
+    if (c.rank() == 1) {
+      w.crash();
+      return;
+    }
+    // A receive the corpse will never match: the purge aborts it.
+    std::uint32_t v = 0;
+    mpi::Request r = c.irecv(&v, sizeof(v), dtype::byte_type(), 1, 0);
+    // Subscribed after the World, so notified after it: the World's fiber
+    // is spawned first, then this one resumes in the same instant.
+    sim::Fiber* me = engine.current();
+    const int sub = w.failure().subscribe([&](const rte::FailureEvent& e) {
+      if (e.gid != c.gid_of(1) || declared != 0) return;
+      declared = engine.now();
+      engine.unpark(me);
+    });
+    engine.park();
+    w.failure().unsubscribe(sub);
+    EXPECT_EQ(engine.now(), declared);
+  }, reliable());
+  ASSERT_GT(declared, 0u);
+  EXPECT_EQ(aborted.value(), base + 1) << "the purge did not run to its end";
+}
+
 }  // namespace
 }  // namespace oqs

@@ -117,10 +117,11 @@ struct TestBed {
   // protocol bug, so the bed fails any test during which one arrived.
   // Tests that inject malformed frames on purpose set this to opt out.
   bool allow_bad_frames = false;
-  // A fault-free run drops no QDMA: a process says goodbye only to the
-  // peers it talked to whose own goodbye has not arrived. The bed fails any
-  // test during which a NIC dropped one. Tests that crash a process or
-  // inject faults set this to opt out.
+  // A fault-free run drops no QDMA: a process closes each context only
+  // once every peer it said goodbye to has said goodbye back, and nothing
+  // follows a goodbye (pml/endpoint.h). The bed fails any test during which
+  // a NIC dropped one. Tests that crash a process (frames to the corpse
+  // drop) or inject faults set this to opt out.
   bool allow_drops = false;
 
   // Runts and unknown-kind frames seen so far, over every PTL.
@@ -167,11 +168,19 @@ struct TestBed {
       if (opts.coll.all_auto()) env_coll(&opts.coll);
     }
     auto shared = std::make_shared<std::function<void(mpi::World&)>>(std::move(body));
-    rt->launch(n, [this, opts, shared](rte::Env& env) {
-      mpi::World world(env, *net, opts);
-      (*shared)(world);
+    int left = 0;
+    rt->launch(n, [this, opts, shared, &left](rte::Env& env) {
+      {
+        mpi::World world(env, *net, opts);
+        (*shared)(world);
+      }
+      ++left;
     });
-    return engine.run();
+    const sim::Time end = engine.run();
+    // The engine drains with a fiber still parked when a wait can never
+    // end: a teardown waiting for a goodbye that will not come, say.
+    EXPECT_EQ(left, n) << "a process never finished its teardown";
+    return end;
   }
 
   ~TestBed() {

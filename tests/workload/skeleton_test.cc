@@ -253,6 +253,34 @@ TEST(Interference, TwoJobsShareTheFabricAndBothConform) {
 // 10% wire loss plus duplication/delay/corruption, and every skeleton must
 // still complete with its oracle intact — the go-back-N and per-fragment
 // CRC re-pull machinery, not the workload, absorbs the faults.
+TEST(WorkloadTeardown, LossyTwoRailShuffleDropsNoGoodbye) {
+  // Wire loss spreads the ranks' finalize instants (each waits out its own
+  // retransmissions), and every rail says its goodbyes to every peer of an
+  // all-to-all. A rank closes each rail only once each peer's goodbye has
+  // come in, so no goodbye lands on a closed context: the bed's QDMA-drop
+  // check holds although this run injects loss (drops only, which reorder
+  // nothing). With a fixed drain sleep instead, goodbyes arrived after it.
+  TestBed bed(16, /*rails=*/2);
+  bed.pin_transport = true;
+  net::FaultProfile loss;
+  loss.drop = 0.02;
+  bed.net->set_faults(loss, /*seed=*/9);
+  const Trace t =
+      make_shuffle({.ranks = 32, .rounds = 4, .bytes_per_pair = 4096});
+  Report rep;
+  ReplayOptions opt;
+  opt.seed = 9;
+  mpi::Options mpi_opt;
+  mpi_opt.elan4.rails = 2;
+  mpi_opt.elan4.reliability = true;
+  bed.run_mpi(t.nranks(), [&](mpi::World& w) {
+    replay_rank(w, w.comm(), t, opt, &rep);
+  }, mpi_opt);
+  EXPECT_EQ(rep.verify_failures, 0u);
+  EXPECT_EQ(rep.ops_replayed, t.total_ops());
+  EXPECT_GT(bed.net->faults()->drops(), 0u);
+}
+
 TEST(WorkloadSoak, SkeletonsSurviveTenPercentLossIntact) {
   struct JobCase {
     const char* label;
