@@ -1,5 +1,6 @@
-# Rerun each paper-figure bench and compare its stdout byte for byte with
-# the snapshot in this directory.
+# Rerun each paper-figure bench, and the deterministic one-sided,
+# hardware-broadcast and dynamic-join benches, and compare their stdout byte
+# for byte with the snapshot in this directory.
 #
 #   cmake -DBENCH_DIR=<dir with the bench binaries> -DGOLDEN_DIR=<this dir>
 #         -DOUT_DIR=<scratch dir> -P compare.cmake
@@ -8,7 +9,8 @@
 # what the model computes. When a change moves a figure on purpose,
 # regenerate the snapshot (`bench_<name> > tests/golden/bench_<name>.txt`)
 # and explain every moved digit in EXPERIMENTS.md.
-set(benches fig7 fig8 fig9 table1 fig10_latency fig10_bandwidth ablation_cpu)
+set(benches fig7 fig8 fig9 table1 fig10_latency fig10_bandwidth ablation_cpu
+            one_sided hw_bcast dynamic_join)
 file(MAKE_DIRECTORY "${OUT_DIR}")
 set(failed "")
 foreach(b IN LISTS benches)
