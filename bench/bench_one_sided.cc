@@ -5,12 +5,23 @@
 // engine buys when the receiver is completely passive: a put+fence epoch
 // against a send/recv of the same payload, and per-op cost amortization as
 // more operations share one fence.
+#include <cstdlib>
+
 #include "common.h"
 
 namespace {
 
 using namespace oqs;
 using namespace oqs::bench;
+
+// A fence that reports a faulted RMA op ends the run: the timing would
+// measure an epoch that did not move its data.
+void fence_or_die(mpi::Window& win) {
+  if (Status st = win.fence(); !ok(st)) {
+    std::fprintf(stderr, "fence failed: %s\n", to_string(st).data());
+    std::exit(1);
+  }
+}
 
 double put_fence_us(std::size_t bytes, int ops_per_fence) {
   Bed bed;
@@ -28,12 +39,12 @@ double put_fence_us(std::size_t bytes, int ops_per_fence) {
       if (c.rank() == 0)
         for (int k = 0; k < ops_per_fence; ++k)
           win.put(1, src.data(), bytes, static_cast<std::size_t>(k) * bytes);
-      win.fence();
+      fence_or_die(win);
     }
     if (c.rank() == 0)
       us = sim::to_us(bed.engine.now() - t0) / (kEpochs * ops_per_fence);
     c.barrier();
-    win.fence();
+    fence_or_die(win);
   });
   bed.engine.run();
   return us;

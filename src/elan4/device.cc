@@ -12,7 +12,9 @@ namespace oqs::elan4 {
 
 Elan4Device::Elan4Device(QsNet& net, int node, int rail, Vpid vpid)
     : net_(net), node_(node), rail_(rail), vpid_(vpid),
-      ctx_(net.context_of(vpid)) {}
+      ctx_(net.context_of(vpid)) {
+  nic().attach_event_table(ctx_, &table_);
+}
 
 Elan4Device::~Elan4Device() {
   if (!closed_) close();
@@ -25,22 +27,25 @@ void Elan4Device::compute(sim::Time ns) { net_.node(node_).cpu().compute(ns); }
 sim::ProcessCtx Elan4Device::host() { return net_.host(node_); }
 
 E4Event* Elan4Device::alloc_event(std::string name) {
-  auto owned = std::make_unique<E4Event>(net_.engine(), params(), &nic(),
-                                         std::move(name));
-  E4Event* ev = owned.get();
-  last_event_index_ = nic().register_event(ctx_, ev);
-  events_.push_back({std::move(owned), last_event_index_});
-  return ev;
+  auto slot = std::find(table_.begin(), table_.end(), nullptr);
+  if (slot == table_.end()) slot = table_.insert(slot, nullptr);
+  *slot = std::make_unique<E4Event>(net_.engine(), params(), &nic(),
+                                    std::move(name),
+                                    static_cast<int>(slot - table_.begin()));
+  return slot->get();
 }
 
 Status Elan4Device::free_event(E4Event* ev) {
-  for (auto it = events_.begin(); it != events_.end(); ++it) {
-    if (it->ev.get() != ev) continue;
-    nic().unregister_event(ctx_, it->index);
-    events_.erase(it);
-    return Status::kOk;
-  }
-  return Status::kNotFound;
+  const auto idx = static_cast<std::size_t>(ev->index());
+  if (ev->index() < 0 || idx >= table_.size() || table_[idx].get() != ev)
+    return Status::kNotFound;
+  table_[idx].reset();
+  return Status::kOk;
+}
+
+std::unique_ptr<E4Event> Elan4Device::make_event(std::string name) {
+  return std::make_unique<E4Event>(net_.engine(), params(), &nic(),
+                                   std::move(name));
 }
 
 Status Elan4Device::set_event(E4Event* ev) {
@@ -168,10 +173,10 @@ void Elan4Device::close() {
   if (closed_) return;
   for (int id : my_queues_) nic().destroy_queue(id);
   my_queues_.clear();
-  // The context's event table holds only this device's events: it goes
-  // whole (the objects live until the device does), so the next process to
-  // claim the context starts from an empty one.
-  nic().clear_events(ctx_);
+  // The context's event table goes with it (the events live until the
+  // device does), so the next process to claim the context starts from an
+  // empty one.
+  nic().attach_event_table(ctx_, nullptr);
   net_.capability().release(vpid_);
   closed_ = true;
 }

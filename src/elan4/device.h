@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -55,16 +54,17 @@ class Elan4Device {
         abort);
   }
 
-  // --- Events (allocated in "elan memory"; live until close() or an
-  // explicit free_event()) ---
-  // Events are also registered in the NIC's per-context global event table;
-  // symmetric allocation order across processes yields matching indices.
-  // free_event() returns the table slot to a free list (lowest index reused
-  // first), so symmetric alloc/free histories stay index-aligned. The
-  // caller must quiesce completions targeting the event first.
+  // --- Events (allocated in "elan memory") ---
+  // Table events fill this context's global event table, where remote
+  // commands find them by E4Event::index(). alloc_event() takes the lowest
+  // empty slot and free_event() empties one, so symmetric alloc/free
+  // histories yield symmetric indices; the caller quiesces completions
+  // targeting the event first. The device owns them until freed.
   E4Event* alloc_event(std::string name);
   Status free_event(E4Event* ev);
-  int last_event_index() const { return last_event_index_; }
+  // Op events are found only by pointer (a command's local or remote
+  // event): they take no table slot, and the op that posts one owns it.
+  std::unique_ptr<E4Event> make_event(std::string name);
   // Host SETEVENT command: one PIO word, then the NIC fires `ev` (the cheap
   // host->NIC arrival signal of the NIC-offloaded collectives).
   Status set_event(E4Event* ev);
@@ -107,10 +107,10 @@ class Elan4Device {
   void charge_poll();
 
   // Release the context back to the system capability, its queues and its
-  // events' slots in the NIC's event table with it. The caller is
-  // responsible for quiescing traffic first (paper §4.1: finalization only
-  // after pending messages complete, else a leftover DMA can regenerate
-  // traffic indefinitely).
+  // event table with it (the events live on with the device). The caller
+  // is responsible for quiescing traffic first (paper §4.1: finalization
+  // only after pending messages complete, else a leftover DMA can
+  // regenerate traffic indefinitely).
   void close();
 
  private:
@@ -120,12 +120,7 @@ class Elan4Device {
   Vpid vpid_;
   ContextId ctx_;
   bool closed_ = false;
-  int last_event_index_ = -1;
-  struct EventEntry {
-    std::unique_ptr<E4Event> ev;
-    int index;
-  };
-  std::deque<EventEntry> events_;
+  Elan4Nic::EventTable table_;  // the context's event table, by index
   std::vector<int> my_queues_;
 };
 

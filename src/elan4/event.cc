@@ -8,8 +8,9 @@
 namespace oqs::elan4 {
 
 E4Event::E4Event(sim::Engine& engine, const ModelParams& params, Elan4Nic* nic,
-                 std::string name)
-    : engine_(engine), params_(params), nic_(nic), name_(std::move(name)) {}
+                 std::string name, int index)
+    : engine_(engine), params_(params), nic_(nic), name_(std::move(name)),
+      index_(index) {}
 
 void E4Event::wait_block() {
   while (!done_) {

@@ -33,9 +33,12 @@ class Elan4Nic;
 class E4Event {
  public:
   E4Event(sim::Engine& engine, const ModelParams& params, Elan4Nic* nic,
-          std::string name);
+          std::string name, int index = -1);
 
   const std::string& name() const { return name_; }
+  // A table event's slot, by which remote commands name it; -1 for an op
+  // event, which only the command that carries it can find.
+  int index() const { return index_; }
 
   // Host-side arm: the event triggers after `count` fire()s.
   void init(int count) {
@@ -78,6 +81,7 @@ class E4Event {
   const ModelParams& params_;
   Elan4Nic* nic_;
   std::string name_;
+  const int index_;
   int count_ = 0;
   bool done_ = false;
   Status status_ = Status::kOk;

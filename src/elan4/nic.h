@@ -8,10 +8,10 @@
 // emergent rather than curve-fit.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "base/params.h"
@@ -86,56 +86,36 @@ class Elan4Nic {
 
   Mmu& mmu(ContextId ctx) { return mmus_[ctx]; }
 
-  // Global event table: events allocated in symmetric order get the same
-  // index in every context — the "global virtual address space" analogue
-  // that hardware broadcast completion relies on (paper §4.1). Freed slots
-  // go on a per-context free list and the lowest index is reused first, so
-  // symmetric alloc/free histories keep yielding symmetric indices.
-  int register_event(ContextId ctx, E4Event* ev) {
-    auto& tab = event_table_[ctx];
-    auto& free = event_free_[ctx];
-    if (!free.empty()) {
-      const int idx = *free.begin();
-      free.erase(free.begin());
-      tab[static_cast<std::size_t>(idx)] = ev;
-      return idx;
-    }
-    tab.push_back(ev);
-    return static_cast<int>(tab.size()) - 1;
+  // Global event table: table events (Elan4Device::alloc_event) allocated
+  // in symmetric order get the same index in every context — the "global
+  // virtual address space" analogue that hardware broadcast completion
+  // relies on (paper §4.1). Per-op events are never registered, so
+  // point-to-point history cannot shift an index. Each open context's
+  // table is its device's, attached until the context is released (a
+  // null table detaches it); an index with no event resolves to nullptr.
+  using EventTable = std::vector<std::unique_ptr<E4Event>>;
+  void attach_event_table(ContextId ctx, const EventTable* table) {
+    if (table != nullptr)
+      event_tables_[ctx] = table;
+    else
+      event_tables_.erase(ctx);
   }
-  // Release a table slot. In-flight completions targeting the index resolve
-  // to nullptr (and count as rx_drops) — callers quiesce first.
-  void unregister_event(ContextId ctx, int index) {
-    auto it = event_table_.find(ctx);
-    if (it == event_table_.end() || index < 0 ||
-        index >= static_cast<int>(it->second.size()))
-      return;
-    it->second[static_cast<std::size_t>(index)] = nullptr;
-    event_free_[ctx].insert(index);
-  }
-  // Empty a released context's table.
-  void clear_events(ContextId ctx) {
-    event_table_.erase(ctx);
-    event_free_.erase(ctx);
-  }
-  E4Event* event_at(ContextId ctx, int index) {
-    auto it = event_table_.find(ctx);
-    if (it == event_table_.end() || index < 0 ||
-        index >= static_cast<int>(it->second.size()))
+  E4Event* event_at(ContextId ctx, int index) const {
+    const EventTable* tab = event_table(ctx);
+    if (tab == nullptr || index < 0 || index >= static_cast<int>(tab->size()))
       return nullptr;
-    return it->second[static_cast<std::size_t>(index)];
+    return (*tab)[static_cast<std::size_t>(index)].get();
   }
   // Diagnostics for leak regression tests: table extent and live entries.
   std::size_t event_table_size(ContextId ctx) const {
-    auto it = event_table_.find(ctx);
-    return it == event_table_.end() ? 0 : it->second.size();
+    const EventTable* tab = event_table(ctx);
+    return tab == nullptr ? 0 : tab->size();
   }
   std::size_t event_table_live(ContextId ctx) const {
-    auto it = event_table_.find(ctx);
-    if (it == event_table_.end()) return 0;
-    std::size_t live = 0;
-    for (const E4Event* ev : it->second) live += ev != nullptr ? 1 : 0;
-    return live;
+    const EventTable* tab = event_table(ctx);
+    if (tab == nullptr) return 0;
+    return static_cast<std::size_t>(std::count_if(
+        tab->begin(), tab->end(), [](const auto& ev) { return ev != nullptr; }));
   }
 
   // Diagnostics.
@@ -197,8 +177,11 @@ class Elan4Nic {
   SerialEngine tx_;
   SerialEngine rx_;
   std::map<ContextId, Mmu> mmus_;
-  std::map<ContextId, std::vector<E4Event*>> event_table_;
-  std::map<ContextId, std::set<int>> event_free_;
+  const EventTable* event_table(ContextId ctx) const {
+    auto it = event_tables_.find(ctx);
+    return it == event_tables_.end() ? nullptr : it->second;
+  }
+  std::map<ContextId, const EventTable*> event_tables_;
   std::map<int, std::unique_ptr<QdmaQueue>> queues_;
   int next_queue_id_ = 1;
   std::uint64_t commands_ = 0;

@@ -182,7 +182,6 @@ class Colls {
     std::vector<std::uint8_t> ring;  // kBcastSlots slots of slot_bytes
     elan4::E4Addr ring_addr = elan4::kNullE4Addr;
     elan4::E4Event* arrive[kBcastSlots] = {};
-    std::int32_t arrive_index[kBcastSlots] = {};
     elan4::E4Event* injected = nullptr;
     std::vector<elan4::Vpid> vpids;  // by comm rank
     std::uint64_t round = 0;

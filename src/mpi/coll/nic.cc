@@ -86,9 +86,9 @@ Status Colls::ensure_nic(Communicator& c, NicState& st, std::vector<int> group) 
       st.acc_addr[s] = st.dev->map(st.acc[s].data(), elems * sizeof(double));
       st.res_addr[s] = st.dev->map(st.res[s].data(), elems * sizeof(double));
       st.up[s] = st.dev->alloc_event("coll-up" + std::to_string(s));
-      mine.up[s] = st.dev->last_event_index();
+      mine.up[s] = st.up[s]->index();
       st.down[s] = st.dev->alloc_event("coll-down" + std::to_string(s));
-      mine.down[s] = st.dev->last_event_index();
+      mine.down[s] = st.down[s]->index();
       st.drain[s] = st.dev->alloc_event("coll-drain" + std::to_string(s));
       mine.acc[s] = st.acc_addr[s];
       mine.res[s] = st.res_addr[s];
@@ -256,9 +256,8 @@ Status Colls::build_hw_bcast(Communicator& c, HwBcastState& hb,
     hb.ring_addr = hb.dev->map(hb.ring.data(), hb.ring.size());
     for (int s = 0; s < kBcastSlots; ++s) {
       hb.arrive[s] = hb.dev->alloc_event("hwb-arrive" + std::to_string(s));
-      hb.arrive_index[s] = hb.dev->last_event_index();
       hb.arrive[s]->init(1);
-      mine.arrive[s] = hb.arrive_index[s];
+      mine.arrive[s] = hb.arrive[s]->index();
     }
     hb.injected = hb.dev->alloc_event("hwb-inject");
     mine.vpid = hb.dev->vpid();
@@ -321,7 +320,7 @@ Status Colls::hw_bcast(Communicator& c, HwBcastState& hb, void* buf,
       if (r != root) group.push_back(hb.vpids[static_cast<std::size_t>(r)]);
     hb.injected->init(1);
     dev.hw_broadcast(group, hb.ring_addr + off,
-                     static_cast<std::uint32_t>(bytes), hb.arrive_index[slot],
+                     static_cast<std::uint32_t>(bytes), hb.arrive[slot]->index(),
                      hb.injected);
     dev.wait_event(hb.injected);
   } else {

@@ -41,11 +41,11 @@ Status Window::put(int target_rank, const void* src, std::size_t len,
   if (len == 0) return Status::kOk;
 
   const elan4::E4Addr src_addr = dev_->map(const_cast<void*>(src), len);
-  elan4::E4Event* ev = dev_->alloc_event("win-put");
+  std::unique_ptr<elan4::E4Event> ev = dev_->make_event("win-put");
   ev->init(1);
   dev_->rdma_write(peer_vpid_[t], src_addr, peer_addr_[t] + target_offset,
-                   static_cast<std::uint32_t>(len), ev);
-  pending_.push_back({ev, src_addr});
+                   static_cast<std::uint32_t>(len), ev.get());
+  pending_.push_back({std::move(ev), src_addr});
   return Status::kOk;
 }
 
@@ -57,26 +57,28 @@ Status Window::get(int target_rank, void* dst, std::size_t len,
   if (len == 0) return Status::kOk;
 
   const elan4::E4Addr dst_addr = dev_->map(dst, len);
-  elan4::E4Event* ev = dev_->alloc_event("win-get");
+  std::unique_ptr<elan4::E4Event> ev = dev_->make_event("win-get");
   ev->init(1);
   dev_->rdma_read(peer_vpid_[t], peer_addr_[t] + source_offset, dst_addr,
-                  static_cast<std::uint32_t>(len), ev);
-  pending_.push_back({ev, dst_addr});
+                  static_cast<std::uint32_t>(len), ev.get());
+  pending_.push_back({std::move(ev), dst_addr});
   return Status::kOk;
 }
 
-void Window::fence() {
+Status Window::fence() {
   // Local completion of an Elan4 RDMA write arrives with the network-level
   // ack, i.e. after remote placement — so draining our descriptors is
   // enough for our puts to be visible at their targets.
+  Status st = Status::kOk;
   for (const PendingOp& op : pending_) {
-    dev_->wait_event(op.event);
-    assert(ok(op.event->status()) && "RMA operation faulted");
+    dev_->wait_event(op.event.get());
+    if (ok(st)) st = op.event->status();
     dev_->unmap(op.mapped);
   }
   pending_.clear();
   // Everyone's accesses for this epoch are complete before anyone proceeds.
   comm_.barrier();
+  return st;
 }
 
 }  // namespace oqs::mpi

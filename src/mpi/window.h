@@ -4,15 +4,16 @@
 // directly onto the Elan4 primitives the PTL already exercises: window
 // creation registers the exposed region with the NIC MMU and allgathers the
 // (VPID, E4_Addr) pairs; put/get issue RDMA write/read descriptors against
-// the target's exposed address; fence polls the descriptors' events to
-// local completion (which on Elan4 implies remote placement for writes)
-// and closes the epoch with a barrier.
+// the target's exposed address, each with an event of its own; fence polls
+// those events to local completion (which on Elan4 implies remote placement
+// for writes), frees them and closes the epoch with a barrier.
 //
 // Active-target BSP style only (fence epochs) — the synchronization modes
 // MPICH-QsNetII-era applications used.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "elan4/device.h"
@@ -41,13 +42,15 @@ class Window {
 
   // Close the epoch: drain all outstanding RMA issued by this rank, then
   // synchronize the group so everyone's exposure epoch advances together.
-  void fence();
+  // Returns the first failed op's status (kFault: the target region was
+  // unmapped), after the closing barrier all the same.
+  Status fence();
 
   std::size_t pending() const { return pending_.size(); }
 
  private:
   struct PendingOp {
-    elan4::E4Event* event;
+    std::unique_ptr<elan4::E4Event> event;  // freed once the op completed
     elan4::E4Addr mapped;  // temporary mapping of the local buffer
   };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "base/log.h"
 #include "obs/metrics.h"
@@ -315,24 +316,6 @@ Elan4Endpoint* PtlElan4::wait_for_window(int gid) {
   return ep;
 }
 
-void PtlElan4::arm_completion(E4Event* ev, std::uint64_t id) {
-  if (opts_.completion == Completion::kDirectPoll) {
-    poll_list_.emplace_back(id, ev);
-    poll_list_changed_.notify();
-    return;
-  }
-  // Chain a small QDMA to the descriptor that lands in our own queue — the
-  // shared-completion-queue mechanism of Fig. 6.
-  MatchHeader hdr;
-  hdr.kind = FragKind::kComplete;
-  hdr.flags = pml::kFlagControl;
-  hdr.cookie = id;
-  hdr.src_gid = hdr.dst_gid = pml_.ctx().gid;
-  const elan4::QdmaQueue* q =
-      opts_.completion == Completion::kSharedSeparate ? comp_q_ : recv_q_;
-  ev->chain(header_qdma(device_->vpid(), q->id(), hdr));
-}
-
 QdmaCmd PtlElan4::header_qdma(Vpid vpid, int queue,
                               const MatchHeader& hdr) const {
   QdmaCmd cmd;
@@ -381,23 +364,19 @@ void PtlElan4::send_first(pml::SendRequest& req) {
   const bool defer_completion =
       track_recycle && opts_.progress != Progress::kInterrupt;
   if (track_recycle) {
-    E4Event* ev = nullptr;
-    if (defer_completion) {
-      // Only a purge (peer death, halt) fails the send: the event reports
-      // the frame's injection, after which the QDMA is the NIC's.
-      auto done = [this, &req](Status st) {
+    std::function<void(Status)> done;
+    // Only a purge (peer death, halt) fails a deferred send: the event
+    // reports the frame's injection, after which the QDMA is the NIC's.
+    if (defer_completion)
+      done = [this, &req](Status st) {
         if (st == Status::kErrProcFailed) return req.fail(st);
         pml_.send_progress(req, req.total_bytes());
       };
-      track(peer, elan4::kNullE4Addr, std::move(done), nullptr, &ev);
-    } else {
-      ev = device_->alloc_event("sendbuf");
-      ev->init(1);
-      arm_completion(ev, kRecycleCookie);
-    }
     // The recycle event fires on the frame's injection; attach it by
     // posting through the same path the descriptor would use.
-    recycle_event_ = ev;
+    track(peer,
+          defer_completion ? NicOp::State::kPending : NicOp::State::kRecycle,
+          elan4::kNullE4Addr, std::move(done), nullptr, &recycle_event_);
   }
   post_frame(peer, req.hdr, nullptr, 0, payload.data(), payload.size());
   recycle_event_ = nullptr;
@@ -428,13 +407,15 @@ pml::RdvShape PtlElan4::rendezvous_shape() const {
   return shape;
 }
 
-std::uint64_t PtlElan4::track(const Elan4Endpoint& peer, E4Addr dst_addr,
-                               std::function<void(Status)> done,
+std::uint64_t PtlElan4::track(const Elan4Endpoint& peer, NicOp::State state,
+                               E4Addr dst_addr, std::function<void(Status)> done,
                                const MatchHeader* fin, E4Event** ev) {
-  *ev = device_->alloc_event("local-op");
-  (*ev)->init(1);
-  LocalOp op;
-  op.event = *ev;
+  const std::uint64_t id = next_id_++;
+  NicOp& op = ops_[id];
+  op.event = device_->make_event("local-op");
+  op.event->init(1);
+  *ev = op.event.get();
+  op.state = state;
   op.done = std::move(done);
   op.gid = peer.gid;
   op.dst_addr = dst_addr;
@@ -446,10 +427,24 @@ std::uint64_t PtlElan4::track(const Elan4Endpoint& peer, E4Addr dst_addr,
     else
       op.fin = *fin;
   }
-  const std::uint64_t id = next_id_++;
-  local_ops_.emplace(id, std::move(op));
-  changed_.notify();
-  arm_completion(*ev, id);
+  if (state == NicOp::State::kPending) {
+    ++pending_;
+    changed_.notify();
+  }
+  if (opts_.completion == Completion::kDirectPoll) {
+    polled_changed_.notify();
+    return id;
+  }
+  // Chain a small QDMA to the descriptor that lands in our own queue — the
+  // shared-completion-queue mechanism of Fig. 6.
+  MatchHeader hdr;
+  hdr.kind = FragKind::kComplete;
+  hdr.flags = pml::kFlagControl;
+  hdr.cookie = id;
+  hdr.src_gid = hdr.dst_gid = pml_.ctx().gid;
+  const elan4::QdmaQueue* q =
+      opts_.completion == Completion::kSharedSeparate ? comp_q_ : recv_q_;
+  (*ev)->chain(header_qdma(device_->vpid(), q->id(), hdr));
   return id;
 }
 
@@ -462,7 +457,8 @@ std::uint64_t PtlElan4::stripe_pull(int gid, std::uint64_t region,
   if (peer == nullptr) return 0;
   const E4Addr dst_addr = device_->map(dst, len);
   E4Event* ev = nullptr;
-  const std::uint64_t id = track(*peer, dst_addr, std::move(done), fin, &ev);
+  const std::uint64_t id = track(*peer, NicOp::State::kPending, dst_addr,
+                                 std::move(done), fin, &ev);
   tx_bytes_ += len;
   device_->rdma_read(peer->vpid, static_cast<E4Addr>(region) + offset,
                      dst_addr, static_cast<std::uint32_t>(len), ev);
@@ -476,8 +472,8 @@ std::uint64_t PtlElan4::stripe_put(int gid, std::uint64_t region,
   Elan4Endpoint* peer = live_peer(gid);
   if (peer == nullptr) return 0;
   E4Event* ev = nullptr;
-  const std::uint64_t id =
-      track(*peer, elan4::kNullE4Addr, std::move(done), fin, &ev);
+  const std::uint64_t id = track(*peer, NicOp::State::kPending,
+                                 elan4::kNullE4Addr, std::move(done), fin, &ev);
   tx_bytes_ += len;
   device_->rdma_write(peer->vpid, static_cast<E4Addr>(region),
                       static_cast<E4Addr>(remote),
@@ -486,15 +482,13 @@ std::uint64_t PtlElan4::stripe_put(int gid, std::uint64_t region,
 }
 
 void PtlElan4::stripe_cancel(std::uint64_t pull_id) {
-  auto it = local_ops_.find(pull_id);
-  if (it == local_ops_.end()) return;
-  if (it->second.dst_addr != elan4::kNullE4Addr)
-    device_->unmap(it->second.dst_addr);
+  auto it = ops_.find(pull_id);
+  if (it == ops_.end() || it->second.state != NicOp::State::kPending) return;
   // Abandoned, not forgotten: the RDMA may still be in flight toward this
-  // context, so teardown waits for its event (still polled or chained)
-  // unless the peer or the rail died (leave's quiesce excuses those).
-  orphans_.emplace(pull_id, it->second.gid);
-  local_ops_.erase(it);
+  // context, so the op keeps its event (still polled or chained) and
+  // teardown waits for it unless the peer or the rail died (leave's
+  // quiesce excuses those).
+  retire(it->second, NicOp::State::kCancelled);
   changed_.notify();
 }
 
@@ -505,28 +499,26 @@ void PtlElan4::bml_post(int gid, const MatchHeader& hdr, const void* body,
 }
 
 void PtlElan4::handle_local_complete(std::uint64_t id) {
-  if (id == kRecycleCookie) {
+  // The one place an op leaves ops_, and only once its event triggered.
+  auto it = ops_.find(id);
+  if (it == ops_.end() || !it->second.event->done()) return;
+  NicOp op = std::move(it->second);
+  ops_.erase(it);
+  if (op.state == NicOp::State::kRecycle) {
     // A 2KB send buffer returned to the pool.
     OQS_METRIC_INC("ptl.sendbuf.recycled");
     return;
   }
   OQS_TRACE_INSTANT(node_, "ptl", "local_complete", "cookie", id);
-  if (auto it = local_ops_.find(id); it != local_ops_.end()) {
-    LocalOp op = std::move(it->second);
-    local_ops_.erase(it);
-    changed_.notify();
-    // Unchained: the host posts the FIN first, then tidies up.
-    if (op.fin) bml_post(op.gid, *op.fin, nullptr, 0);
-    if (op.dst_addr != elan4::kNullE4Addr) device_->unmap(op.dst_addr);
-    // The event's status: an RDMA that touched an unmapped region faulted.
-    if (op.done) op.done(op.event->status());
-    return;
-  }
-  if (orphans_.erase(id) > 0) {
-    changed_.notify();
-    return;
-  }
-  log::warn(name_, "completion for unknown op ", id);
+  if (op.state == NicOp::State::kCancelled) changed_.notify();
+  if (op.state != NicOp::State::kPending) return;
+  --pending_;
+  changed_.notify();
+  // Unchained: the host posts the FIN first, then tidies up.
+  if (op.fin) bml_post(op.gid, *op.fin, nullptr, 0);
+  if (op.dst_addr != elan4::kNullE4Addr) device_->unmap(op.dst_addr);
+  // The event's status: an RDMA that touched an unmapped region faulted.
+  if (op.done) op.done(op.event->status());
 }
 
 // ---------------------------------------------------------- progress ----
@@ -648,11 +640,6 @@ void PtlElan4::handle_frame(elan4::QdmaQueue::Slot&& slot) {
   }
 }
 
-void PtlElan4::unpoll(std::uint64_t id) {
-  std::erase_if(poll_list_, [id](const auto& e) { return e.first == id; });
-  poll_list_changed_.notify();
-}
-
 int PtlElan4::drain(elan4::QdmaQueue* q, bool paid) {
   int n = 0;
   elan4::QdmaQueue::Slot slot;
@@ -665,26 +652,33 @@ int PtlElan4::drain(elan4::QdmaQueue* q, bool paid) {
 }
 
 int PtlElan4::poll_direct(std::size_t first, bool paid) {
-  if (poll_list_.empty()) return 0;
-  int n = 0;
+  // The first polled op with an id >= `id`.
+  auto polled_from = [this](std::uint64_t id) {
+    auto it = ops_.lower_bound(id);
+    while (it != ops_.end() && !it->second.polled()) ++it;
+    return it;
+  };
+  auto it = polled_from(0);
+  for (; it != ops_.end() && first > 0; --first) it = polled_from(it->first + 1);
   std::vector<std::uint64_t> ready;
   // charge_poll() suspends this fiber while the CPU cost is charged, and
   // other fibers (the BML stripe watchdog re-issuing or cancelling pulls)
-  // mutate poll_list_ in that window — so never hold an iterator across it.
-  for (std::size_t i = first; i < poll_list_.size(); paid = false) {
+  // change ops_ in that window — so never hold an iterator across it: the
+  // op to probe is found again by id after each charge.
+  for (; it != ops_.end(); paid = false) {
+    const std::uint64_t id = it->first;
     if (!paid) device_->charge_poll();
-    if (i >= poll_list_.size()) break;  // list shrank while suspended
-    if (poll_list_[i].second->done()) {
-      ready.push_back(poll_list_[i].first);
-      poll_list_.erase(poll_list_.begin() + static_cast<std::ptrdiff_t>(i));
-      ++n;
-    } else {
-      ++i;
+    it = polled_from(id);
+    if (it == ops_.end()) break;  // nothing left to probe
+    if (it->second.event->done()) {
+      it->second.reaped = true;
+      ready.push_back(it->first);
     }
+    it = polled_from(it->first + 1);
   }
-  if (n > 0) poll_list_changed_.notify();
+  if (!ready.empty()) polled_changed_.notify();
   for (std::uint64_t id : ready) handle_local_complete(id);
-  return n;
+  return static_cast<int>(ready.size());
 }
 
 int PtlElan4::progress() { return sweep(0, false); }
@@ -710,9 +704,10 @@ int PtlElan4::watch(sim::IdleWait& w) {
     ++points;
   }
   if (opts_.completion != Completion::kDirectPoll) return points;
-  if (!w.watch(&poll_list_changed_)) return -1;
-  for (const auto& [id, ev] : poll_list_) {
-    if (!w.watch(&ev->signal())) return -1;
+  if (!w.watch(&polled_changed_)) return -1;
+  for (const auto& [id, op] : ops_) {
+    if (!op.polled()) continue;
+    if (!w.watch(&op.event->signal())) return -1;
     ++points;
   }
   return points;
@@ -722,8 +717,8 @@ bool PtlElan4::quiet() const {
   for (const elan4::QdmaQueue* q : {recv_q_, comp_q_})
     if (q != nullptr && q->has_pending()) return false;
   if (opts_.completion != Completion::kDirectPoll) return true;
-  for (const auto& [id, ev] : poll_list_)
-    if (ev->done()) return false;
+  for (const auto& [id, op] : ops_)
+    if (op.polled() && op.event->done()) return false;
   return true;
 }
 
@@ -815,9 +810,10 @@ void PtlElan4::leave() {
   // BML cancels the doomed ones before it lets the rails finalize, and a
   // cancelled one still lands here unless its peer or the rail died.
   auto quiet = [this] {
-    return !active() &&
-           std::all_of(orphans_.begin(), orphans_.end(),
-                       [this](const auto& o) { return excused(o.second); });
+    return !active() && std::all_of(ops_.begin(), ops_.end(), [this](auto& e) {
+      return e.second.state != NicOp::State::kCancelled ||
+             excused(e.second.gid);
+    });
   };
   host.wait_until(wait_cadence(), sim::watched(&changed_, quiet), wait_plan(),
                   sim::watched(pml_.abort_signal, quiet));
@@ -900,22 +896,31 @@ void PtlElan4::peer_failed(int gid) {
     changed_.notify();
   }
   // Fail what is in flight toward the dead peer: the completions and FINs
-  // it would take part in can never arrive. (A callback may drop other
-  // entries, so collect first.)
-  std::vector<std::uint64_t> doomed;
-  for (auto& [id, op] : local_ops_)
-    if (op.gid == gid) doomed.push_back(id);
-  for (std::uint64_t id : doomed) {
-    auto it = local_ops_.find(id);
-    if (it == local_ops_.end()) continue;
-    LocalOp op = std::move(it->second);
-    local_ops_.erase(it);
-    changed_.notify();
-    unpoll(id);
+  // it would take part in can never arrive.
+  purge([gid](const NicOp& op) { return op.gid == gid; });
+}
+
+void PtlElan4::purge(const std::function<bool(const NicOp&)>& doomed) {
+  // Callbacks run last: one may cancel or purge other entries.
+  std::vector<std::function<void(Status)>> fail;
+  for (auto& [id, op] : ops_) {
+    if (op.state != NicOp::State::kPending || !doomed(op)) continue;
+    fail.push_back(retire(op, NicOp::State::kPurged));
     OQS_METRIC_INC("ptl.failure.ops_purged");
-    if (op.dst_addr != elan4::kNullE4Addr) device_->unmap(op.dst_addr);
-    if (op.done) op.done(Status::kErrProcFailed);
   }
+  changed_.notify();
+  polled_changed_.notify();
+  for (auto& done : fail)
+    if (done) done(Status::kErrProcFailed);
+}
+
+std::function<void(Status)> PtlElan4::retire(NicOp& op, NicOp::State state) {
+  if (op.state == NicOp::State::kPending) --pending_;
+  op.state = state;
+  op.fin.reset();
+  if (op.dst_addr != elan4::kNullE4Addr) device_->unmap(op.dst_addr);
+  op.dst_addr = elan4::kNullE4Addr;
+  return std::exchange(op.done, nullptr);
 }
 
 void PtlElan4::wake() {
@@ -939,16 +944,7 @@ void PtlElan4::halt() {
   // peers' frames keep landing in the receive queue (bounded by their send
   // windows) until teardown closes it; handle_frame never reads them.
   // The BML halted first, so only eager sends' callbacks still act.
-  std::map<std::uint64_t, LocalOp> ops = std::move(local_ops_);
-  local_ops_.clear();
-  changed_.notify();
-  for (auto& [id, op] : ops) {
-    if (op.dst_addr != elan4::kNullE4Addr) device_->unmap(op.dst_addr);
-    if (op.done) op.done(Status::kErrProcFailed);
-  }
-  orphans_.clear();
-  poll_list_.clear();
-  poll_list_changed_.notify();
+  purge([](const NicOp&) { return true; });
   // Endpoints are retired, never erased: a timer walk suspended mid-map
   // (it charges while posting) must find its iterator still valid.
   for (auto& [gid, peer] : peers_) peer.alive = false;

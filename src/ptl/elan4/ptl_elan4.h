@@ -96,7 +96,7 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
     return opts_.progress == Progress::kInterrupt;
   }
   int progress_blocking() override;
-  bool active() const override { return held_ > 0 || !local_ops_.empty(); }
+  bool active() const override { return held_ > 0 || pending_ > 0; }
   void leave() override;
   void finalize() override;
   bool threaded() const override {
@@ -128,7 +128,9 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   const Options& options() const { return opts_; }
   int rail() const { return rail_; }
   elan4::Elan4Device& device() { return *device_; }
-  std::size_t pending_ops() const { return local_ops_.size(); }
+  // Ops awaited (active()'s count), and in-flight ops, each owning an event.
+  std::size_t pending_ops() const { return pending_; }
+  std::size_t live_op_events() const { return ops_.size(); }
   std::uint64_t frames_dropped() const { return counters_.frames_dropped; }
   std::uint64_t retransmissions() const { return counters_.retransmissions; }
   std::uint64_t dup_frames() const { return counters_.dup_frames; }
@@ -142,16 +144,28 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   }
 
  private:
-  // An operation waiting on its local NIC event: a BML stripe RDMA (a pull
-  // into a mapped slice, or a put), or an eager send whose completion the
-  // shared completion queue reports.
-  struct LocalOp {
-    elan4::E4Event* event = nullptr;
+  // An in-flight NIC op and the local event it owns: a BML stripe RDMA (a
+  // pull into a mapped slice, or a put), an eager send whose completion the
+  // shared completion queue reports, or a send buffer's recycling. It
+  // leaves ops_ only once its event triggered, or with this module, so the
+  // NIC never fires a freed event.
+  struct NicOp {
+    enum class State {
+      kPending,    // runs `done` at completion; counts toward active()
+      kRecycle,    // a send buffer returning to the pool; nothing waits
+      kCancelled,  // stripe_cancel dropped `done`; leave() awaits the RDMA
+      kPurged,     // failed by peer_failed or halt; not polled, not awaited
+    };
+    std::unique_ptr<elan4::E4Event> event;
+    State state = State::kPending;
+    bool reaped = false;  // a direct-poll sweep saw the event trigger
     std::function<void(Status)> done;  // runs with the event's status
     int gid = -1;  // the peer (dead-peer purge)
     elan4::E4Addr dst_addr = elan4::kNullE4Addr;  // pull landing mapping
     // Unchained FIN, posted by the host at local completion.
     std::optional<pml::MatchHeader> fin;
+    // The direct-poll sweep probes it.
+    bool polled() const { return state != State::kPurged && !reaped; }
   };
 
   void post_frame(Elan4Endpoint& peer, const pml::MatchHeader& hdr,
@@ -190,21 +204,24 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   void handle_frame(elan4::QdmaQueue::Slot&& slot);
   void handle_local_complete(std::uint64_t id);
 
-  // Track an operation toward `peer` until its new local event `*ev` fires,
-  // with its FIN (chained to the event, or kept for the host). Returns the
-  // op id; the caller posts the command that fires `*ev`.
-  std::uint64_t track(const Elan4Endpoint& peer, elan4::E4Addr dst_addr,
-                      std::function<void(Status)> done,
+  // Track an op toward `peer` in `state` until its new local event `*ev`
+  // fires, with its FIN (chained to the event, or kept for the host), and
+  // attach the completion plumbing (a chained completion QDMA, or direct
+  // polling). Returns the op id; the caller posts the command that fires
+  // `*ev`.
+  std::uint64_t track(const Elan4Endpoint& peer, NicOp::State state,
+                      elan4::E4Addr dst_addr, std::function<void(Status)> done,
                       const pml::MatchHeader* fin, elan4::E4Event** ev);
-  // Attach completion plumbing (chained QDMAs / poll registration) to an
-  // RDMA local event for op `id`.
-  void arm_completion(elan4::E4Event* ev, std::uint64_t id);
+  // Move an op to `state` (kCancelled or kPurged): its mapping, FIN and
+  // callback (returned) go; its event stays until it fires.
+  std::function<void(Status)> retire(NicOp& op, NicOp::State state);
+  // Fail every pending op `doomed` picks with kErrProcFailed.
+  void purge(const std::function<bool(const NicOp&)>& doomed);
   // Drain q: one charged poll per probe, the first already paid if `paid`.
   int drain(elan4::QdmaQueue* q, bool paid);
-  // Walk poll_list_ from index `first` (its charge already paid if `paid`).
+  // Probe the polled ops from the `first`-th on, in id order (its charge
+  // already paid if `paid`).
   int poll_direct(std::size_t first, bool paid);
-  // Drop op id's poll-list registrations.
-  void unpoll(std::uint64_t id);
   // Post a self-addressed goodbye that wakes a reader blocked on the
   // receive queue (and, threaded, the completion queue).
   void nudge(std::uint64_t cookie = 0);
@@ -225,14 +242,12 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   elan4::QdmaQueue* recv_q_ = nullptr;
   elan4::QdmaQueue* comp_q_ = nullptr;  // Two-Queue variant
   std::map<int, Elan4Endpoint> peers_;
-  std::map<std::uint64_t, LocalOp> local_ops_;
-  // Ops stripe_cancel abandoned whose RDMA may still be in flight: id ->
-  // peer gid.
-  std::map<std::uint64_t, int> orphans_;
-  // Ops with events to poll in kDirectPoll mode: (op id, event).
-  std::vector<std::pair<std::uint64_t, elan4::E4Event*>> poll_list_;
-  // Notified on every change to poll_list_ (the shape of the idle round).
-  sim::Signal poll_list_changed_;
+  // In-flight NIC ops by id: ids grow, so this is also the poll order.
+  std::map<std::uint64_t, NicOp> ops_;
+  std::size_t pending_ = 0;  // ops_ entries in State::kPending
+  // Notified whenever the set of polled ops changes (the shape of the idle
+  // round in kDirectPoll mode).
+  sim::Signal polled_changed_;
   std::uint64_t next_id_ = 1;
   std::uint64_t tx_bytes_ = 0;
   // Local event attached to the next post_frame (send-buffer recycling).
@@ -252,9 +267,6 @@ class PtlElan4 final : public pml::Ptl, public sim::PollPlan {
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   // Installed by the World: reports gid suspect to the failure detector.
   std::function<void(int)> on_peer_suspect_;
-
-  // Reserved completion cookie: send-buffer recycling, no pending op.
-  static constexpr std::uint64_t kRecycleCookie = 0;
 };
 
 }  // namespace oqs::ptl_elan4

@@ -42,7 +42,7 @@ TEST_F(HwBcastFixture, DeliversToAllMembersAndFiresEvents) {
     }
     ASSERT_EQ(addrs[0], addrs[1]);
     ASSERT_EQ(addrs[0], addrs[3]);
-    const int idx = devs[0]->last_event_index();
+    const int idx = evs[0]->index();
 
     E4Event* done = devs[0]->alloc_event("inject");
     done->init(1);
@@ -71,7 +71,7 @@ TEST_F(HwBcastFixture, LatencyFlatInFanout) {
         evs.back()->init(1);
       }
       for (int i = 1; i <= members; ++i) group.push_back(devs[static_cast<std::size_t>(i)]->vpid());
-      const int idx = devs[0]->last_event_index();
+      const int idx = evs[0]->index();
       const sim::Time t0 = engine.now();
       devs[0]->hw_broadcast(group, addrs[0], 1024, idx, nullptr);
       evs[static_cast<std::size_t>(members)]->wait_block();  // farthest member
@@ -97,7 +97,7 @@ TEST_F(HwBcastFixture, DeadMembersAreSkipped) {
       evs.push_back(devs[static_cast<std::size_t>(i)]->alloc_event("e"));
       evs.back()->init(1);
     }
-    const int idx = devs[0]->last_event_index();
+    const int idx = evs[0]->index();
     const Vpid dead = devs[2]->vpid();
     devs[2]->close();
     devs[0]->hw_broadcast({devs[1]->vpid(), dead, devs[3]->vpid()}, addrs[0],

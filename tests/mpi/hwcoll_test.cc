@@ -72,15 +72,15 @@ TEST(HwBcast, RotatingRootsStaySymmetric) {
 }
 
 TEST(HwBcast, AsymmetricHistoryFallsBack) {
-  // Rendezvous traffic maps buffers on the sender only; the allocation
-  // histories diverge and the global virtual address space is gone —
+  // Rendezvous traffic maps buffers on the sender only; the MMU's bump
+  // allocations diverge and the global virtual address space is gone —
   // exactly the paper's caveat. The bcast must still deliver via p2p.
   TestBed bed;
   const BcastCounts counts;
   bed.run_mpi(2, [&](mpi::World& w) {
     auto& c = w.comm();
-    // Asymmetric: rank 0 sends one long message (maps memory, allocates
-    // descriptor events); rank 1 only receives.
+    // Asymmetric: rank 0 sends one long message (maps memory); rank 1 only
+    // receives.
     std::vector<std::uint8_t> big(50000, 9);
     if (c.rank() == 0)
       c.send(big.data(), big.size(), dtype::byte_type(), 1, 0);
@@ -95,6 +95,35 @@ TEST(HwBcast, AsymmetricHistoryFallsBack) {
   }, hw_opts());
   EXPECT_EQ(counts.hw(), 0u) << "diverged histories must disable the hardware path";
   EXPECT_EQ(counts.fallback(), 2u);
+}
+
+TEST(HwBcast, EagerHistoryKeepsTheHardwarePath) {
+  // Under the shared completion queue every eager send allocates an event,
+  // on the sender only, and maps nothing. Op events take no slot in the
+  // NIC's event table, so the arrival events' indices stay symmetric and
+  // the hardware path holds.
+  mpi::Options opts = hw_opts();
+  opts.elan4.completion = ptl_elan4::Completion::kSharedCombined;
+  TestBed bed;
+  bed.pin_transport = true;  // every eager send rides this one Elan4 rail
+  const BcastCounts counts;
+  bed.run_mpi(2, [&](mpi::World& w) {
+    auto& c = w.comm();
+    std::vector<std::uint8_t> msg(256, 5);
+    for (int i = 0; i < 10; ++i) {
+      if (c.rank() == 0)
+        c.send(msg.data(), msg.size(), dtype::byte_type(), 1, i);
+      else
+        c.recv(msg.data(), msg.size(), dtype::byte_type(), 0, i);
+    }
+    std::vector<std::uint8_t> buf(512, 0);
+    if (c.rank() == 0) std::fill(buf.begin(), buf.end(), 0xCD);
+    c.bcast(buf.data(), buf.size(), dtype::byte_type(), 0);
+    EXPECT_EQ(buf[100], 0xCD);
+    c.barrier();
+  }, opts);
+  EXPECT_EQ(counts.hw(), 2u) << "eager history must not shift event indices";
+  EXPECT_EQ(counts.fallback(), 0u);
 }
 
 TEST(HwBcast, NonContiguousTypeFallsBack) {

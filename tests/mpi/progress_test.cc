@@ -255,5 +255,51 @@ TEST(Progress, ProbeWakesWhenAProgressThreadQueuesTheMessage) {
   EXPECT_EQ(bed.engine.parked_waits(), 0u);
 }
 
+// Every in-flight NIC op owns its event until that event triggers: a long
+// run of rendezvous messages keeps the live op events bounded by what is in
+// flight, leaves none once quiesced, and never touches the NIC's event
+// table, whose indices the hardware collectives compare across processes.
+class OpEvents : public ::testing::TestWithParam<ProgressCase> {};
+
+TEST_P(OpEvents, BoundedByInFlightOps) {
+  mpi::Options opts;
+  opts.elan4.progress = GetParam().progress;
+  opts.elan4.completion = GetParam().completion;
+  TestBed bed;
+  bed.pin_transport = true;  // one rail: every op is this PTL's
+  std::size_t peak = 0;  // live op events, sampled at every test()
+  bed.run_mpi(2, [&](mpi::World& w) {
+    ptl_elan4::PtlElan4& ptl = *w.elan4_ptl();
+    const int before = ptl.device().alloc_event("before")->index();
+    auto& c = w.comm();
+    std::vector<std::uint8_t> buf(65536, 1);
+    for (int i = 0; i < 200; ++i) {
+      mpi::Request r =
+          c.rank() == 0 ? c.isend(buf.data(), buf.size(), dtype::byte_type(), 1, i)
+                        : c.irecv(buf.data(), buf.size(), dtype::byte_type(), 0, i);
+      while (!r.test()) peak = std::max(peak, ptl.live_op_events());
+    }
+    EXPECT_EQ(ptl.device().alloc_event("after")->index(), before + 1)
+        << "op events took slots in the NIC's event table";
+    c.barrier();
+    w.finalize();
+    EXPECT_EQ(ptl.live_op_events(), 0u);
+  }, opts);
+  EXPECT_GT(peak, 0u) << "no op event was ever in flight";
+  // A pipeline's depth of stripe RDMAs, whatever the message count.
+  EXPECT_LE(peak, static_cast<std::size_t>(bed.params.pipeline_depth));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CompletionModes, OpEvents,
+    ::testing::Values(ProgressCase{ptl_elan4::Progress::kPolling,
+                                   ptl_elan4::Completion::kDirectPoll},
+                      ProgressCase{ptl_elan4::Progress::kPolling,
+                                   ptl_elan4::Completion::kSharedCombined},
+                      ProgressCase{ptl_elan4::Progress::kPolling,
+                                   ptl_elan4::Completion::kSharedSeparate},
+                      ProgressCase{ptl_elan4::Progress::kInterrupt,
+                                   ptl_elan4::Completion::kSharedCombined}));
+
 }  // namespace
 }  // namespace oqs

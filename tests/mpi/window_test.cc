@@ -2,6 +2,7 @@
 // epochs, bounds checking.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 
 #include "testbed.h"
@@ -23,16 +24,16 @@ TEST(Window, PutPlacesDataAtTarget) {
       std::iota(payload.begin(), payload.end(), 1);
       EXPECT_EQ(win.put(1, payload.data(), payload.size(), /*offset=*/100),
                 Status::kOk);
-      win.fence();
+      EXPECT_EQ(win.fence(), Status::kOk);
     } else {
-      win.fence();
+      EXPECT_EQ(win.fence(), Status::kOk);
       for (int i = 0; i < 1000; ++i)
         ASSERT_EQ(exposed[static_cast<std::size_t>(100 + i)],
                   static_cast<std::uint8_t>(i + 1));
       EXPECT_EQ(exposed[99], 0);
       EXPECT_EQ(exposed[1100], 0);
     }
-    win.fence();
+    EXPECT_EQ(win.fence(), Status::kOk);
   });
 }
 
@@ -49,14 +50,14 @@ TEST(Window, GetPullsDataFromTarget) {
     if (c.rank() == 0) {
       std::vector<std::uint8_t> local(500, 0);
       EXPECT_EQ(win.get(1, local.data(), local.size(), /*offset=*/32), Status::kOk);
-      win.fence();
+      EXPECT_EQ(win.fence(), Status::kOk);
       for (int i = 0; i < 500; ++i)
         ASSERT_EQ(local[static_cast<std::size_t>(i)],
                   static_cast<std::uint8_t>((32 + i) * 3));
     } else {
-      win.fence();
+      EXPECT_EQ(win.fence(), Status::kOk);
     }
-    win.fence();
+    EXPECT_EQ(win.fence(), Status::kOk);
   });
 }
 
@@ -73,7 +74,7 @@ TEST(Window, FenceEpochsOrderAccesses) {
     for (int round = 0; round < n; ++round) {
       std::uint64_t moving = cell;
       win.put((c.rank() + 1) % n, &moving, sizeof(moving), 0);
-      win.fence();
+      EXPECT_EQ(win.fence(), Status::kOk);
     }
     // After n rounds each value returned home.
     EXPECT_EQ(cell, 1000 + static_cast<std::uint64_t>(c.rank()));
@@ -95,15 +96,15 @@ TEST(Window, ManyOutstandingOpsDrainAtFence) {
                 static_cast<std::size_t>(i) * 4096);
       }
       EXPECT_EQ(win.pending(), 16u);
-      win.fence();
+      EXPECT_EQ(win.fence(), Status::kOk);
       EXPECT_EQ(win.pending(), 0u);
     } else {
-      win.fence();
+      EXPECT_EQ(win.fence(), Status::kOk);
       for (int i = 0; i < 16; ++i)
         ASSERT_EQ(exposed[static_cast<std::size_t>(i) * 4096 + 7],
                   static_cast<std::uint8_t>(i + 1));
     }
-    win.fence();
+    EXPECT_EQ(win.fence(), Status::kOk);
   });
 }
 
@@ -118,8 +119,8 @@ TEST(Window, BoundsAreChecked) {
     EXPECT_EQ(win.put(5, &x, 1, 0), Status::kBadParam);     // bad rank
     EXPECT_EQ(win.get(1, &x, 300, 0), Status::kBadParam);   // too long
     EXPECT_EQ(win.put(1, &x, 1, 255), Status::kOk);         // last byte ok
-    win.fence();
-    win.fence();
+    EXPECT_EQ(win.fence(), Status::kOk);
+    EXPECT_EQ(win.fence(), Status::kOk);
   });
 }
 
@@ -131,9 +132,36 @@ TEST(Window, SelfPutWorksThroughLoopback) {
     mpi::Window win(c, w, exposed.data(), exposed.size());
     std::uint8_t v = 0xEE;
     win.put(c.rank(), &v, 1, static_cast<std::size_t>(c.rank()));
-    win.fence();
+    EXPECT_EQ(win.fence(), Status::kOk);
     EXPECT_EQ(exposed[static_cast<std::size_t>(c.rank())], 0xEE);
-    win.fence();
+    EXPECT_EQ(win.fence(), Status::kOk);
+  });
+}
+
+TEST(Window, PutToADestroyedWindowFaultsTheFence) {
+  // The target destroys its window, unmapping the region, before the
+  // origin's put lands: the put faults at the target, and the origin's fence
+  // reports it instead of aborting, still closing the epoch with the
+  // barrier the target joins.
+  TestBed bed;
+  bed.run_mpi(2, [&](mpi::World& w) {
+    auto& c = w.comm();
+    std::vector<std::uint8_t> exposed(4096, 0);
+    auto win = std::make_unique<mpi::Window>(c, w, exposed.data(),
+                                             exposed.size());
+    if (c.rank() == 0) {
+      std::vector<std::uint8_t> payload(1024, 0x77);
+      EXPECT_EQ(win->put(1, payload.data(), payload.size(), 0), Status::kOk);
+      EXPECT_EQ(win->fence(), Status::kFault);
+      EXPECT_EQ(win->pending(), 0u);
+      // The next epoch starts clean.
+      EXPECT_EQ(win->fence(), Status::kOk);
+    } else {
+      win.reset();
+      c.barrier();  // the origin's faulted fence
+      c.barrier();  // and its clean one
+      EXPECT_EQ(exposed[0], 0) << "a faulted put places nothing";
+    }
   });
 }
 
